@@ -7,6 +7,7 @@ caps keep the full verification sweep in the seconds range.
 The environment variable ``DETREC_MAX_N`` replaces the default cap of every
 enumeration listed below, clamped to a per-operation hard limit (the hard
 limits exist because e.g. dense linear-subdigraph enumeration is factorial).
+Any value that is not a positive integer is rejected with ``ValueError``.
 """
 
 import os
@@ -35,7 +36,9 @@ def cap(name: str) -> int:
     try:
         requested = int(raw)
     except ValueError:
-        return default
+        requested = 0  # rejected below, like any other value under 1
+    if requested < 1:
+        raise ValueError(f"DETREC_MAX_N must be a positive integer, got {raw!r}")
     return min(hard, requested)
 
 

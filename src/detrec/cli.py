@@ -6,7 +6,8 @@ JSON object per item followed by a summary line; ``verify`` emits one
 verification report in JSON per check.
 
 Exit codes: 0 success or all checks passed, 1 verification failure, 2 usage
-error, 3 size cap exceeded.
+error, 3 size cap exceeded.  A reader that closes the pipe early (``| head``)
+ends the run quietly with exit code 0.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from .combi import (
@@ -294,7 +296,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (``detrec ... | head``), which is not an
+        # error.  Point the stdout fd at devnull so that the flush of the
+        # remaining buffer at interpreter exit stays silent too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

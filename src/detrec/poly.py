@@ -3,8 +3,22 @@
 A polynomial is a map from monomials to arbitrary-precision integer
 coefficients.  A monomial is a tuple of ``(variable index, exponent)`` pairs,
 sorted by variable index, with every exponent positive (an absent variable
-has exponent 0).  The zero polynomial has no terms; no stored coefficient is
-ever zero, so two polynomials are equal exactly when their term maps are.
+has exponent 0).
+
+Canonical invariant: no stored coefficient is zero, every coefficient is an
+``int``, and every monomial is sorted with positive exponents.  The zero
+polynomial has no terms, and two polynomials are equal exactly when their
+term maps are.  The public constructor ``MultiPoly(terms)`` validates and
+normalises its input into this form.  The private ``_from_terms`` stores a
+dict as it is and trusts it to be canonical already; every ring operation
+(``+``, ``-``, unary ``-``, ``*``, ``**``) and ``exact_divide`` builds its
+result through it, so canonical terms are never normalised a second time.
+
+Multiplication and division pack the exponent vectors of their operands
+into single ints for the length of one call (``_Packing``), so that a
+monomial product is an integer addition and graded-lex order is integer
+order.  The packed form never leaves the call: the stored term map always
+has tuple monomials.
 
 The canonical text form lists terms in descending graded-lexicographic order
 (total degree first, then lexicographically with the lowest-indexed variable
@@ -19,6 +33,7 @@ golden-ratio arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import NotDivisible, UnassignedVariable
@@ -39,23 +54,79 @@ def _normalize_mono(pairs: Iterable[tuple[int, int]]) -> Monomial:
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    exps = dict(a)
-    for v, e in b:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
+    """Product of two monomials: a merge of their variable-sorted pairs."""
+    if not b:
+        return a
+    if not a:
+        return b
+    out = []
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        va, ea = pa = a[i]
+        vb, eb = pb = b[j]
+        if va < vb:
+            out.append(pa)
+            i += 1
+        elif vb < va:
+            out.append(pb)
+            j += 1
+        else:
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
 
 
-def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
+class _Packing:
+    """Exponent vectors of one operation's monomials packed into single ints.
 
+    Each variable that occurs in ``monos`` gets a field of ``bits`` bits,
+    the lowest-indexed variable in the most significant one, and the total
+    degree gets a field above them all.  Integer order is then graded-lex
+    order, and multiplying monomials adds their keys.  ``bound`` must bound
+    the total degree of every monomial the operation forms, so no field
+    carries into the next and each field's top bit stays clear, free to act
+    as the borrow guard in ``divide``.
+    """
 
-def _grlex_key(m: Monomial, width: int):
-    # Dense exponent vector makes the lexicographic tie-break a plain tuple
-    # comparison; sorting descending puts the leading term first.
-    exps = [0] * width
-    for v, e in m:
-        exps[v] = e
-    return (_mono_degree(m), tuple(exps))
+    __slots__ = ("variables", "bits", "shift", "guard")
+
+    def __init__(self, monos, bound: int):
+        self.variables = sorted({v for m in monos for v, _ in m})
+        self.bits = bits = bound.bit_length() + 1
+        n = len(self.variables)
+        self.shift = {v: bits * (n - 1 - i) for i, v in enumerate(self.variables)}
+        top = 1 << (bits - 1)
+        self.guard = sum(top << (bits * i) for i in range(n + 1))
+
+    def pack(self, m: Monomial) -> int:
+        shift = self.shift
+        key = degree = 0
+        for v, e in m:
+            key += e << shift[v]
+            degree += e
+        return key + (degree << (self.bits * len(self.variables)))
+
+    def unpack(self, key: int) -> Monomial:
+        bits = self.bits
+        mask = (1 << bits) - 1
+        out = []
+        for v in reversed(self.variables):
+            e = key & mask
+            if e:
+                out.append((v, e))
+            key >>= bits
+        out.reverse()
+        return tuple(out)
+
+    def divide(self, a: int, b: int) -> int | None:
+        """Key of ``a / b``, or ``None`` when ``b`` does not divide ``a``."""
+        # a field of a below b's borrows its guard bit and clears it
+        d = (a | self.guard) - b
+        return d ^ self.guard if d & self.guard == self.guard else None
 
 
 class MultiPoly:
@@ -67,10 +138,12 @@ class MultiPoly:
         canonical: dict[Monomial, int] = {}
         if terms:
             for mono, coef in terms.items():
+                if not isinstance(coef, int):
+                    raise TypeError(f"coefficient {coef!r} is not an int")
                 if coef == 0:
                     continue
                 canonical[_normalize_mono(mono)] = int(coef)
-        object.__setattr__(self, "_terms", canonical)
+        _set_terms(self, canonical)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -101,27 +174,23 @@ class MultiPoly:
 
     def degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
-        if not self._terms:
-            return 0
-        return max(_mono_degree(m) for m in self._terms)
+        top = 0
+        for mono in self._terms:
+            degree = 0
+            for _, e in mono:
+                degree += e
+            if degree > top:
+                top = degree
+        return top
 
     def variables(self) -> set[int]:
         return {v for m in self._terms for v, _ in m}
-
-    def _width(self) -> int:
-        top = -1
-        for m in self._terms:
-            for v, _ in m:
-                if v > top:
-                    top = v
-        return top + 1
 
     def leading_term(self) -> tuple[Monomial, int]:
         """Largest term in graded-lex order.  Undefined for zero."""
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
-        width = self._width()
-        mono = max(self._terms, key=lambda m: _grlex_key(m, width))
+        mono = max(self._terms, key=_Packing(self._terms, self.degree()).pack)
         return mono, self._terms[mono]
 
     # -- ring operations ---------------------------------------------------
@@ -131,45 +200,75 @@ class MultiPoly:
         if isinstance(other, MultiPoly):
             return other
         if isinstance(other, int):
-            return MultiPoly.const(other)
+            return _from_terms({_EMPTY: int(other)} if other else {})
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._terms)
-        for mono, coef in other._terms.items():
-            out[mono] = out.get(mono, 0) + coef
-        return MultiPoly(out)
+        big, small = self._terms, other._terms
+        if len(big) < len(small):
+            big, small = small, big
+        out = dict(big)
+        for mono, coef in small.items():
+            coef += out.get(mono, 0)
+            if coef:
+                out[mono] = coef
+            else:
+                del out[mono]
+        return _from_terms(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly({m: -c for m, c in self._terms.items()})
+        return _from_terms({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        out = dict(self._terms)
+        for mono, coef in other._terms.items():
+            coef = out.get(mono, 0) - coef
+            if coef:
+                out[mono] = coef
+            else:
+                del out[mono]
+        return _from_terms(out)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[Monomial, int] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                mono = _mono_mul(ma, mb)
-                out[mono] = out.get(mono, 0) + ca * cb
-        return MultiPoly(out)
+        left, right = self._terms, other._terms
+        if len(left) > len(right):
+            left, right = right, left
+        if len(left) == 1:
+            # a term times a polynomial: no two products collide, so packing
+            # (which pays off through collisions) would cost more than it saves
+            (ma, ca), = left.items()
+            return _from_terms({_mono_mul(ma, mb): ca * cb for mb, cb in right.items()})
+        if not left:
+            return _from_terms({})
+        packing = _Packing([*left, *right], self.degree() + other.degree())
+        pack = packing.pack
+        right = [(pack(m), c) for m, c in right.items()]
+        out: dict[int, int] = {}
+        get = out.get
+        for ma, ca in left.items():
+            ka = pack(ma)
+            for kb, cb in right:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        unpack = packing.unpack
+        return _from_terms({unpack(k): c for k, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -207,6 +306,16 @@ class MultiPoly:
         return f"MultiPoly({poly_str(self)})"
 
 
+_set_terms = MultiPoly._terms.__set__
+
+
+def _from_terms(terms: dict[Monomial, int]) -> MultiPoly:
+    """Trusted constructor: stores ``terms`` as is, which must be canonical."""
+    p = object.__new__(MultiPoly)
+    _set_terms(p, terms)
+    return p
+
+
 VarNames = Union[Sequence[str], Callable[[int], str], None]
 
 
@@ -225,9 +334,8 @@ def poly_str(p: MultiPoly, names: VarNames = None) -> str:
     """
     if not p:
         return "0"
-    width = p._width()
-    ordered = sorted(p._terms.items(), key=lambda kv: _grlex_key(kv[0], width),
-                     reverse=True)
+    pack = _Packing(p._terms, p.degree()).pack
+    ordered = sorted(p._terms.items(), key=lambda kv: pack(kv[0]), reverse=True)
     pieces: list[str] = []
     for i, (mono, coef) in enumerate(ordered):
         mag = abs(coef)
@@ -252,29 +360,50 @@ def exact_divide(num: MultiPoly, den: MultiPoly) -> MultiPoly:
     leading terms.  Raises ``NotDivisible`` as soon as a leading monomial or
     integer coefficient fails to divide, which happens exactly when no
     integer-coefficient quotient exists.
+
+    The remainder is one mutable dict keyed by packed monomials, beside a
+    heap of its keys, so each step pops the leading term instead of
+    scanning the remainder for it.  Each step subtracts ``c*mono*den`` from
+    the dict term by term.  A term that cancels keeps its key, with
+    coefficient zero, until the heap reaches it and skips it (lazy
+    deletion), so every key enters the heap once.  Every term a step adds
+    is below the current leading term, so a popped key never comes back.
+    No term exceeds the degree of ``num``, which the packing is sized for.
     """
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
-    quotient = MultiPoly.zero()
-    remainder = num
-    den_mono, den_coef = den.leading_term()
-    den_exps = dict(den_mono)
-    while remainder:
-        rem_mono, rem_coef = remainder.leading_term()
-        rem_exps = dict(rem_mono)
-        diff = dict(rem_exps)
-        for v, e in den_exps.items():
-            have = diff.get(v, 0)
-            if have < e:
-                raise NotDivisible(f"{rem_mono} not divisible by {den_mono}")
-            diff[v] = have - e
+    packing = _Packing([*num._terms, *den._terms], max(num.degree(), den.degree()))
+    pack, divide = packing.pack, packing.divide
+    den_terms = {pack(m): c for m, c in den._terms.items()}
+    den_key = max(den_terms)
+    den_coef = den_terms.pop(den_key)
+    den_tail = list(den_terms.items())
+    remainder = {pack(m): c for m, c in num._terms.items()}
+    heap = [-k for k in remainder]
+    heapify(heap)
+    quotient: dict[Monomial, int] = {}
+    while heap:
+        rem_key = -heappop(heap)
+        rem_coef = remainder.pop(rem_key)
+        if not rem_coef:
+            continue
+        key = divide(rem_key, den_key)
+        if key is None:
+            raise NotDivisible(f"{packing.unpack(rem_key)} not divisible by "
+                               f"{packing.unpack(den_key)}")
         c, leftover = divmod(rem_coef, den_coef)
         if leftover:
             raise NotDivisible(f"coefficient {rem_coef} not divisible by {den_coef}")
-        t = MultiPoly({_normalize_mono(diff.items()): c})
-        quotient = quotient + t
-        remainder = remainder - t * den
-    return quotient
+        quotient[packing.unpack(key)] = c
+        for tail_key, tail_coef in den_tail:
+            k = key + tail_key
+            old = remainder.get(k)
+            if old is None:
+                remainder[k] = -c * tail_coef
+                heappush(heap, -k)
+            else:
+                remainder[k] = old - c * tail_coef
+    return _from_terms(quotient)
 
 
 class QuadExt:

@@ -1,6 +1,10 @@
 """Command-line interface: outputs, schemas, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +149,34 @@ def test_usage_errors(capsys):
 def test_too_large_exit_code(capsys):
     code, _, _ = run(capsys, "enumerate", "tilings", "--n", "30", "--r", "2")
     assert code == 3
+
+
+@pytest.mark.parametrize("raw", ["-3", "0", "abc"])
+def test_invalid_cap_override_is_a_usage_error(capsys, monkeypatch, raw):
+    monkeypatch.setenv("DETREC_MAX_N", raw)
+    code, _, err = run(capsys, "enumerate", "tilings", "--n", "0", "--r", "2")
+    assert code == 2
+    assert "DETREC_MAX_N" in err
+
+
+def test_closed_pipe_exits_quietly():
+    # The 0.6 MB of output outgrows the pipe buffer, so the writer is still
+    # writing when the reader closes its end after the first line.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "detrec", "enumerate", "tilings", "--n", "20",
+         "--r", "2", "--coeffs", "1,1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    code = proc.wait(timeout=60)
+    assert json.loads(first) == {"parts": [1] * 20}
+    assert err == b""
+    assert code == 0
 
 
 def test_csv_format_for_verify(capsys):

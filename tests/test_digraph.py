@@ -167,6 +167,14 @@ def test_cap_override_via_environment(monkeypatch):
         enumerate_lsds(from_matrix(identity_matrix(15)))
 
 
+@pytest.mark.parametrize("raw", ["-3", "0", "abc"])
+def test_invalid_cap_override_is_rejected(monkeypatch, raw):
+    monkeypatch.setenv("DETREC_MAX_N", raw)
+    with pytest.raises(ValueError, match="DETREC_MAX_N") as exc:
+        det_via_lsd(build_F(3))
+    assert not isinstance(exc.value, TooLarge)
+
+
 def test_enumeration_is_deterministic_and_canonical():
     lsds = enumerate_lsds(from_matrix(build_G(6, 3)))
     again = enumerate_lsds(from_matrix(build_G(6, 3)))

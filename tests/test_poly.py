@@ -56,6 +56,14 @@ def test_constructor_drops_zero_coefficients():
     assert (X0 - X0) == MultiPoly.zero()
 
 
+@pytest.mark.parametrize("coef", [Fraction(1, 2), Fraction(4, 2), 2.7, 2.0, "3"])
+def test_constructor_rejects_non_integer_coefficients(coef):
+    with pytest.raises(TypeError, match="not an int"):
+        MultiPoly({((0, 1),): coef})
+    with pytest.raises(TypeError):
+        MultiPoly({(): coef})
+
+
 def test_pow_zero_is_one():
     assert (X0 + X1) ** 0 == MultiPoly.one()
     assert MultiPoly.zero() ** 0 == MultiPoly.one()
