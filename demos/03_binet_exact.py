@@ -1,8 +1,8 @@
 """Binet's formula evaluated exactly in the quadratic field Q(sqrt 5).
 
 The golden ratio phi = (1+sqrt(5))/2 and its conjugate psi are represented
-as exact pairs of rationals, so phi**n never loses a digit and the radical
-parts cancel exactly where the theory says they must.
+exactly, as integers over a common denominator, so phi**n never loses a digit
+and the radical parts cancel exactly where the theory says they must.
 """
 
 from detrec import PHI, PSI, SQRT5, MultiPoly, binet_fib, fibonacci, substitute

@@ -22,7 +22,6 @@ from .poly import (
     QuadExt,
     exact_divide,
     poly_str,
-    quad_pow,
     scalar_str,
     substitute,
 )

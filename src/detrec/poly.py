@@ -9,10 +9,13 @@ Canonical invariant: no stored coefficient is zero, every coefficient is an
 ``int``, and every monomial is sorted with positive exponents.  The zero
 polynomial has no terms, and two polynomials are equal exactly when their
 term maps are.  The public constructor ``MultiPoly(terms)`` validates and
-normalises its input into this form.  The private ``_from_terms`` stores a
-dict as it is and trusts it to be canonical already; every ring operation
-(``+``, ``-``, unary ``-``, ``*``, ``**``) and ``exact_divide`` builds its
-result through it, so canonical terms are never normalised a second time.
+normalises its input into this form: it merges a variable repeated within a
+monomial, adds up coefficients whose monomials normalise alike, and rejects
+a variable index that is not a non-negative int.  The private
+``_from_terms`` stores a dict as it is and trusts it to be canonical
+already; every ring operation (``+``, ``-``, unary ``-``, ``*``, ``**``) and
+``exact_divide`` builds its result through it, so canonical terms are never
+normalised a second time.
 
 Multiplication and division pack the exponent vectors of their operands
 into single ints for the length of one call (``_Packing``), so that a
@@ -25,15 +28,19 @@ The canonical text form lists terms in descending graded-lexicographic order
 strongest), e.g. ``x0^2 + x0*x1 + x1^2``.  That string is the golden format
 used by the test suite and the command line.
 
-``QuadExt`` is an exact element ``p + q*sqrt(d)`` of a real quadratic field
-with reduced rational components; all shipped call sites use ``d = 5`` for
-golden-ratio arithmetic.
+``QuadExt`` is an exact element of the golden-ratio field Q(sqrt 5), stored
+as three ints ``(a, b, den)`` for ``(a + b*sqrt(5)) / den`` with
+``den > 0`` and ``gcd(den, a, b) == 1``: one representation per element, so
+equality compares the triples.  Ring operations work on the ints and build
+their results through the trusted ``_quad``, which only reduces by the gcd;
+no ``Fraction`` arithmetic runs inside them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import NotDivisible, UnassignedVariable
@@ -45,11 +52,22 @@ _EMPTY: Monomial = ()
 
 
 def _normalize_mono(pairs: Iterable[tuple[int, int]]) -> Monomial:
-    kept = [(v, e) for v, e in pairs if e != 0]
-    for v, e in kept:
+    """Canonical monomial: sorted by variable, repeats merged, zero exponents dropped."""
+    kept = []
+    for v, e in pairs:
+        if type(v) is not int or v < 0:
+            raise ValueError(f"variable index {v!r} is not a non-negative int")
         if e < 0:
             raise ValueError(f"negative exponent {e} for variable {v}")
+        if e:
+            kept.append((v, e))
     kept.sort()
+    for i in range(1, len(kept)):
+        if kept[i - 1][0] == kept[i][0]:
+            merged: dict[int, int] = {}
+            for v, e in kept:
+                merged[v] = merged.get(v, 0) + e
+            return tuple(merged.items())
     return tuple(kept)
 
 
@@ -140,9 +158,13 @@ class MultiPoly:
             for mono, coef in terms.items():
                 if not isinstance(coef, int):
                     raise TypeError(f"coefficient {coef!r} is not an int")
-                if coef == 0:
-                    continue
-                canonical[_normalize_mono(mono)] = int(coef)
+                mono = _normalize_mono(mono)
+                # keys that normalise to one monomial add up
+                coef = int(coef) + canonical.get(mono, 0)
+                if coef:
+                    canonical[mono] = coef
+                else:
+                    canonical.pop(mono, None)
         _set_terms(self, canonical)
 
     def __setattr__(self, name, value):
@@ -297,7 +319,11 @@ class MultiPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        terms = self._terms
+        if not terms or (len(terms) == 1 and _EMPTY in terms):
+            # a constant equals, so must hash like, its int
+            return hash(terms.get(_EMPTY, 0))
+        return hash(frozenset(terms.items()))
 
     def __str__(self) -> str:
         return poly_str(self)
@@ -407,81 +433,109 @@ def exact_divide(num: MultiPoly, den: MultiPoly) -> MultiPoly:
 
 
 class QuadExt:
-    """Exact element ``p + q*sqrt(d)`` of a real quadratic field.
+    """Exact element ``(a + b*sqrt(5)) / den`` of the real quadratic field Q(sqrt 5).
 
-    Components are reduced rationals; ``d`` is a square-free positive
-    integer, 5 everywhere in this library.  Mixing different ``d`` values in
-    one operation is an error.
+    Stored as three ints with ``den > 0`` and ``gcd(den, a, b) == 1``, so
+    every element has exactly one representation and two elements are equal
+    exactly when their triples are.  ``QuadExt(rational, radical)`` builds
+    ``rational + radical*sqrt(5)`` from ints or fractions (anything
+    ``Fraction`` accepts); every ring operation builds its result through
+    the trusted ``_quad``, which takes the triple as computed and only
+    divides out the gcd.  ``rational`` and ``radical`` read the two
+    components back as reduced ``Fraction``s.
     """
 
-    __slots__ = ("rational", "radical", "d")
+    __slots__ = ("_a", "_b", "_den")
 
-    def __init__(self, rational=0, radical=0, d: int = 5):
-        object.__setattr__(self, "rational", Fraction(rational))
-        object.__setattr__(self, "radical", Fraction(radical))
-        object.__setattr__(self, "d", int(d))
+    def __init__(self, rational=0, radical=0):
+        r, s = Fraction(rational), Fraction(radical)
+        den = lcm(r.denominator, s.denominator)
+        # both components are reduced, so the common denominator leaves gcd 1
+        _set_a(self, r.numerator * (den // r.denominator))
+        _set_b(self, s.numerator * (den // s.denominator))
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")
 
-    def _coerce(self, other) -> "QuadExt | None":
+    @property
+    def rational(self) -> Fraction:
+        """The rational component ``a/den``, reduced."""
+        return Fraction(self._a, self._den)
+
+    @property
+    def radical(self) -> Fraction:
+        """The coefficient ``b/den`` of ``sqrt(5)``, reduced."""
+        return Fraction(self._b, self._den)
+
+    @staticmethod
+    def _coerce(other) -> "QuadExt | None":
         if isinstance(other, QuadExt):
-            if other.d != self.d:
-                raise ValueError(f"mixed discriminants {self.d} and {other.d}")
             return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(other, 0, self.d)
+        if isinstance(other, int):
+            return _quad(int(other), 0, 1)
+        if isinstance(other, Fraction):
+            return _quad(other.numerator, 0, other.denominator)
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return QuadExt(self.rational + other.rational,
-                       self.radical + other.radical, self.d)
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            return _quad(self._a + other._a, self._b + other._b, d1)
+        return _quad(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.rational, -self.radical, self.d)
+        return _quad(-self._a, -self._b, self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            return _quad(self._a - other._a, self._b - other._b, d1)
+        return _quad(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        p1, q1, p2, q2 = self.rational, self.radical, other.rational, other.radical
-        return QuadExt(p1 * p2 + q1 * q2 * self.d, p1 * q2 + p2 * q1, self.d)
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        return _quad(a1 * a2 + 5 * b1 * b2, a1 * b2 + a2 * b1, self._den * other._den)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "QuadExt":
-        return QuadExt(self.rational, -self.radical, self.d)
+        return _quad(self._a, -self._b, self._den)
 
     def norm(self) -> Fraction:
-        return self.rational * self.rational - self.d * self.radical * self.radical
+        return Fraction(self._a * self._a - 5 * self._b * self._b, self._den * self._den)
 
     def __truediv__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = other.norm()
+        a1, b1, a2, b2, d2 = self._a, self._b, other._a, other._b, other._den
+        # x / y = x * conj(y) * d2**2 / (a2**2 - 5*b2**2); that integer
+        # vanishes only at y == 0, since sqrt(5) is irrational
+        n = a2 * a2 - 5 * b2 * b2
         if n == 0:
             raise ZeroDivisionError("division by zero quadratic element")
-        conj = other.conjugate()
-        # 1/other = conj/norm since d is square-free (norm 0 only at 0)
-        return self * QuadExt(conj.rational / n, conj.radical / n, self.d)
+        a, b, den = (a1 * a2 - 5 * b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._den * n
+        if den < 0:
+            a, b, den = -a, -b, -den
+        return _quad(a, b, den)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -494,7 +548,7 @@ class QuadExt:
             return NotImplemented
         if k < 0:
             raise ValueError("quadratic powers must be non-negative")
-        result = QuadExt(1, 0, self.d)
+        result = _quad(1, 0, 1)
         base = self
         n = k
         while n:
@@ -505,29 +559,54 @@ class QuadExt:
         return result
 
     def __bool__(self) -> bool:
-        return self.rational != 0 or self.radical != 0
+        return bool(self._a or self._b)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = QuadExt(other, 0, self.d)
-        if not isinstance(other, QuadExt):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        return (self.d == other.d and self.rational == other.rational
-                and self.radical == other.radical)
+        return self._a == other._a and self._b == other._b and self._den == other._den
 
     def __hash__(self) -> int:
-        return hash((self.rational, self.radical, self.d))
+        if self._b:
+            return hash((self._a, self._b, self._den))
+        # a rational element equals, so must hash like, its Fraction and int
+        return hash(Fraction(self._a, self._den))
 
     def __str__(self) -> str:
-        if self.radical == 0:
+        if not self._b:
             return str(self.rational)
-        tail = f"{abs(self.radical)}*sqrt({self.d})"
-        if self.radical < 0:
+        tail = f"{abs(self.radical)}*sqrt(5)"
+        if self._b < 0:
             return f"{self.rational} - {tail}"
         return f"{self.rational} + {tail}"
 
     def __repr__(self) -> str:
-        return f"QuadExt({self.rational}, {self.radical}, d={self.d})"
+        return f"QuadExt({self.rational}, {self.radical})"
+
+
+_set_a = QuadExt._a.__set__
+_set_b = QuadExt._b.__set__
+_set_den = QuadExt._den.__set__
+
+
+def _quad(a: int, b: int, den: int) -> QuadExt:
+    """Trusted constructor: ``(a + b*sqrt(5)) / den`` from ints with ``den > 0``.
+
+    Divides out ``gcd(den, a, b)`` and stores the triple.  ``den`` goes
+    first because it is small next to ``a`` and ``b`` and ``gcd`` stops
+    reading its arguments once the running gcd is 1.
+    """
+    g = gcd(den, a, b)
+    if g != 1:
+        a //= g
+        b //= g
+        den //= g
+    z = object.__new__(QuadExt)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_den(z, den)
+    return z
 
 
 #: Golden ratio (1 + sqrt(5))/2 and its conjugate (1 - sqrt(5))/2.
@@ -536,28 +615,17 @@ PSI = QuadExt(Fraction(1, 2), Fraction(-1, 2))
 SQRT5 = QuadExt(0, 1)
 
 
-def quad_pow(z: QuadExt, n: int) -> QuadExt:
-    """Exact ``z**n`` for non-negative ``n``; ``quad_pow(z, 0) == 1``."""
-    return z ** n
-
-
 def substitute(p: MultiPoly, assignment: Mapping[int, "QuadExt | int | Fraction"]) -> QuadExt:
     """Evaluate ``p`` exactly at a point of the quadratic field.
 
     Every variable occurring in ``p`` must be assigned; plain integers and
     fractions are promoted.  Raises ``UnassignedVariable`` otherwise.
     """
-    d = 5
-    for value in assignment.values():
-        if isinstance(value, QuadExt):
-            d = value.d
-            break
-    values: dict[int, QuadExt] = {}
-    for v, value in assignment.items():
-        values[v] = value if isinstance(value, QuadExt) else QuadExt(value, 0, d)
-    total = QuadExt(0, 0, d)
+    values = {v: value if isinstance(value, QuadExt) else QuadExt(value)
+              for v, value in assignment.items()}
+    total = QuadExt(0)
     for mono, coef in p._terms.items():
-        term = QuadExt(coef, 0, d)
+        term = QuadExt(coef)
         for v, e in mono:
             if v not in values:
                 raise UnassignedVariable(f"variable x{v} is not assigned")
@@ -570,14 +638,14 @@ def scalar_str(value, names: VarNames = None) -> str:
     """Canonical serialization shared by every scalar type.
 
     Integers and fractions print plainly, polynomials in graded-lex text
-    form, quadratic elements as ``p + q*sqrt(d)`` (or plainly when the
+    form, quadratic elements as ``p + q*sqrt(5)`` (or plainly when the
     radical part vanishes, so rational-valued routes compare equal across
     scalar types).
     """
     if isinstance(value, MultiPoly):
         return poly_str(value, names)
     if isinstance(value, QuadExt):
-        if value.radical == 0 and value.rational.denominator == 1:
-            return str(value.rational.numerator)
+        if not value._b and value._den == 1:
+            return str(value._a)
         return str(value)
     return str(value)

@@ -14,7 +14,6 @@ from detrec.poly import (
     QuadExt,
     exact_divide,
     poly_str,
-    quad_pow,
     scalar_str,
     substitute,
 )
@@ -139,7 +138,7 @@ def test_substitute_is_ring_homomorphism():
 
 def test_quad_pow_values():
     assert PHI ** 2 == QuadExt(Fraction(3, 2), Fraction(1, 2))
-    assert quad_pow(PSI, 0) == QuadExt(1)
+    assert PSI ** 0 == QuadExt(1)
     assert PHI ** 5 == QuadExt(Fraction(11, 2), Fraction(5, 2))
 
 
@@ -149,7 +148,7 @@ def test_quad_pow_is_multiplicative():
         z = QuadExt(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
                     Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
         m, n = rng.randint(0, 6), rng.randint(0, 6)
-        assert quad_pow(z, m + n) == quad_pow(z, m) * quad_pow(z, n)
+        assert z ** (m + n) == z ** m * z ** n
 
 
 def test_quad_division_is_exact():
@@ -159,13 +158,6 @@ def test_quad_division_is_exact():
     assert (PHI ** 4 - PSI ** 4) / SQRT5 == QuadExt(3)  # f_3
     with pytest.raises(ZeroDivisionError):
         PHI / QuadExt(0)
-
-
-def test_quad_mixed_discriminants_rejected():
-    with pytest.raises(ValueError):
-        QuadExt(1, 1, d=5) + QuadExt(1, 1, d=2)
-    with pytest.raises(ValueError):
-        QuadExt(1, 1, d=5) * QuadExt(1, 1, d=3)
 
 
 def test_poly_str_golden():
@@ -207,3 +199,33 @@ def test_values_are_immutable():
         X0._terms = {}
     with pytest.raises(AttributeError):
         PHI.rational = Fraction(0)
+
+
+def test_constructor_merges_repeated_variables():
+    p = MultiPoly({((0, 1), (0, 2)): 1})
+    assert p == X0 ** 3
+    assert poly_str(p) == "x0^3"
+
+
+def test_constructor_sums_keys_that_normalise_alike():
+    assert MultiPoly({((0, 1), (1, 0)): 2, ((0, 1),): 3}) == 5 * X0
+    assert MultiPoly({((0, 1), (1, 0)): 2, ((0, 1),): -2}) == MultiPoly.zero()
+    assert MultiPoly({((1, 1), (0, 1)): 1, ((0, 1), (1, 1)): 1}).terms == {((0, 1), (1, 1)): 2}
+
+
+@pytest.mark.parametrize("index", [-1, 1.0, "0", None])
+def test_constructor_rejects_bad_variable_index(index):
+    with pytest.raises(ValueError):
+        MultiPoly({((index, 1),): 1})
+
+
+def test_constants_hash_like_their_values():
+    for c in (0, 5, -3):
+        assert hash(MultiPoly.const(c)) == hash(c)
+    assert len({MultiPoly.const(5), 5}) == 1
+    assert len({MultiPoly.zero(), 0}) == 1
+    assert {5: "x"}.get(MultiPoly.const(5)) == "x"
+    assert len({QuadExt(5), 5}) == 1
+    assert {5: "x"}.get(QuadExt(5)) == "x"
+    assert hash(QuadExt(Fraction(3, 2))) == hash(Fraction(3, 2))
+    assert len({QuadExt(Fraction(3, 2)), Fraction(3, 2)}) == 1
