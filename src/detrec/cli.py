@@ -160,9 +160,10 @@ def _cmd_enumerate(args) -> int:
         items = enumerate_lsds(from_matrix(matrix))
         total = 0
         for lsd in items:
-            total = total + lsd.signed_weight
+            signed = lsd.signed_weight
+            total = total + signed
             cycles = [[v + 1 for v in cyc] for cyc in lsd.cycles]
-            weight = scalar_str(lsd.signed_weight, names)
+            weight = scalar_str(signed, names)
             emit({"cycles": cycles, "signed_weight": weight}, f"{cycles} {weight}")
         summary = {"count": len(items), "total_weight": scalar_str(total, names)}
     elif subject == "words":

@@ -9,6 +9,8 @@ Determinants come in two independent flavours here: first-row cofactor
 expansion (the small reference oracle) and fraction-free Bareiss elimination
 (the scalable exact route).  Both are written once against plain ring
 operators, so integer, polynomial and quadratic-field matrices all work.
+Cofactor expansion memoises each minor on its column set for the length of
+one call, so it expands ``2**n`` minors at most rather than ``n!`` paths.
 
 Every matrix built here is sparse: ``C``/``G``/``F`` are banded upper
 Hessenberg and ``S``/``A`` tridiagonal plus two corners.  Bareiss computes
@@ -180,23 +182,46 @@ def _exact_div(num, den):
 
 
 def det_cofactor(m: SquareMatrix):
-    """Exact determinant by first-row cofactor expansion (reference oracle)."""
-    if m.n > COFACTOR_MAX_N:
+    """Exact determinant by first-row cofactor expansion (reference oracle).
+
+    Every minor the expansion reaches takes the last ``k`` rows, so it is
+    fixed by its ``k`` columns.  Minors are memoised on their column bitmask
+    for the length of one call: each distinct one is expanded once, which
+    makes a dense ``n x n`` matrix cost fewer than ``n * 2**(n-1)`` ring
+    products instead of about ``(e-1) * n!``.  Terms are still summed over
+    the columns of the minor's first row, left to right, with alternating
+    signs, and a 1x1 matrix returns its entry itself.
+    """
+    n = m.n
+    if n > COFACTOR_MAX_N:
         raise TooLarge(f"cofactor expansion capped at n <= {COFACTOR_MAX_N}")
-    return _cofactor([list(row) for row in m])
+    rows = m._rows
+    last = rows[n - 1]
+    memo = {}
 
+    def minor(cols: int):
+        # the minor on the columns in ``cols`` and the last popcount(cols) rows
+        if not cols & (cols - 1):  # one column: the entry itself
+            return last[cols.bit_length() - 1]
+        total = memo.get(cols)
+        if total is not None:
+            return total
+        row = rows[n - cols.bit_count()]
+        total = 0
+        sign = 1
+        rest = cols
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            entry = row[bit.bit_length() - 1]
+            if entry:
+                term = entry * minor(cols ^ bit)
+                total = total + term if sign > 0 else total - term
+            sign = -sign
+        memo[cols] = total
+        return total
 
-def _cofactor(rows):
-    if len(rows) == 1:
-        return rows[0][0]
-    total = 0
-    for j, entry in enumerate(rows[0]):
-        if not entry:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
-        term = entry * _cofactor(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    return minor((1 << n) - 1)
 
 
 def det_bareiss(m: SquareMatrix):

@@ -9,9 +9,16 @@ the expansion everything in this library is checked against.
 
 Cycles are kept canonical: each cycle is rotated so its smallest vertex
 comes first, and the cycles of an LSD are listed by increasing smallest
-vertex.  Enumeration recurses over actual nonzero edges, so the sparse
-structured matrices stay fast; the hard cap exists because a dense matrix
-has ``n!`` linear subdigraphs.
+vertex.  Both the enumeration and the determinant peel off a cycle through
+the lowest uncovered vertex and recurse on the vertices left, which is the
+paper's recurrence.  One walker, ``_cycles``, finds those cycles along the
+actual nonzero edges (successor lists built once per call, vertex sets as
+int bitmasks), so the sparse structured matrices stay fast.
+``enumerate_lsds`` is a depth-first search over it, whose visiting order is
+already the canonical one; ``det_via_lsd`` memoises the signed weight sum
+on the vertex set left, expanding each distinct set once per call and
+building no LSD.  The hard cap exists because a dense matrix has ``n!``
+linear subdigraphs.
 """
 
 from __future__ import annotations
@@ -78,52 +85,106 @@ def from_matrix(m: SquareMatrix) -> WeightedDigraph:
     return WeightedDigraph(m)
 
 
+def _successors(rows) -> list[list[tuple[int, object]]]:
+    """Edges out of each vertex: ``(j, M[i][j])`` for the nonzero entries, by ``j``."""
+    return [[(j, w) for j, w in enumerate(row) if w] for row in rows]
+
+
+def _cycles(succ, start: int, unused: int):
+    """The cycles through ``start`` inside the vertex set ``unused``.
+
+    ``unused`` is a bitmask whose lowest vertex is ``start``, so a walk from
+    ``start`` is already in canonical rotation.  Yields
+    ``(cycle, rest, weight)``: the cycle's vertices, the bitmask of
+    ``unused`` without them, and the cycle's weight.  Cycles come in
+    lexicographic order: a walk closes before it is extended, and it is
+    extended by increasing vertex.  A walk only records its edge weights;
+    they are multiplied once it closes, so dead ends cost no ring products.
+    """
+    path = [start]
+    weights = []
+
+    def walk(tip: int, avail: int):
+        for nxt, w in succ[tip]:
+            if nxt == start:
+                weight = w
+                for x in weights:
+                    weight = x * weight
+                yield tuple(path), avail, weight
+            elif avail >> nxt & 1:
+                path.append(nxt)
+                weights.append(w)
+                yield from walk(nxt, avail ^ (1 << nxt))
+                path.pop()
+                weights.pop()
+
+    return walk(start, unused ^ (1 << start))
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
 def enumerate_lsds(g: WeightedDigraph) -> list[LinearSubdigraph]:
     """All linear subdigraphs with nonzero weight, each exactly once.
 
-    Output is deterministic: sorted lexicographically by the canonical
-    cycle representation.
+    A depth-first search: the first cycle goes through vertex 0, each next
+    one through the lowest vertex still uncovered, and the cycles through a
+    vertex come in lexicographic order.  So the output is already sorted
+    lexicographically by the canonical cycle representation.
     """
     n = g.n
     check_cap("lsd", n)
+    succ = _successors(g.matrix)
     found: list[LinearSubdigraph] = []
+    cycles: list[tuple[int, ...]] = []
 
-    def cover(unused: tuple[int, ...], cycles, acc_weight):
+    def cover(unused: int, weight) -> None:
         if not unused:
-            found.append(LinearSubdigraph(n, tuple(cycles), acc_weight))
+            found.append(LinearSubdigraph(n, tuple(cycles), weight))
             return
-        start = unused[0]
-        rest = unused[1:]
+        for cycle, rest, w in _cycles(succ, _lowest(unused), unused):
+            cycles.append(cycle)
+            cover(rest, w if weight is None else weight * w)
+            cycles.pop()
 
-        # every cycle through `start` stays inside `unused`, whose minimum
-        # is `start`, so the canonical rotation falls out of the search
-        def walk(path, avail, path_weight):
-            tip = path[-1]
-            closing = g.weight(tip, start)
-            if closing:
-                cyc = tuple(path)
-                inside = set(cyc)
-                cover(tuple(v for v in unused if v not in inside),
-                      cycles + [cyc], acc_weight * path_weight * closing)
-            for idx, nxt in enumerate(avail):
-                step = g.weight(tip, nxt)
-                if step:
-                    walk(path + [nxt], avail[:idx] + avail[idx + 1:],
-                         path_weight * step)
-
-        walk([start], rest, 1)
-
-    cover(tuple(range(n)), [], 1)
-    found.sort(key=lambda lsd: lsd.cycles)
+    cover((1 << n) - 1, None)
     return found
 
 
 def det_via_lsd(m: SquareMatrix):
-    """Determinant as the signed weight sum over all linear subdigraphs."""
-    total = 0
-    for lsd in enumerate_lsds(from_matrix(m)):
-        total = total + lsd.signed_weight
-    return total
+    """Determinant as the signed weight sum over all linear subdigraphs.
+
+    The sum is factored cycle by cycle, as in the paper's recurrence: with
+    ``f(U)`` the signed weight sum over the linear subdigraphs of the
+    vertex set ``U``,
+
+        f(U) = sum over cycles C through min(U) of (-1)**(|C|-1) * w(C) * f(U - C),
+
+    and ``f(empty) = 1``.  ``f`` is memoised on ``U`` for the length of one
+    call, so each distinct vertex set is expanded once; no linear
+    subdigraph is built.
+    """
+    n = m.n
+    check_cap("lsd", n)
+    succ = _successors(m)
+    memo = {0: 1}
+
+    def f(unused: int):
+        total = memo.get(unused)
+        if total is not None:
+            return total
+        total = 0
+        for cycle, rest, weight in _cycles(succ, _lowest(unused), unused):
+            sub = f(rest)
+            if not sub:
+                continue
+            term = weight * sub if rest else weight
+            total = total - term if len(cycle) % 2 == 0 else total + term
+        memo[unused] = total
+        return total
+
+    return f((1 << n) - 1)
 
 
 def cycle_type(lsd: LinearSubdigraph) -> dict[int, int]:

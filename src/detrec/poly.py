@@ -11,7 +11,8 @@ polynomial has no terms, and two polynomials are equal exactly when their
 term maps are.  The public constructor ``MultiPoly(terms)`` validates and
 normalises its input into this form: it merges a variable repeated within a
 monomial, adds up coefficients whose monomials normalise alike, and rejects
-a variable index that is not a non-negative int.  The private
+a variable index or an exponent that is not a non-negative int.  Copying
+and pickling also rebuild through the public constructors.  The private
 ``_from_terms`` stores a dict as it is and trusts it to be canonical
 already; every ring operation (``+``, ``-``, unary ``-``, ``*``, ``**``) and
 ``exact_divide`` builds its result through it, so canonical terms are never
@@ -57,8 +58,8 @@ def _normalize_mono(pairs: Iterable[tuple[int, int]]) -> Monomial:
     for v, e in pairs:
         if type(v) is not int or v < 0:
             raise ValueError(f"variable index {v!r} is not a non-negative int")
-        if e < 0:
-            raise ValueError(f"negative exponent {e} for variable {v}")
+        if type(e) is not int or e < 0:
+            raise ValueError(f"exponent {e!r} for variable {v} is not a non-negative int")
         if e:
             kept.append((v, e))
     kept.sort()
@@ -169,6 +170,10 @@ class MultiPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not by setting slots
+        return MultiPoly, (self._terms,)
 
     @classmethod
     def zero(cls) -> "MultiPoly":
@@ -457,6 +462,10 @@ class QuadExt:
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not by setting slots
+        return QuadExt, (self.rational, self.radical)
 
     @property
     def rational(self) -> Fraction:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
+from .caps import check_terms
 from .detmat import SquareMatrix, det_cofactor
 from .poly import MultiPoly, exact_divide
 
@@ -23,11 +24,14 @@ def elementary(k: int, n_vars: int) -> MultiPoly:
     """Elementary symmetric polynomial ``e_k(x0..x_{n_vars-1})``.
 
     ``e_0 = 1``; the zero polynomial when ``k > n_vars`` (no k-subset exists).
+    Raises ``TooLarge`` before any work when its ``comb(n_vars, k)`` terms
+    exceed ``caps.MAX_TERMS``.
     """
     if k < 0:
         raise ValueError("degree must be non-negative")
     if n_vars < 1:
         raise ValueError("need at least one variable")
+    check_terms("e", n_vars, k)
     if k == 0:
         return MultiPoly.one()
     if k > n_vars:
@@ -41,12 +45,14 @@ def elementary(k: int, n_vars: int) -> MultiPoly:
 def homogeneous(k: int, n_vars: int) -> MultiPoly:
     """Complete homogeneous symmetric polynomial ``h_k``: all degree-k monomials.
 
-    ``h_0 = 1``.
+    ``h_0 = 1``.  Raises ``TooLarge`` before any work when its
+    ``comb(k + n_vars - 1, k)`` terms exceed ``caps.MAX_TERMS``.
     """
     if k < 0:
         raise ValueError("degree must be non-negative")
     if n_vars < 1:
         raise ValueError("need at least one variable")
+    check_terms("h", k + n_vars - 1, k)
     if k == 0:
         return MultiPoly.one()
     terms = {}

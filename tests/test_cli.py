@@ -151,6 +151,29 @@ def test_too_large_exit_code(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "h", "--k", "40", "--vars", "30"],
+    ["compute", "h", "--k", "10", "--vars", "11"],  # 184,756 terms
+    ["compute", "h", "--k", "1000000000", "--vars", "1000000000"],
+    ["compute", "e", "--k", "15", "--vars", "30"],
+    ["compute", "e", "--k", "100", "--vars", "10000"],
+])
+def test_symmetric_polynomial_term_cap(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "more than 100000 terms" in err
+
+
+def test_symmetric_polynomials_under_the_term_cap(capsys):
+    # the largest h the benchmark's command lines compute, and e_k
+    # for k above the variable count, which has no terms at all
+    code, out, _ = run(capsys, "compute", "h", "--k", "10", "--vars", "5")
+    assert code == 0 and out.count("+") == 1000
+    code, out, _ = run(capsys, "compute", "e", "--k", "40", "--vars", "30")
+    assert (code, out) == (0, "0\n")
+
+
 @pytest.mark.parametrize("raw", ["-3", "0", "abc"])
 def test_invalid_cap_override_is_a_usage_error(capsys, monkeypatch, raw):
     monkeypatch.setenv("DETREC_MAX_N", raw)

@@ -115,40 +115,8 @@ def test_equal_values_compare_and_hash_alike(z, w, r):
     assert (z + r) - z == r and hash((z + r) - z) == hash(r)
 
 
-def counting_ints():
-    """An int subclass that counts its products, and the counter."""
-    count = [0]
-
-    class Counted(int):
-        def __mul__(self, other):
-            count[0] += 1
-            return Counted(int(self) * int(other))
-
-        __rmul__ = __mul__
-
-        def __add__(self, other):
-            return Counted(int(self) + int(other))
-
-        __radd__ = __add__
-
-        def __sub__(self, other):
-            return Counted(int(self) - int(other))
-
-        def __rsub__(self, other):
-            return Counted(int(other) - int(self))
-
-        def __neg__(self):
-            return Counted(-int(self))
-
-        def __divmod__(self, other):
-            q, r = divmod(int(self), int(other))
-            return Counted(q), Counted(r)
-
-    return Counted, count
-
-
-def test_banded_elimination_does_quadratic_work():
-    Counted, count = counting_ints()
+def test_banded_elimination_does_quadratic_work(counted_ints):
+    Counted, count = counted_ints
     n = 80
     m = SquareMatrix([[Counted(x) for x in row] for row in build_G(n, 3)])
     assert det_bareiss(m) == racci(n, 3)

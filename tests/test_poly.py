@@ -1,5 +1,7 @@
 """Polynomial and quadratic-field arithmetic."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -217,6 +219,32 @@ def test_constructor_sums_keys_that_normalise_alike():
 def test_constructor_rejects_bad_variable_index(index):
     with pytest.raises(ValueError):
         MultiPoly({((index, 1),): 1})
+
+
+@pytest.mark.parametrize("exponent", [1.5, 2.0, "2", None, True, -1])
+def test_constructor_rejects_bad_exponent(exponent):
+    with pytest.raises(ValueError, match="exponent"):
+        MultiPoly({((0, exponent),): 1})
+
+
+@pytest.mark.parametrize("value", [
+    MultiPoly.zero(), MultiPoly.const(-7), X0, (X0 + 3 * X1) ** 3 - 2 ** 70 * X0 * X1,
+])
+def test_polynomial_copy_and_pickle_round_trip(value):
+    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(clone) is MultiPoly
+        assert clone == value and hash(clone) == hash(value)
+        assert poly_str(clone) == poly_str(value)
+
+
+@pytest.mark.parametrize("value", [
+    QuadExt(0), QuadExt(Fraction(3, 4)), PHI, PSI, PHI ** 40 / 7, QuadExt(Fraction(-1, 6), 2),
+])
+def test_quad_copy_and_pickle_round_trip(value):
+    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(clone) is QuadExt
+        assert clone == value and hash(clone) == hash(value)
+        assert scalar_str(clone) == scalar_str(value)
 
 
 def test_constants_hash_like_their_values():

@@ -1,10 +1,13 @@
 """Symmetric polynomial constructors and the band-matrix identity."""
 
 from itertools import permutations
+from math import comb
 
 import pytest
 
+from detrec.caps import MAX_TERMS, check_terms
 from detrec.detmat import det_bareiss
+from detrec.errors import TooLarge
 from detrec.poly import MultiPoly, QuadExt, substitute
 from detrec.symfunc import alternant, build_E, elementary, homogeneous, schur
 
@@ -20,6 +23,21 @@ def test_elementary_base_cases():
 def test_homogeneous_base_cases():
     assert homogeneous(0, 5) == MultiPoly.one()
     assert homogeneous(2, 2) == X0 ** 2 + X0 * X1 + X1 ** 2
+
+
+def test_term_cap_is_the_binomial():
+    # every binomial near the cap, from both sides; and k beyond n (no terms)
+    for n in range(1, 120):
+        for k in range(n + 2):
+            if comb(n, k) > MAX_TERMS:
+                with pytest.raises(TooLarge):
+                    check_terms("h", n, k)
+            else:
+                check_terms("h", n, k)
+    with pytest.raises(TooLarge):
+        homogeneous(10, 11)
+    with pytest.raises(TooLarge):
+        elementary(20, 40)
 
 
 def test_homogeneous_term_count():
