@@ -23,6 +23,7 @@ from .poly import (
     exact_divide,
     poly_str,
     scalar_str,
+    scalar_sum,
     substitute,
 )
 from .symfunc import alternant, build_E, elementary, homogeneous, schur
@@ -54,6 +55,7 @@ from .combi import (
     enumerate_increasing_words,
     enumerate_tilings,
     has_cyclic_occurrence,
+    iter_cyclic_words,
     lsd_excluded_pair,
     pie_cyclic_sum,
     pie_linear_sum,

@@ -2,8 +2,14 @@
 
 Values print in their canonical text serialization (integers are plain JSON
 numbers, polynomials the graded-lex term string).  ``enumerate`` streams one
-JSON object per item followed by a summary line; ``verify`` emits one
-verification report in JSON per check.
+JSON object per item followed by a summary line, handing stdout
+``CHUNK_LINES`` lines per write; ``verify`` emits one verification report in
+JSON per check.
+
+Size caps (see ``caps``) are checked before any work or output: the
+enumerators' ``DETREC_MAX_N`` caps, the term cap of ``compute e`` and
+``compute h``, and the work caps of ``compute recurrence`` with symbolic
+coefficients and of ``compute schur``.
 
 Exit codes: 0 success or all checks passed, 1 verification failure, 2 usage
 error, 3 size cap exceeded.  A reader that closes the pipe early (``| head``)
@@ -14,17 +20,21 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
+from collections import Counter
+from itertools import islice
+from typing import Iterable
 
+from .caps import check_recurrence
 from .combi import (
+    cyclic_word_weight,
     enumerate_circular_tilings,
-    enumerate_cyclic_words,
     enumerate_increasing_words,
     enumerate_tilings,
-    cyclic_word_weight,
-    has_cyclic_occurrence,
+    iter_cyclic_words,
     tiling_weight,
     word_weight,
 )
@@ -45,7 +55,7 @@ from .identities import (
     verify_sury,
     verify_two_var,
 )
-from .poly import MultiPoly, scalar_str
+from .poly import MultiPoly, scalar_str, scalar_sum
 from .recurrence import eval_recurrence, fibonacci, lucas, racci
 from .symfunc import build_E, elementary, homogeneous, schur
 
@@ -103,7 +113,9 @@ def _cmd_compute(args) -> int:
         if args.coeffs is not None:
             value = eval_recurrence(_int_list(args.coeffs), n)
         else:
-            value = eval_recurrence(symbolic_coeffs(_need(args, "--r")), n)
+            r = _need(args, "--r")
+            check_recurrence(n, r)
+            value = eval_recurrence(symbolic_coeffs(r), n)
             names = lambda i: f"c{i + 1}"
     elif subject == "e":
         value = elementary(_need(args, "--k"), _need(args, "--vars"))
@@ -123,8 +135,18 @@ def _cmd_compute(args) -> int:
     return 0
 
 
-def _emit(obj) -> None:
-    print(json.dumps(obj))
+# ``enumerate`` hands its output to ``sys.stdout.write`` this many lines at
+# a time: one call per line costs more than formatting the line does.
+CHUNK_LINES = 512
+
+
+def _write_lines(lines: Iterable[str]) -> None:
+    """Write ``lines`` to stdout, each followed by a newline, in chunks."""
+    write = sys.stdout.write
+    lines = iter(lines)
+    while chunk := list(islice(lines, CHUNK_LINES)):
+        chunk.append("")  # the newline after the chunk's last line
+        write("\n".join(chunk))
 
 
 def _cmd_enumerate(args) -> int:
@@ -132,64 +154,90 @@ def _cmd_enumerate(args) -> int:
         raise ValueError("csv output is only available for verify")
     pretty = args.format == "pretty"
     subject = args.subject
-    def emit(obj, text) -> None:
-        if pretty:
-            print(text)
-        else:
-            _emit(obj)
-
+    # Each branch sets ``objects``, an iterable of output lines, and
+    # ``summary``, called once ``objects`` is exhausted, which returns the
+    # object count and the canonical total weight.  Tilings and cyclic words
+    # sum their weights per group of objects that share one weight, one
+    # ring product per group, and every total is one ``scalar_sum``.  The
+    # repr of a list of ints is its ``json.dumps``, and a word over {a, b}
+    # needs no JSON escaping.
     if subject == "tilings":
         n, r = _need(args, "--n"), _need(args, "--r")
         coeffs = _int_list(args.coeffs) if args.coeffs is not None else symbolic_coeffs(r)
         names = None if args.coeffs is not None else (lambda i: f"c{i + 1}")
-        total = 0
         items = enumerate_tilings(n, r)
-        for tiling in items:
-            total = total + tiling_weight(tiling, coeffs)
-            emit({"parts": list(tiling)}, list(tiling))
-        summary = {"count": len(items), "total_weight": scalar_str(total, names)}
+        if min(n, r) > len(coeffs):
+            # the first tiling with a part past the coefficients, found up front
+            raise ValueError(f"tile length {len(coeffs) + 1} outside 1..{len(coeffs)}")
+        if pretty:
+            objects = (str(list(t)) for t in items)
+        else:
+            objects = (f'{{"parts": {list(t)}}}' for t in items)
+
+        def summary():
+            # a tiling's weight depends only on its multiset of parts
+            groups = Counter(map(tuple, map(sorted, items)))
+            total = scalar_sum(count * tiling_weight(parts, coeffs)
+                               for parts, count in groups.items())
+            return len(items), scalar_str(total, names)
     elif subject == "circular-tilings":
-        n = _need(args, "--n")
-        items = enumerate_circular_tilings(n)
-        for tiling in items:
-            tiles = [list(t) for t in tiling.tiles]
-            emit({"tiles": tiles}, tiles)
-        summary = {"count": len(items), "total_weight": str(len(items))}
+        items = enumerate_circular_tilings(_need(args, "--n"))
+        tiles = ([list(t) for t in tiling.tiles] for tiling in items)
+        objects = map(str, tiles) if pretty else (f'{{"tiles": {t}}}' for t in tiles)
+
+        def summary():
+            return len(items), str(len(items))
     elif subject == "lsds":
         matrix, names = _family_matrix(args)
         items = enumerate_lsds(from_matrix(matrix))
-        total = 0
-        for lsd in items:
-            signed = lsd.signed_weight
-            total = total + signed
+        weights = [lsd.signed_weight for lsd in items]
+
+        def lsd_line(lsd, signed) -> str:
             cycles = [[v + 1 for v in cyc] for cyc in lsd.cycles]
             weight = scalar_str(signed, names)
-            emit({"cycles": cycles, "signed_weight": weight}, f"{cycles} {weight}")
-        summary = {"count": len(items), "total_weight": scalar_str(total, names)}
+            if pretty:
+                return f"{cycles} {weight}"
+            return f'{{"cycles": {cycles}, "signed_weight": {json.dumps(weight)}}}'
+        objects = map(lsd_line, items, weights)
+
+        def summary():
+            return len(items), scalar_str(scalar_sum(weights), names)
     elif subject == "words":
-        n, n_vars = _need(args, "--n"), _need(args, "--vars")
-        items = enumerate_increasing_words(n, n_vars)
-        total = MultiPoly.zero()
-        for word in items:
-            total = total + word_weight(word)
-            emit({"letters": list(word)}, list(word))
-        summary = {"count": len(items), "total_weight": scalar_str(total)}
+        items = enumerate_increasing_words(_need(args, "--n"), _need(args, "--vars"))
+        if pretty:
+            objects = (str(list(w)) for w in items)
+        else:
+            objects = (f'{{"letters": {list(w)}}}' for w in items)
+
+        def summary():
+            return len(items), scalar_str(scalar_sum(map(word_weight, items)))
     elif subject == "cyclic-words":
         n = _need(args, "--n")
-        items = enumerate_cyclic_words(n)
-        if args.avoid is not None:
-            items = [w for w in items if not has_cyclic_occurrence(w, args.avoid)]
-        total = MultiPoly.zero()
-        for word in items:
-            total = total + cyclic_word_weight(word)
-            emit({"word": word}, word)
-        summary = {"count": len(items), "total_weight": scalar_str(total, ("a", "b"))}
+        words = iter_cyclic_words(n, args.avoid)
+        a_counts = Counter()
+
+        def counted():
+            for word in words:
+                a_counts[word.count("a")] += 1
+                yield word
+        objects = counted() if pretty else (f'{{"word": "{w}"}}' for w in counted())
+
+        def summary():
+            # a word's weight depends only on its number of a's
+            total = scalar_sum(count * cyclic_word_weight("a" * k + "b" * (n - k))
+                               for k, count in a_counts.items())
+            return a_counts.total(), scalar_str(total, ("a", "b"))
     else:
         raise ValueError(f"unknown subject {subject!r}")
-    if pretty:
-        print(f"count={summary['count']} total_weight={summary['total_weight']}")
-    else:
-        _emit(summary)
+
+    def lines():
+        yield from objects
+        count, total = summary()
+        if pretty:
+            yield f"count={count} total_weight={total}"
+        else:
+            yield json.dumps({"count": count, "total_weight": total})
+    _write_lines(lines())
     return 0
 
 
@@ -255,10 +303,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated partition parts, e.g. 2,1")
     parser.add_argument("--family", choices=["E", "C", "G", "F", "S", "A"],
                         default=None)
-    parser.add_argument("--a-symbolic", action="store_true",
-                        help="keep a symbolic in the S family (the default)")
-    parser.add_argument("--b-symbolic", action="store_true",
-                        help="keep b symbolic in the S family (the default)")
     parser.add_argument("--avoid", type=str, default=None,
                         help="pattern cyclic words must avoid, e.g. ab")
     parser.add_argument("--max-n", type=int, default=None, dest="max_n")
@@ -267,6 +311,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         default="json")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="detrec",

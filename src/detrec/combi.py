@@ -11,8 +11,8 @@ circulant-like matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
-from typing import Iterable, Sequence
+from itertools import combinations, combinations_with_replacement, filterfalse, product
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .caps import check_cap
 from .digraph import LinearSubdigraph
@@ -179,24 +179,58 @@ def pie_linear_sum(m: int, n_vars: int) -> MultiPoly:
     return total
 
 
+def iter_cyclic_words(n: int, avoid: str | None = None) -> Iterator[str]:
+    """Lazy form of ``enumerate_cyclic_words``: the same words in the same order.
+
+    With ``avoid``, only the words with no cyclic occurrence of that pattern
+    (see ``has_cyclic_occurrence``).  The size and the cap are checked when
+    this is called, before the first word is built.
+    """
+    if n < 3:
+        raise DimensionTooSmall(f"cyclic words need n >= 3, got {n}")
+    check_cap("cyclic_words", n)
+    # every word is a left half followed by a right half, both in
+    # lexicographic order, so one concatenation builds each word
+    left = ["".join(w) for w in product("ab", repeat=n // 2)]
+    right = ["".join(w) for w in product("ab", repeat=n - n // 2)]
+    words = (x + y for x in left for y in right)
+    if avoid is None:
+        return words
+    return filterfalse(_cyclic_occurrence_test(avoid, n), words)
+
+
 def enumerate_cyclic_words(n: int) -> list[str]:
     """All ``2**n`` cyclic words over ``{a, b}`` with fixed start and orientation.
 
     Equality is positional (the start is pinned), so the words are plain
     strings of length ``n``.
     """
-    if n < 3:
-        raise DimensionTooSmall(f"cyclic words need n >= 3, got {n}")
-    check_cap("cyclic_words", n)
-    return ["".join(w) for w in product("ab", repeat=n)]
+    return list(iter_cyclic_words(n))
 
 
 def has_cyclic_occurrence(word: str, pattern: str) -> bool:
-    """Whether ``pattern`` occurs in ``word`` read cyclically."""
+    """Whether ``pattern`` occurs in ``word`` read cyclically.
+
+    An occurrence starts at one of the ``len(word)`` positions and may wrap
+    around the word any number of times.
+    """
+    return _cyclic_occurrence_test(pattern, len(word))(word)
+
+
+def _cyclic_occurrence_test(pattern: str, length: int) -> Callable[[str], bool]:
+    """``has_cyclic_occurrence`` of ``pattern`` in words of the given length.
+
+    The search runs over the word repeated out to at least
+    ``length + len(pattern) - 1`` characters, which holds every cyclic
+    occurrence.  Repeating further finds nothing new: the text is periodic,
+    so a match at position ``p`` is also one at ``p mod length``.
+    """
     if not pattern:
-        return True
-    doubled = word + word[: len(pattern) - 1]
-    return pattern in doubled
+        return lambda word: True
+    if not length:
+        return lambda word: False
+    copies = 1 + -(-(len(pattern) - 1) // length)
+    return lambda word: pattern in word * copies
 
 
 def cyclic_word_weight(word: str) -> MultiPoly:
@@ -223,9 +257,8 @@ def cyclic_avoiding_weight(n: int) -> MultiPoly:
     ``2**n`` words; the inclusion-exclusion route is ``pie_cyclic_sum``.
     """
     total = MultiPoly.zero()
-    for word in enumerate_cyclic_words(n):
-        if not has_cyclic_occurrence(word, "ab"):
-            total = total + cyclic_word_weight(word)
+    for word in iter_cyclic_words(n, avoid="ab"):
+        total = total + cyclic_word_weight(word)
     return total
 
 

@@ -365,8 +365,10 @@ def poly_str(p: MultiPoly, names: VarNames = None) -> str:
     """
     if not p:
         return "0"
-    pack = _Packing(p._terms, p.degree()).pack
-    ordered = sorted(p._terms.items(), key=lambda kv: pack(kv[0]), reverse=True)
+    ordered = p._terms.items()
+    if len(ordered) > 1:
+        pack = _Packing(p._terms, p.degree()).pack
+        ordered = sorted(ordered, key=lambda kv: pack(kv[0]), reverse=True)
     pieces: list[str] = []
     for i, (mono, coef) in enumerate(ordered):
         mag = abs(coef)
@@ -641,6 +643,28 @@ def substitute(p: MultiPoly, assignment: Mapping[int, "QuadExt | int | Fraction"
             term = term * values[v] ** e
         total = total + term
     return total
+
+
+def scalar_sum(values: Iterable):
+    """Sum of exact scalars, equal to adding them one by one with ``+``.
+
+    Polynomial terms collect in one dict, so a sum of many polynomials costs
+    their total term count rather than one copy of the running total per
+    summand.  An empty sum is the int 0.
+    """
+    rest = 0
+    terms: dict[Monomial, int] = {}
+    polys = False
+    for value in values:
+        if isinstance(value, MultiPoly):
+            polys = True
+            for mono, coef in value._terms.items():
+                terms[mono] = terms.get(mono, 0) + coef
+        else:
+            rest = rest + value
+    if not polys:
+        return rest
+    return _from_terms({m: c for m, c in terms.items() if c}) + rest
 
 
 def scalar_str(value, names: VarNames = None) -> str:

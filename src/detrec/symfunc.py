@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
-from .caps import check_terms
+from .caps import check_schur_work, check_terms
 from .detmat import SquareMatrix, det_cofactor
 from .poly import MultiPoly, exact_divide
 
@@ -102,8 +102,12 @@ def schur(lam: Sequence[int], n_vars: int) -> MultiPoly:
 
     The division is always exact (alternating polynomials are divisible by
     the Vandermonde determinant); a ``NotDivisible`` escaping here is a bug.
+    Raises ``TooLarge`` before any work when the division work bound of
+    ``caps.check_schur_work`` exceeds ``caps.MAX_SCHUR_WORK``.
     """
-    return exact_divide(alternant(lam, n_vars), alternant((), n_vars))
+    parts = _check_partition(lam, n_vars)
+    check_schur_work(sum(parts), n_vars)
+    return exact_divide(alternant(parts, n_vars), alternant((), n_vars))
 
 
 def build_E(m: int, n_vars: int) -> SquareMatrix:

@@ -1,6 +1,9 @@
 """Command-line interface: outputs, schemas, exit codes, determinism."""
 
+import argparse
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +11,15 @@ from pathlib import Path
 
 import pytest
 
+from detrec import cli
+from detrec.caps import MAX_RECURRENCE_WORK, check_recurrence
 from detrec.cli import main
+from detrec.combi import cyclic_word_weight, tiling_weight, word_weight
+from detrec.digraph import enumerate_lsds, from_matrix
+from detrec.errors import TooLarge
+from detrec.identities import symbolic_coeffs
+from detrec.poly import MultiPoly, scalar_str
+from detrec.symfunc import build_E
 
 
 def run(capsys, *argv):
@@ -30,8 +41,7 @@ def test_compute_h(capsys):
 
 
 def test_compute_det_family_S(capsys):
-    code, out, _ = run(capsys, "compute", "det", "--family", "S",
-                       "--a-symbolic", "--b-symbolic", "--n", "4")
+    code, out, _ = run(capsys, "compute", "det", "--family", "S", "--n", "4")
     assert code == 0
     assert out == "2*a^4 + 2*b^4\n"
 
@@ -144,6 +154,209 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "nonsense"])
     assert exc.value.code == 2
+
+
+ENUMERATE_ARGVS = [
+    ["tilings", "--n", "6", "--r", "3"],
+    ["tilings", "--n", "6", "--r", "3", "--coeffs", "2,-1,5"],
+    ["tilings", "--n", "0", "--r", "2"],
+    ["circular-tilings", "--n", "6"],
+    ["lsds", "--family", "C", "--n", "5", "--r", "3"],
+    ["lsds", "--family", "S", "--n", "4"],
+    ["lsds", "--family", "A", "--n", "4"],
+    ["words", "--n", "3", "--vars", "3"],
+    ["words", "--n", "0", "--vars", "2"],
+    ["cyclic-words", "--n", "5"],
+    ["cyclic-words", "--n", "6", "--avoid", "bb"],
+    ["cyclic-words", "--n", "4", "--avoid", ""],
+]
+
+
+@pytest.mark.parametrize("argv", ENUMERATE_ARGVS, ids=" ".join)
+def test_enumerate_lines_are_canonical_json(capsys, argv):
+    code, out, _ = run(capsys, "enumerate", *argv)
+    assert code == 0
+    assert out.endswith("\n")
+    for line in out[:-1].split("\n"):
+        assert line == json.dumps(json.loads(line))
+
+
+@pytest.mark.parametrize("argv", ENUMERATE_ARGVS, ids=" ".join)
+def test_enumerate_pretty_lines_match_json_objects(capsys, argv):
+    _, out, _ = run(capsys, "enumerate", *argv)
+    *items, summary = [json.loads(line) for line in out.splitlines()]
+    _, pretty, _ = run(capsys, "enumerate", *argv, "--format", "pretty")
+    *lines, last = pretty.splitlines()
+    assert last == f"count={summary['count']} total_weight={summary['total_weight']}"
+    assert len(lines) == len(items) == summary["count"]
+    for line, item in zip(lines, items):
+        if "cycles" in item:
+            assert line == f"{item['cycles']} {item['signed_weight']}"
+        else:
+            (value,) = item.values()
+            assert line == str(value)
+
+
+def _objects_and_summary(capsys, *argv):
+    code, out, _ = run(capsys, "enumerate", *argv)
+    assert code == 0
+    *items, summary = [json.loads(line) for line in out.splitlines()]
+    assert summary["count"] == len(items)
+    return items, summary["total_weight"]
+
+
+@pytest.mark.parametrize("coeffs", [None, "2,-1,5"])
+def test_tiling_total_is_the_sum_of_object_weights(capsys, coeffs):
+    argv = ["tilings", "--n", "7", "--r", "3"]
+    if coeffs is None:
+        weights, names = symbolic_coeffs(3), (lambda i: f"c{i + 1}")
+    else:
+        argv += ["--coeffs", coeffs]
+        weights, names = [int(c) for c in coeffs.split(",")], None
+    items, total = _objects_and_summary(capsys, *argv)
+    expected = 0
+    for item in items:
+        expected = expected + tiling_weight(item["parts"], weights)
+    assert total == scalar_str(expected, names)
+
+
+@pytest.mark.parametrize("avoid", [None, "bb", "aab", ""])
+def test_cyclic_word_total_is_the_sum_of_object_weights(capsys, avoid):
+    argv = ["cyclic-words", "--n", "7"] + ([] if avoid is None else ["--avoid", avoid])
+    items, total = _objects_and_summary(capsys, *argv)
+    if avoid == "":
+        assert items == []  # the empty pattern occurs in every word
+    expected = MultiPoly.zero()
+    for item in items:
+        expected = expected + cyclic_word_weight(item["word"])
+    assert total == scalar_str(expected, ("a", "b"))
+
+
+def test_word_and_lsd_totals_are_the_sums_of_object_weights(capsys):
+    items, total = _objects_and_summary(capsys, "words", "--n", "4", "--vars", "3")
+    expected = MultiPoly.zero()
+    for item in items:
+        expected = expected + word_weight(item["letters"])
+    assert total == scalar_str(expected)
+    items, total = _objects_and_summary(capsys, "lsds", "--family", "E", "--n", "4",
+                                        "--vars", "3")
+    lsds = enumerate_lsds(from_matrix(build_E(4, 3)))
+    assert [item["signed_weight"] for item in items] == [
+        scalar_str(lsd.signed_weight) for lsd in lsds]
+    expected = 0
+    for lsd in lsds:
+        expected = expected + lsd.signed_weight
+    assert total == scalar_str(expected)
+
+
+def test_tilings_with_too_few_coefficients_fail_before_any_output(capsys):
+    code, out, err = run(capsys, "enumerate", "tilings", "--n", "5", "--r", "3",
+                         "--coeffs", "1,1")
+    assert (code, out) == (2, "")
+    assert "tile length 3 outside 1..2" in err
+    # parts never longer than n: --n 2 --r 3 needs two coefficients only
+    assert run(capsys, "enumerate", "tilings", "--n", "2", "--r", "3",
+               "--coeffs", "1,1")[0] == 0
+
+
+def test_cyclic_words_avoid_long_patterns(capsys):
+    # a pattern longer than the word can still occur, wrapping more than once
+    items, total = _objects_and_summary(capsys, "cyclic-words", "--n", "3",
+                                        "--avoid", "aabaaba")
+    words = [item["word"] for item in items]
+    assert "aab" not in words and "aba" not in words and "baa" not in words
+    assert len(words) == 5
+
+
+def test_consecutive_calls_share_no_state(capsys):
+    calls = [
+        ["enumerate", "tilings", "--n", "5", "--r", "2", "--coeffs", "3,1"],
+        ["enumerate", "tilings", "--n", "5", "--r", "2"],
+        ["enumerate", "cyclic-words", "--n", "5", "--avoid", "ab"],
+        ["enumerate", "cyclic-words", "--n", "5"],
+        ["enumerate", "words", "--n", "3", "--vars", "2", "--format", "pretty"],
+        ["enumerate", "words", "--n", "3", "--vars", "2"],
+        ["compute", "recurrence", "--r", "2", "--n", "5", "--coeffs", "1,1"],
+        ["compute", "recurrence", "--r", "2", "--n", "5"],
+    ]
+    forward = [run(capsys, *argv) for argv in calls]
+    backward = [run(capsys, *argv) for argv in reversed(calls)]
+    assert forward == backward[::-1]
+    assert forward[0][1] != forward[1][1] and forward[2][1] != forward[3][1]
+
+
+class _CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_enumerate_writes_in_chunks(monkeypatch):
+    stdout = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["enumerate", "tilings", "--n", "14", "--r", "3", "--coeffs", "1,1,1"]) == 0
+    lines = stdout.getvalue().count("\n")
+    assert lines > 3 * cli.CHUNK_LINES
+    assert stdout.writes <= math.ceil(lines / cli.CHUNK_LINES) + 1
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "detrec":
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    for n in range(10):
+        assert run(capsys, "compute", "fib", "--n", str(n))[0] == 0
+    assert len(built) <= 1
+
+
+def test_symbolic_recurrence_work_cap(capsys):
+    # 195,491 terms; the iteration ran 37 s before the cap
+    code, out, err = run(capsys, "compute", "recurrence", "--r", "10", "--n", "60")
+    assert (code, out) == (3, "")
+    assert "recurrence" in err
+    # r or n far out of range: refused at once, before any coefficient is built
+    for r, n in (("1", "1000000000"), ("2", "200000"), ("1000000000", "5")):
+        assert run(capsys, "compute", "recurrence", "--r", r, "--n", n)[0] == 3
+    check_recurrence(40, 10)  # 16,928 terms, about 1.5 s: still computed
+    with pytest.raises(TooLarge):
+        check_recurrence(41, 10)
+    # integer coefficients are not capped by it
+    assert run(capsys, "compute", "recurrence", "--coeffs", "1,1", "--n", "100")[0] == 0
+
+
+def test_symbolic_recurrence_work_bound_matches_its_count():
+    # r times the summed term counts of u_0..u_n, plus three terms a step
+    def work(n, r):
+        counts = [1] + [0] * n
+        for part in range(1, r + 1):
+            for m in range(part, n + 1):
+                counts[m] += counts[m - part]
+        return r * (sum(counts) + 3 * (n + 1))
+
+    for r in (1, 2, 3, 5, 10):
+        for n in (0, 1, 7, 30, 45, 120, 240):
+            if work(n, r) > MAX_RECURRENCE_WORK:
+                with pytest.raises(TooLarge):
+                    check_recurrence(n, r)
+            else:
+                check_recurrence(n, r)
+
+
+def test_schur_work_cap_exit_code(capsys):
+    code, out, err = run(capsys, "compute", "schur", "--parts", "5,3,2,1", "--vars", "7")
+    assert (code, out) == (3, "")
+    assert "schur" in err
 
 
 def test_too_large_exit_code(capsys):

@@ -1,5 +1,7 @@
 """Tilings, words, inclusion-exclusion sums and the explicit bijections."""
 
+from itertools import product
+
 import pytest
 
 from detrec.combi import (
@@ -11,6 +13,7 @@ from detrec.combi import (
     enumerate_increasing_words,
     enumerate_tilings,
     has_cyclic_occurrence,
+    iter_cyclic_words,
     lsd_excluded_pair,
     pie_cyclic_sum,
     pie_linear_sum,
@@ -169,6 +172,49 @@ def test_has_cyclic_occurrence_wraps():
     assert not has_cyclic_occurrence("aaaa", "ab")
     assert not has_cyclic_occurrence("bbbb", "ab")
     assert has_cyclic_occurrence("bbaa", "ba")
+
+
+def test_has_cyclic_occurrence_of_patterns_longer_than_the_word():
+    # aabaab... holds aabaaba, although the word doubled once does not
+    assert has_cyclic_occurrence("aab", "aabaaba")
+    assert has_cyclic_occurrence("ab", "babababab")
+    assert has_cyclic_occurrence("a", "aaaaaaa")
+    assert not has_cyclic_occurrence("aab", "aabaabb")
+    assert not has_cyclic_occurrence("", "a")
+    assert has_cyclic_occurrence("", "")
+
+
+def test_has_cyclic_occurrence_matches_its_definition():
+    # an occurrence is a start i with pattern[j] == word[(i + j) % n] for all j
+    def by_definition(word, pattern):
+        n = len(word)
+        return any(all(pattern[j] == word[(i + j) % n] for j in range(len(pattern)))
+                   for i in range(n))
+
+    def words(max_len):
+        for length in range(1, max_len + 1):
+            yield from ("".join(w) for w in product("ab", repeat=length))
+
+    for word in words(5):
+        for pattern in words(8):
+            assert has_cyclic_occurrence(word, pattern) == by_definition(word, pattern), \
+                (word, pattern)
+
+
+def test_iter_cyclic_words_is_the_list_streamed():
+    for n in (3, 4, 7, 10):
+        assert list(iter_cyclic_words(n)) == enumerate_cyclic_words(n)
+        assert enumerate_cyclic_words(n) == ["".join(w) for w in product("ab", repeat=n)]
+        for pattern in ("ab", "bb", "aab", "abaabaab", ""):
+            assert list(iter_cyclic_words(n, pattern)) == [
+                w for w in enumerate_cyclic_words(n) if not has_cyclic_occurrence(w, pattern)]
+
+
+def test_iter_cyclic_words_checks_before_the_first_word():
+    with pytest.raises(DimensionTooSmall):
+        iter_cyclic_words(2)
+    with pytest.raises(TooLarge):
+        iter_cyclic_words(40)
 
 
 def test_cyclic_word_weight():

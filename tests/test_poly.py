@@ -17,6 +17,7 @@ from detrec.poly import (
     exact_divide,
     poly_str,
     scalar_str,
+    scalar_sum,
     substitute,
 )
 
@@ -103,6 +104,22 @@ def test_ring_axioms_randomized():
         assert a * (b + c) == a * b + a * c
         assert a + MultiPoly.zero() == a
         assert a * MultiPoly.one() == a
+
+
+def test_scalar_sum_equals_adding_one_by_one():
+    rng = random.Random(20261018)
+    for _ in range(40):
+        values = [random_poly(rng) if rng.random() < 0.7 else rng.randint(-9, 9)
+                  for _ in range(rng.randint(0, 8))]
+        running = 0
+        for value in values:
+            running = running + value
+        total = scalar_sum(values)
+        assert total == running and type(total) is type(running)
+        assert scalar_str(total) == scalar_str(running)
+    assert scalar_sum([]) == 0 and type(scalar_sum([])) is int
+    assert scalar_sum([X0, -X0]) == MultiPoly.zero()
+    assert scalar_sum([PHI, PSI, 1]) == QuadExt(2)
 
 
 def test_exact_divide_inverts_multiplication():

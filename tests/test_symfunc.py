@@ -1,11 +1,11 @@
 """Symmetric polynomial constructors and the band-matrix identity."""
 
 from itertools import permutations
-from math import comb
+from math import comb, factorial
 
 import pytest
 
-from detrec.caps import MAX_TERMS, check_terms
+from detrec.caps import MAX_SCHUR_WORK, MAX_TERMS, check_schur_work, check_terms
 from detrec.detmat import det_bareiss
 from detrec.errors import TooLarge
 from detrec.poly import MultiPoly, QuadExt, substitute
@@ -87,6 +87,35 @@ def test_schur_never_fails_at_small_weight():
                     partitions.add((a, b, c))
     for lam in sorted(partitions):
         schur(lam, 3)  # must not raise NotDivisible
+
+
+def test_schur_work_bound_matches_its_formula():
+    for weight in range(40):
+        for n_vars in range(1, 11):
+            if comb(weight + n_vars - 1, n_vars - 1) * factorial(n_vars) > MAX_SCHUR_WORK:
+                with pytest.raises(TooLarge):
+                    check_schur_work(weight, n_vars)
+            else:
+                check_schur_work(weight, n_vars)
+    with pytest.raises(TooLarge):
+        check_schur_work(10**9, 10**9)  # refused without computing either factor
+
+
+@pytest.mark.parametrize("lam, n_vars", [
+    ((3, 2, 1), 8),       # bound 69,189,120
+    ((5, 3, 2, 1), 7),    # bound 62,375,040
+    ((9, 5, 3), 8),       # bound 13,955,112,960
+    ((3, 2, 1), 7),       # bound 4,656,960
+])
+def test_schur_refuses_large_work_before_any(lam, n_vars):
+    with pytest.raises(TooLarge):
+        schur(lam, n_vars)
+
+
+def test_schur_checks_the_partition_before_the_cap():
+    with pytest.raises(ValueError, match="weakly decreasing") as exc:
+        schur((1, 2), 20)
+    assert not isinstance(exc.value, TooLarge)
 
 
 def test_partition_validation():
