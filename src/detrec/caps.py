@@ -1,16 +1,20 @@
-"""Size caps for the exhaustive enumerators and the symmetric polynomials.
+"""Size caps for the verifiers, the exhaustive enumerators and the printed values.
 
 Every enumeration in the library is exhaustive, so each entry point checks a
 cap before doing any work and raises ``TooLarge`` beyond it.  The default
 caps keep the full verification sweep in the seconds range.
+``IDENTITY_BOUNDS`` gives each verifier argument's least value and cap, the
+range ``check_identity`` enforces and the sweep in ``identities`` runs.
 
 A symmetric polynomial ``e_k`` or ``h_k`` is as large as its term count, a
 binomial that grows without bound in the degree and the variable count.
 ``check_terms`` holds it to the fixed ``MAX_TERMS``.  ``check_recurrence``
 holds the iteration that computes the recurrence value ``u_n`` with
 symbolic coefficients to ``MAX_RECURRENCE_WORK``, and ``check_schur_work``
-holds a Schur polynomial's division work bound to ``MAX_SCHUR_WORK``.  No
-environment variable changes these fixed limits.
+holds a Schur polynomial's division work bound to ``MAX_SCHUR_WORK``.
+``check_growth`` and ``check_digits`` hold an integer value to ``MAX_DIGITS``,
+and ``COFACTOR_MAX_N`` caps cofactor expansion.  No environment variable
+changes these fixed limits.
 
 The environment variable ``DETREC_MAX_N`` replaces the default cap of every
 enumeration listed below, clamped to a per-operation hard limit (the hard
@@ -19,8 +23,28 @@ Any value that is not a positive integer is rejected with ``ValueError``.
 """
 
 import os
+from itertools import islice
+from math import log10
+from typing import Iterable
 
-from .errors import TooLarge
+from .errors import DimensionTooSmall, TooLarge
+
+# identity -> {argument: (least value, cap)}; ``recurrence-det``'s ``r`` is
+# its coefficient count
+IDENTITY_BOUNDS = {
+    "hom-det": {"m": (1, 6), "vars": (1, 4)},
+    "sury": {"n": (1, 8), "k": (1, 4)},
+    "mclaughlin": {"n": (1, 8)},
+    "two-var": {"n": (1, 12)},
+    "recurrence-det": {"r": (1, 4), "n": (1, 10)},
+    "racci": {"n": (1, 10), "r": (1, 4)},
+    "fib": {"n": (1, 12)},
+    "binet-fib": {"n": (0, 30)},
+    "binet-lucas": {"n": (3, 30)},
+    "lucas-symbolic": {"n": (3, 8)},
+}
+
+COFACTOR_MAX_N = 8
 
 # name -> (default cap, hard limit)
 _CAPS = {
@@ -55,6 +79,9 @@ _STEP_TERMS = 3
 # and s_(3,2,1) in 8 (69M, over 40 s).
 MAX_SCHUR_WORK = 2_500_000
 
+# Python's default limit on the digits of an int it converts to text
+MAX_DIGITS = 4300
+
 
 def cap(name: str) -> int:
     """Effective size cap for the named enumeration."""
@@ -69,6 +96,18 @@ def cap(name: str) -> int:
     if requested < 1:
         raise ValueError(f"DETREC_MAX_N must be a positive integer, got {raw!r}")
     return min(hard, requested)
+
+
+def check_identity(name: str, **args: int) -> None:
+    """Raise ``DimensionTooSmall`` or ``TooLarge`` for an argument outside its bounds."""
+    bounds = IDENTITY_BOUNDS[name]
+    for arg, (least, _) in bounds.items():
+        if arg in args and args[arg] < least:
+            raise DimensionTooSmall(f"{name} needs {arg} >= {least}")
+    for arg, (_, most) in bounds.items():
+        if arg in args and args[arg] > most:
+            limits = ", ".join(f"{a} <= {m}" for a, (_, m) in bounds.items())
+            raise TooLarge(f"{name} capped at {limits}")
 
 
 def check_cap(name: str, n: int) -> None:
@@ -148,3 +187,31 @@ def check_schur_work(weight: int, n_vars: int) -> None:
             raise too_large
     if _comb_exceeds(weight + n_vars - 1, n_vars - 1, MAX_SCHUR_WORK // factorial):
         raise too_large
+
+
+def check_growth(n: int, coeffs: Iterable[int]) -> None:
+    """Raise ``TooLarge`` if the bound ``rho**n`` on ``|u_n|`` has over ``MAX_DIGITS + 1`` digits.
+
+    Here ``u_m = c_1 u_{m-1} + ... + c_r u_{m-r}``, ``u_0 = 1``, and ``rho``
+    solves ``sum |c_i| / x**i = 1``: the bound is that long exactly when the
+    sum at ``x = 10**((MAX_DIGITS + 1) / n)`` is at least 1.  Fibonacci,
+    Lucas and r-acci values exceed a tenth of the bound, so all that fit pass.
+    """
+    if n < 1:
+        return
+    step = (MAX_DIGITS + 1) / n
+    total = 0.0
+    for i, c in enumerate(islice(coeffs, n), start=1):
+        if c:
+            total += 10 ** min(0.0, log10(abs(c)) - i * step)
+            if total >= 1:
+                raise TooLarge(f"value: more than {MAX_DIGITS} digits")
+
+
+_DIGITS_LIMIT = 10 ** MAX_DIGITS
+
+
+def check_digits(value: int) -> None:
+    """Raise ``TooLarge`` if the integer ``value`` has more than ``MAX_DIGITS`` digits."""
+    if abs(value) >= _DIGITS_LIMIT:
+        raise TooLarge(f"value: more than {MAX_DIGITS} digits")

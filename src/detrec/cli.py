@@ -4,12 +4,15 @@ Values print in their canonical text serialization (integers are plain JSON
 numbers, polynomials the graded-lex term string).  ``enumerate`` streams one
 JSON object per item followed by a summary line, handing stdout
 ``CHUNK_LINES`` lines per write; ``verify`` emits one verification report in
-JSON per check.
+JSON per check.  The ``verify`` choices and the flags each identity reads
+come from the registry ``identities.IDENTITIES``.
 
-Size caps (see ``caps``) are checked before any work or output: the
-enumerators' ``DETREC_MAX_N`` caps, the term cap of ``compute e`` and
-``compute h``, and the work caps of ``compute recurrence`` with symbolic
-coefficients and of ``compute schur``.
+Size caps (see ``caps``) are checked before any work or output: each
+identity's ``IDENTITY_BOUNDS``, the enumerators' ``DETREC_MAX_N`` caps, the
+term cap of ``compute e`` and ``compute h``, the work caps of ``compute
+recurrence`` with symbolic coefficients and of ``compute schur``, and the
+digit cap of integer ``compute fib``/``lucas``/``racci``/``recurrence``.
+Symbolic ``--r`` coefficients are built only as far as the result reads.
 
 Exit codes: 0 success or all checks passed, 1 verification failure, 2 usage
 error, 3 size cap exceeded.  A reader that closes the pipe early (``| head``)
@@ -25,10 +28,10 @@ import json
 import os
 import sys
 from collections import Counter
-from itertools import islice
+from itertools import islice, repeat
 from typing import Iterable
 
-from .caps import check_recurrence
+from .caps import check_digits, check_growth, check_identity, check_recurrence
 from .combi import (
     cyclic_word_weight,
     enumerate_circular_tilings,
@@ -41,20 +44,7 @@ from .combi import (
 from .detmat import build_A, build_C, build_F, build_G, build_S, det_bareiss
 from .digraph import enumerate_lsds, from_matrix
 from .errors import DimensionTooSmall, InvalidCycleType, NotDivisible, TooLarge
-from .identities import (
-    symbolic_coeffs,
-    verify_all,
-    verify_binet_fib,
-    verify_binet_lucas,
-    verify_fib,
-    verify_hom_det,
-    verify_lucas_symbolic,
-    verify_mclaughlin,
-    verify_racci,
-    verify_recurrence_det,
-    verify_sury,
-    verify_two_var,
-)
+from .identities import IDENTITIES, _coeff_name, symbolic_coeffs, verify_all
 from .poly import MultiPoly, scalar_str, scalar_sum
 from .recurrence import eval_recurrence, fibonacci, lucas, racci
 from .symfunc import build_E, elementary, homogeneous, schur
@@ -74,6 +64,17 @@ def _need(args, flag: str):
     return value
 
 
+def _coeffs(args, n: int | None = None):
+    """``--coeffs`` as integers, else symbolic ``c1..`` for ``--r``; with their names.
+
+    Given ``n``, only the symbolic coefficients a size-``n`` result reads are built.
+    """
+    if args.coeffs is not None:
+        return _int_list(args.coeffs), None
+    r = _need(args, "--r")
+    return symbolic_coeffs(r if n is None else min(r, max(n, 1))), _coeff_name
+
+
 def _family_matrix(args):
     """Build the requested matrix family; returns (matrix, variable names)."""
     family = _need(args, "--family")
@@ -81,10 +82,8 @@ def _family_matrix(args):
     if family == "E":
         return build_E(n, _need(args, "--vars")), None
     if family == "C":
-        if args.coeffs is not None:
-            return build_C(_int_list(args.coeffs), n), None
-        r = _need(args, "--r")
-        return build_C(symbolic_coeffs(r), n), (lambda i: f"c{i + 1}")
+        coeffs, names = _coeffs(args, n)
+        return build_C(coeffs, n), names
     if family == "G":
         return build_G(n, _need(args, "--r")), None
     if family == "F":
@@ -102,21 +101,24 @@ def _cmd_compute(args) -> int:
         raise ValueError("csv output is only available for verify")
     names = None
     subject = args.subject
-    if subject == "fib":
-        value = fibonacci(_need(args, "--n"))
-    elif subject == "lucas":
-        value = lucas(_need(args, "--n"))
+    # integer recurrence values are held to caps.MAX_DIGITS by check_growth
+    # before any work and by check_digits once computed
+    if subject in ("fib", "lucas"):
+        n = _need(args, "--n")
+        check_growth(n, (1, 1))
+        value = fibonacci(n) if subject == "fib" else lucas(n)
     elif subject == "racci":
-        value = racci(_need(args, "--n"), _need(args, "--r"))
+        n, r = _need(args, "--n"), _need(args, "--r")
+        check_growth(n, repeat(1, r))
+        value = racci(n, r)
     elif subject == "recurrence":
         n = _need(args, "--n")
-        if args.coeffs is not None:
-            value = eval_recurrence(_int_list(args.coeffs), n)
-        else:
-            r = _need(args, "--r")
-            check_recurrence(n, r)
-            value = eval_recurrence(symbolic_coeffs(r), n)
-            names = lambda i: f"c{i + 1}"
+        if args.coeffs is None:
+            check_recurrence(n, _need(args, "--r"))
+        coeffs, names = _coeffs(args, n)
+        if names is None:
+            check_growth(n, coeffs)
+        value = eval_recurrence(coeffs, n)
     elif subject == "e":
         value = elementary(_need(args, "--k"), _need(args, "--vars"))
     elif subject == "h":
@@ -131,6 +133,8 @@ def _cmd_compute(args) -> int:
         value = det_bareiss(matrix)
     else:
         raise ValueError(f"unknown subject {subject!r}")
+    if isinstance(value, int):
+        check_digits(value)
     print(scalar_str(value, names))
     return 0
 
@@ -163,8 +167,7 @@ def _cmd_enumerate(args) -> int:
     # needs no JSON escaping.
     if subject == "tilings":
         n, r = _need(args, "--n"), _need(args, "--r")
-        coeffs = _int_list(args.coeffs) if args.coeffs is not None else symbolic_coeffs(r)
-        names = None if args.coeffs is not None else (lambda i: f"c{i + 1}")
+        coeffs, names = _coeffs(args, n)
         items = enumerate_tilings(n, r)
         if min(n, r) > len(coeffs):
             # the first tiling with a part past the coefficients, found up front
@@ -244,16 +247,20 @@ def _cmd_enumerate(args) -> int:
 def _cmd_verify(args) -> int:
     identity = args.identity
     if identity == "all":
-        reports = verify_all(args.max_n if args.max_n is not None else 6,
-                             seed=args.seed)
+        reports = verify_all(6 if args.max_n is None else args.max_n, args.seed)
     else:
-        reports = [_single_verify(identity, args)]
+        # the entry names the flag of each verifier argument; "--coeffs" is
+        # the coefficient list, whose symbolic count is checked before it is built
+        entry = IDENTITIES[identity]
+        if "--coeffs" in entry.flags and args.coeffs is None:
+            check_identity(identity, r=_need(args, "--r"))
+        reports = [entry.verify(*(_coeffs(args)[0] if flag == "--coeffs"
+                                  else _need(args, flag) for flag in entry.flags))]
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["identity", "params", "lhs", "rhs", "passed", "elapsed_ms"])
-        for rep in reports:
-            writer.writerow([rep.identity, json.dumps(rep.params), rep.lhs,
-                             rep.rhs, rep.passed, round(rep.elapsed_ms, 3)])
+        writer.writerows([rep.identity, json.dumps(rep.params), rep.lhs, rep.rhs,
+                          rep.passed, round(rep.elapsed_ms, 3)] for rep in reports)
     elif args.format == "pretty":
         for rep in reports:
             mark = "PASS" if rep.passed else "FAIL"
@@ -263,33 +270,6 @@ def _cmd_verify(args) -> int:
         for rep in reports:
             print(rep.to_json())
     return 0 if all(rep.passed for rep in reports) else 1
-
-
-def _single_verify(identity: str, args):
-    if identity == "hom-det":
-        return verify_hom_det(_need(args, "--n"), _need(args, "--vars"))
-    if identity == "sury":
-        return verify_sury(_need(args, "--n"), _need(args, "--k"))
-    if identity == "mclaughlin":
-        return verify_mclaughlin(_need(args, "--n"))
-    if identity == "two-var":
-        return verify_two_var(_need(args, "--n"))
-    if identity == "recurrence-det":
-        n = _need(args, "--n")
-        if args.coeffs is not None:
-            return verify_recurrence_det(_int_list(args.coeffs), n)
-        return verify_recurrence_det(symbolic_coeffs(_need(args, "--r")), n)
-    if identity == "racci":
-        return verify_racci(_need(args, "--n"), _need(args, "--r"))
-    if identity == "fib":
-        return verify_fib(_need(args, "--n"))
-    if identity == "binet-fib":
-        return verify_binet_fib(_need(args, "--n"))
-    if identity == "binet-lucas":
-        return verify_binet_lucas(_need(args, "--n"))
-    if identity == "lucas-symbolic":
-        return verify_lucas_symbolic(_need(args, "--n"))
-    raise ValueError(f"unknown identity {identity!r}")
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -331,9 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     enumerate_.set_defaults(handler=_cmd_enumerate)
 
     verify = sub.add_parser("verify", help="verify identities")
-    verify.add_argument("identity", choices=[
-        "hom-det", "sury", "mclaughlin", "two-var", "recurrence-det",
-        "racci", "fib", "binet-fib", "binet-lucas", "lucas-symbolic", "all"])
+    verify.add_argument("identity", choices=[*IDENTITIES, "all"])
     _add_common_flags(verify)
     verify.set_defaults(handler=_cmd_verify)
     return parser

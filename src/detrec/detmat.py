@@ -25,10 +25,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .caps import COFACTOR_MAX_N
 from .errors import DimensionTooSmall, ExactDivisionFailure, NotDivisible, TooLarge
 from .poly import MultiPoly, QuadExt, PHI, PSI, exact_divide, scalar_str
-
-COFACTOR_MAX_N = 8
 
 
 class SquareMatrix:
@@ -117,7 +116,7 @@ def build_G(n: int, r: int) -> SquareMatrix:
     """Unit-coefficient band matrix; its determinant is the r-acci number."""
     if r < 1:
         raise ValueError("band width must be positive")
-    return build_C([1] * r, n)
+    return build_C([1] * min(r, max(n, 1)), n)  # an n x n matrix reads n at most
 
 
 def build_F(n: int) -> SquareMatrix:

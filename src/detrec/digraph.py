@@ -24,6 +24,7 @@ linear subdigraphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import factorial
 from typing import Mapping
 
@@ -194,6 +195,14 @@ def cycle_type(lsd: LinearSubdigraph) -> dict[int, int]:
         if len(cyc) >= 2:
             counts[len(cyc)] = counts.get(len(cyc), 0) + 1
     return counts
+
+
+def cycle_types(n: int, band: int):
+    """Cycle types ``{t: i_t}`` with ``2 <= t <= band`` that fit in ``n`` vertices, no zeros."""
+    lengths = range(2, min(band, n) + 1)
+    for counts in product(*(range(n // t + 1) for t in lengths)):
+        if sum(t * c for t, c in zip(lengths, counts)) <= n:
+            yield {t: c for t, c in zip(lengths, counts) if c}
 
 
 def count_cycle_type(n: int, ct: Mapping[int, int], band: int) -> int:

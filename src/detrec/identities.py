@@ -7,20 +7,25 @@ and ``rhs`` strings are identical; when several routes are checked, ``rhs``
 is the first route that disagrees with the first one, so a failing report
 shows the actual mismatch.
 
-``verify_all`` sweeps every verifier over its documented parameter grid and
-is the repository's primary gate.
+Each identity is declared once: the ``_identity`` decorator on its route
+function registers it in ``IDENTITIES``, and its bounds are its row of
+``caps.IDENTITY_BOUNDS``.  ``verify_all`` runs every registered verifier
+over its grid and is the repository's primary gate.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 from math import comb
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
+from .caps import IDENTITY_BOUNDS, check_identity
 from .combi import (
     enumerate_circular_tilings,
     enumerate_tilings,
@@ -29,9 +34,8 @@ from .combi import (
     tiling_weight,
 )
 from .detmat import build_A, build_C, build_F, build_G, build_S, det_bareiss
-from .digraph import count_cycle_type
-from .errors import DimensionTooSmall, TooLarge
-from .poly import MultiPoly, exact_divide, poly_str, scalar_str
+from .digraph import count_cycle_type, cycle_types
+from .poly import MultiPoly, exact_divide, poly_str, scalar_str, scalar_sum
 from .recurrence import (
     binet_fib,
     binet_lucas,
@@ -54,84 +58,93 @@ class VerificationReport:
     elapsed_ms: float
 
     def to_json(self) -> str:
-        return json.dumps({
-            "identity": self.identity,
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "passed": self.passed,
-            "elapsed_ms": round(self.elapsed_ms, 3),
-        })
+        return json.dumps({**asdict(self), "elapsed_ms": round(self.elapsed_ms, 3)})
 
 
-def _report(identity: str, params: dict, routes: Sequence[str],
-            started: float) -> VerificationReport:
-    lhs = routes[0]
-    mismatches = [s for s in routes[1:] if s != lhs]
-    if mismatches:
-        rhs = mismatches[0]
-    else:
-        rhs = routes[1] if len(routes) > 1 else lhs
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return VerificationReport(identity, params, lhs, rhs, not mismatches, elapsed_ms)
+@dataclass(frozen=True)
+class Identity:
+    """A verifier, the CLI flag of each of its arguments, and its sweep grid."""
+
+    name: str
+    verify: Callable[..., VerificationReport]
+    flags: tuple[str, ...]
+    grid: Callable[[dict[str, range], int], Iterable[tuple]]
+
+    def points(self, max_n: int, seed: int = 0) -> Iterable[tuple]:
+        """The sweep's argument tuples, each bound range clipped to ``max_n``."""
+        ranges = {arg: range(least, min(cap, max_n) + 1)
+                  for arg, (least, cap) in IDENTITY_BOUNDS[self.name].items()}
+        return self.grid(ranges, seed)
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise TooLarge(message)
+IDENTITIES: dict[str, Identity] = {}
 
 
-def verify_hom_det(m: int, n_vars: int) -> VerificationReport:
+def _identity(name: str, *flags: str, grid=lambda ranges, seed: product(*ranges.values()),
+              params=None):
+    """Register the decorated function, which returns its routes' strings, as ``name``.
+
+    The verifier that replaces it checks the bounds, then computes and
+    compares the routes, timed.  ``grid`` maps the bound ranges and a seed
+    to argument tuples; ``params`` maps the arguments to the report's
+    parameters, by default named after the ``IDENTITY_BOUNDS`` row.
+    """
+    def register(routes: Callable[..., list[str]]):
+        signature = inspect.signature(routes)
+
+        @functools.wraps(routes)
+        def verify(*args, **kwargs) -> VerificationReport:
+            started = time.perf_counter()
+            if kwargs:
+                args = signature.bind(*args, **kwargs).args
+            report_params = params(*args) if params else dict(zip(IDENTITY_BOUNDS[name], args))
+            check_identity(name, **report_params)
+            lhs, *others = routes(*args)
+            mismatches = [s for s in others if s != lhs]
+            rhs = mismatches[0] if mismatches else (others or [lhs])[0]
+            elapsed_ms = (time.perf_counter() - started) * 1000.0
+            return VerificationReport(name, report_params, lhs, rhs, not mismatches, elapsed_ms)
+
+        IDENTITIES[name] = Identity(name, verify, flags or ("--n",), grid)
+        return verify
+    return register
+
+
+@_identity("hom-det", "--n", "--vars")
+def verify_hom_det(m: int, n_vars: int):
     """Band-matrix determinant of elementary polynomials vs ``h_m``."""
-    started = time.perf_counter()
-    if m < 1 or n_vars < 1:
-        raise ValueError("m and n_vars must be positive")
-    _require(m <= 6 and n_vars <= 4, "hom-det capped at m <= 6, vars <= 4")
-    det = det_bareiss(build_E(m, n_vars))
-    routes = [scalar_str(det), poly_str(homogeneous(m, n_vars))]
-    return _report("hom-det", {"m": m, "vars": n_vars}, routes, started)
+    return [scalar_str(det_bareiss(build_E(m, n_vars))), poly_str(homogeneous(m, n_vars))]
 
 
-def verify_sury(n: int, k: int) -> VerificationReport:
+# k = 1 leaves h_n = e_1**n, so the sweep starts at k = 2
+@_identity("sury", "--n", "--k",
+           grid=lambda ranges, seed: product(ranges["n"], ranges["k"][1:]))
+def verify_sury(n: int, k: int):
     """Power-sum expansion of ``h_n`` in the elementary polynomial basis.
 
     The right side is assembled cycle type by cycle type: the multinomial
     count times ``e_1**loops`` times ``((-1)**(t-1) e_t)**i_t``.
     """
-    started = time.perf_counter()
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive")
-    _require(n <= 8 and k <= 4, "sury capped at n <= 8, k <= 4")
     e = {t: elementary(t, k) for t in range(1, k + 1)}
     rhs = MultiPoly.zero()
-    ranges = [range(n // t + 1) for t in range(2, k + 1)]
-    for counts in product(*ranges):
-        ct = {t: c for t, c in zip(range(2, k + 1), counts) if c}
-        covered = sum(t * c for t, c in ct.items())
-        if covered > n:
-            continue
-        term = MultiPoly.const(count_cycle_type(n, ct, k)) * e[1] ** (n - covered)
-        sign = 1
+    for ct in cycle_types(n, k):
+        loops = n - sum(t * c for t, c in ct.items())
+        term = MultiPoly.const(count_cycle_type(n, ct, k)) * e[1] ** loops
         for t, c in ct.items():
             term = term * e[t] ** c
-            if (t - 1) * c % 2 == 1:
-                sign = -sign
-        rhs = rhs + sign * term
-    routes = [poly_str(homogeneous(n, k)), poly_str(rhs)]
-    return _report("sury", {"n": n, "k": k}, routes, started)
+        odd = sum((t - 1) * c for t, c in ct.items()) % 2
+        rhs = rhs - term if odd else rhs + term
+    return [poly_str(homogeneous(n, k)), poly_str(rhs)]
 
 
-def verify_mclaughlin(n: int) -> VerificationReport:
+@_identity("mclaughlin")
+def verify_mclaughlin(n: int):
     """Three-variable expansion of ``h_n`` vs the explicit alternant quotient.
 
     The quotient side divides the displayed degree-(n+3) numerator by
     ``(x-y)(x-z)(y-z)`` exactly, never substituting values, and is
     cross-checked against the one-row Schur polynomial and ``h_n``.
     """
-    started = time.perf_counter()
-    if n < 1:
-        raise ValueError("n must be positive")
-    _require(n <= 8, "mclaughlin capped at n <= 8")
     x, y, z = (MultiPoly.var(i) for i in range(3))
     e1, e2, e3 = (elementary(t, 3) for t in (1, 2, 3))
     lhs = MultiPoly.zero()
@@ -145,30 +158,19 @@ def verify_mclaughlin(n: int) -> VerificationReport:
                  + y * z * (y ** (n + 1) - z ** (n + 1)))
     denominator = (x - y) * (x - z) * (y - z)
     quotient = exact_divide(numerator, denominator)
-    routes = [poly_str(lhs), poly_str(quotient),
-              poly_str(schur((n,), 3)), poly_str(homogeneous(n, 3))]
-    return _report("mclaughlin", {"n": n}, routes, started)
+    return [poly_str(lhs), poly_str(quotient),
+            poly_str(schur((n,), 3)), poly_str(homogeneous(n, 3))]
 
 
-def verify_two_var(n: int) -> VerificationReport:
+@_identity("two-var")
+def verify_two_var(n: int):
     """Two-variable alternating binomial sum vs ``x**n + x**(n-1) y + ... + y**n``."""
-    started = time.perf_counter()
-    if n < 1:
-        raise ValueError("n must be positive")
-    _require(n <= 12, "two-var capped at n <= 12")
     x, y = MultiPoly.var(0), MultiPoly.var(1)
     lhs = MultiPoly.zero()
     for i in range(n // 2 + 1):
         term = MultiPoly.const(comb(n - i, i)) * (x + y) ** (n - 2 * i) * (x * y) ** i
         lhs = lhs + (term if i % 2 == 0 else -term)
-    routes = [poly_str(lhs), poly_str(homogeneous(n, 2))]
-    return _report("two-var", {"n": n}, routes, started)
-
-
-def _coeff_names(coeffs: Sequence):
-    if any(isinstance(c, MultiPoly) for c in coeffs):
-        return lambda i: f"c{i + 1}"
-    return None
+    return [poly_str(lhs), poly_str(homogeneous(n, 2))]
 
 
 def symbolic_coeffs(r: int) -> list[MultiPoly]:
@@ -176,137 +178,92 @@ def symbolic_coeffs(r: int) -> list[MultiPoly]:
     return [MultiPoly.var(i) for i in range(r)]
 
 
-def verify_recurrence_det(coeffs: Sequence, n: int) -> VerificationReport:
+def _coeff_name(i: int) -> str:
+    return f"c{i + 1}"  # variable i of symbolic_coeffs
+
+
+def _recurrence_grid(ranges: dict[str, range], seed: int) -> Iterable[tuple]:
+    """Symbolic coefficients for ``r <= 3``, ``n <= 8``, then ten seeded integer vectors."""
+    for r, n in product(ranges["r"][:3], ranges["n"][:8]):
+        yield symbolic_coeffs(r), n
+    rng = random.Random(seed)
+    for _ in range(10):
+        r = rng.randint(ranges["r"].start, ranges["r"][-1])
+        n = rng.randint(ranges["n"].start, ranges["n"][-1])
+        yield [rng.randint(-5, 5) for _ in range(r)], n
+
+
+@_identity("recurrence-det", "--coeffs", "--n", grid=_recurrence_grid,
+           params=lambda coeffs, n: {
+               "coeffs": ("symbolic" if any(isinstance(c, MultiPoly) for c in coeffs)
+                          else list(coeffs)),
+               "r": len(coeffs), "n": n})
+def verify_recurrence_det(coeffs: Sequence, n: int):
     """Three-way check: recurrence iteration, band determinant, tiling weights."""
-    started = time.perf_counter()
-    r = len(coeffs)
-    if r < 1 or n < 1:
-        raise ValueError("need coefficients and positive n")
-    _require(r <= 4 and n <= 10, "recurrence-det capped at r <= 4, n <= 10")
-    names = _coeff_names(coeffs)
-    by_recurrence = eval_recurrence(coeffs, n)
-    by_det = det_bareiss(build_C(coeffs, n))
-    by_tilings = 0
-    for tiling in enumerate_tilings(n, r):
-        by_tilings = by_tilings + tiling_weight(tiling, coeffs)
-    routes = [scalar_str(v, names) for v in (by_recurrence, by_det, by_tilings)]
-    params = {"coeffs": "symbolic" if names else list(coeffs), "r": r, "n": n}
-    return _report("recurrence-det", params, routes, started)
+    by_tilings = scalar_sum(tiling_weight(tiling, coeffs)
+                            for tiling in enumerate_tilings(n, len(coeffs)))
+    values = (eval_recurrence(coeffs, n), det_bareiss(build_C(coeffs, n)), by_tilings)
+    return [scalar_str(v, _coeff_name) for v in values]
 
 
-def verify_racci(n: int, r: int) -> VerificationReport:
+@_identity("racci", "--n", "--r")
+def verify_racci(n: int, r: int):
     """r-acci number: iteration, unit-band determinant, multinomial sum."""
-    started = time.perf_counter()
-    if n < 1 or r < 1:
-        raise ValueError("n and r must be positive")
-    _require(n <= 10 and r <= 4, "racci capped at n <= 10, r <= 4")
-    routes = [str(racci(n, r)), scalar_str(det_bareiss(build_G(n, r))),
-              str(racci_multinomial(n, r))]
-    return _report("racci", {"n": n, "r": r}, routes, started)
+    return [str(racci(n, r)), scalar_str(det_bareiss(build_G(n, r))),
+            str(racci_multinomial(n, r))]
 
 
-def verify_fib(n: int) -> VerificationReport:
+@_identity("fib")
+def verify_fib(n: int):
     """Fibonacci number vs tridiagonal determinant."""
-    started = time.perf_counter()
-    if n < 1:
-        raise ValueError("n must be positive")
-    _require(n <= 12, "fib capped at n <= 12")
-    routes = [str(fibonacci(n)), scalar_str(det_bareiss(build_F(n)))]
-    return _report("fib", {"n": n}, routes, started)
+    return [str(fibonacci(n)), scalar_str(det_bareiss(build_F(n)))]
 
 
-def verify_binet_fib(n: int) -> VerificationReport:
+@_identity("binet-fib")
+def verify_binet_fib(n: int):
     """Golden-ratio closed form vs iteration (and the determinant when small)."""
-    started = time.perf_counter()
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    _require(n <= 30, "binet-fib capped at n <= 30")
-    routes = [scalar_str(binet_fib(n)), str(fibonacci(n))]
-    if 1 <= n <= 12:
-        routes.append(scalar_str(det_bareiss(build_F(n))))
-    return _report("binet-fib", {"n": n}, routes, started)
+    by_det = [scalar_str(det_bareiss(build_F(n)))] if 1 <= n <= 12 else []
+    return [scalar_str(binet_fib(n)), str(fibonacci(n)), *by_det]
 
 
-def verify_binet_lucas(n: int) -> VerificationReport:
+@_identity("binet-lucas")
+def verify_binet_lucas(n: int):
     """Lucas number along four routes: iteration, closed form, determinant, tilings."""
-    started = time.perf_counter()
-    if n < 3:
-        raise DimensionTooSmall("binet-lucas needs n >= 3")
-    _require(n <= 30, "binet-lucas capped at n <= 30")
     routes = [str(lucas(n)), scalar_str(binet_lucas(n))]
     if n <= 12:
         routes.append(scalar_str(det_bareiss(build_A(n)) / 2))
     if n <= 15:
         routes.append(str(len(enumerate_circular_tilings(n))))
-    return _report("binet-lucas", {"n": n}, routes, started)
+    return routes
 
 
-def verify_lucas_symbolic(n: int) -> VerificationReport:
+@_identity("lucas-symbolic")
+def verify_lucas_symbolic(n: int):
     """Symbolic ``det(S) = 2(a**n + b**n)`` plus its proof decomposition.
 
     The third route rebuilds the determinant as the cyclic-word
     inclusion-exclusion sum plus the signed weights of the two excluded
     spanning cycles.
     """
-    started = time.perf_counter()
-    if n < 3:
-        raise DimensionTooSmall("lucas-symbolic needs n >= 3")
-    _require(n <= 8, "lucas-symbolic capped at n <= 8")
     names = ("a", "b")
     a, b = MultiPoly.var(0), MultiPoly.var(1)
     det = det_bareiss(build_S(a, b, n))
     direct = 2 * (a ** n + b ** n)
     l1, l2 = lsd_excluded_pair(n)
     decomposition = pie_cyclic_sum(n) + l1.signed_weight + l2.signed_weight
-    routes = [poly_str(det, names), poly_str(direct, names),
-              poly_str(decomposition, names)]
-    return _report("lucas-symbolic", {"n": n}, routes, started)
+    return [poly_str(det, names), poly_str(direct, names), poly_str(decomposition, names)]
 
 
 def verify_all(max_n: int, seed: int = 0) -> list[VerificationReport]:
-    """Every verifier over its documented grid, each axis capped by ``max_n``.
+    """Every registered verifier over its grid, each axis capped by ``max_n``.
 
-    Includes ten seeded random integer coefficient vectors for the
-    recurrence determinant.  The report list is sorted by identity and
-    parameters, so the output order is independent of execution order.
-    Failures are data, not exceptions.
+    The report list is sorted by identity and parameters, so the output
+    order is independent of execution order.  Failures are data, not
+    exceptions.
     """
     if max_n < 1:
         raise ValueError("max_n must be positive")
-
-    def up_to(limit: int) -> range:
-        return range(1, min(limit, max_n) + 1)
-
-    reports: list[VerificationReport] = []
-    for m in up_to(6):
-        for n_vars in up_to(4):
-            reports.append(verify_hom_det(m, n_vars))
-    for n in up_to(8):
-        for k in range(2, min(4, max_n) + 1):
-            reports.append(verify_sury(n, k))
-    for n in up_to(8):
-        reports.append(verify_mclaughlin(n))
-    for n in up_to(12):
-        reports.append(verify_two_var(n))
-    for r in up_to(3):
-        for n in up_to(8):
-            reports.append(verify_recurrence_det(symbolic_coeffs(r), n))
-    rng = random.Random(seed)
-    for _ in range(10):
-        r = rng.randint(1, min(4, max_n))
-        n = rng.randint(1, min(10, max_n))
-        coeffs = [rng.randint(-5, 5) for _ in range(r)]
-        reports.append(verify_recurrence_det(coeffs, n))
-    for n in up_to(10):
-        for r in up_to(4):
-            reports.append(verify_racci(n, r))
-    for n in up_to(12):
-        reports.append(verify_fib(n))
-    for n in range(0, min(30, max_n) + 1):
-        reports.append(verify_binet_fib(n))
-    for n in range(3, min(30, max_n) + 1):
-        reports.append(verify_binet_lucas(n))
-    for n in range(3, min(8, max_n) + 1):
-        reports.append(verify_lucas_symbolic(n))
+    reports = [entry.verify(*args) for entry in IDENTITIES.values()
+               for args in entry.points(max_n, seed)]
     reports.sort(key=lambda rep: (rep.identity, json.dumps(rep.params, sort_keys=True)))
     return reports

@@ -9,11 +9,10 @@ forms evaluated in the quadratic field (no floating point anywhere).
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Sequence
 
 from .caps import check_cap
-from .digraph import count_cycle_type
+from .digraph import count_cycle_type, cycle_types
 from .poly import PHI, PSI, SQRT5, QuadExt
 
 
@@ -66,7 +65,7 @@ def racci(n: int, r: int) -> int:
         raise ValueError("index must be non-negative")
     if r < 1:
         raise ValueError("order must be positive")
-    return eval_recurrence([1] * r, n)
+    return eval_recurrence([1] * min(r, max(n, 1)), n)  # u_n reads c_1..c_n only
 
 
 def racci_multinomial(n: int, r: int) -> int:
@@ -81,14 +80,7 @@ def racci_multinomial(n: int, r: int) -> int:
     check_cap("racci_sum", n)
     if n == 0:
         return 1
-    ranges = [range(n // t + 1) for t in range(2, r + 1)]
-    total = 0
-    for counts in product(*ranges):
-        ct = {t: c for t, c in zip(range(2, r + 1), counts) if c}
-        if sum(t * c for t, c in ct.items()) > n:
-            continue
-        total += count_cycle_type(n, ct, r)
-    return total
+    return sum(count_cycle_type(n, ct, r) for ct in cycle_types(n, r))
 
 
 def binet_fib(n: int) -> QuadExt:

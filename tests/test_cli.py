@@ -353,6 +353,62 @@ def test_symbolic_recurrence_work_bound_matches_its_count():
                 check_recurrence(n, r)
 
 
+def test_huge_symbolic_r_builds_only_the_coefficients_read(capsys, monkeypatch):
+    # a size-3 result reads c1..c3 at most; the recorder builds no more than
+    # ten, so a build of all r coefficients shows without allocating them
+    requested = []
+
+    def recording(r):
+        requested.append(r)
+        return symbolic_coeffs(min(r, 10))
+
+    monkeypatch.setattr(cli, "symbolic_coeffs", recording)
+    r = "3000000"
+    code, out, err = run(capsys, "verify", "recurrence-det", "--n", "3", "--r", r)
+    assert (code, out) == (3, "")
+    assert "recurrence-det capped" in err
+    code, out, _ = run(capsys, "enumerate", "tilings", "--n", "3", "--r", r)
+    assert code == 0
+    assert json.loads(out.splitlines()[-1]) == {"count": 4,
+                                                "total_weight": "c1^3 + 2*c1*c2 + c3"}
+    code, out, _ = run(capsys, "compute", "det", "--family", "C", "--n", "3", "--r", r)
+    assert (code, out) == (0, "c1^3 + 2*c1*c2 + c3\n")
+    assert run(capsys, "compute", "recurrence", "--n", "3", "--r", r)[0] == 3
+    assert requested and max(requested) <= 3
+    # unit coefficients too: a list of 2**62 ones is refused at once, unallocated
+    assert run(capsys, "compute", "det", "--family", "G", "--n", "3", "--r", str(2**62))[1] == "4\n"
+    assert run(capsys, "compute", "racci", "--n", "3", "--r", str(2**62))[1] == "4\n"
+
+
+def _digits(out: str) -> int:
+    return len(out.strip().lstrip("-"))
+
+
+def test_integer_values_are_held_to_the_digit_cap(capsys):
+    # refused before any work: the loop of a hundred million steps never runs
+    for argv in (["fib", "--n", "100000000"], ["lucas", "--n", "100000000"],
+                 ["racci", "--n", "100000000", "--r", "100000000"],
+                 ["recurrence", "--coeffs", "1,1", "--n", "100000000"],
+                 ["fib", "--n", "30000"],
+                 ["recurrence", "--coeffs", "1" + "0" * 4299, "--n", "2"]):
+        code, out, err = run(capsys, "compute", *argv)
+        assert (code, out) == (3, ""), argv
+        assert "more than 4300 digits" in err
+    code, out, _ = run(capsys, "compute", "fib", "--n", "20000")
+    assert code == 0 and _digits(out) == 4180
+    # every value of at most 4300 digits prints, the next one is refused
+    for argv, digits in ((["fib", "--n", "20576"], 4300), (["lucas", "--n", "20575"], 4300),
+                         (["racci", "--n", "16248", "--r", "3"], 4300),
+                         (["recurrence", "--coeffs", "1" + "0" * 4299, "--n", "1"], 4300)):
+        code, out, _ = run(capsys, "compute", *argv)
+        assert code == 0 and _digits(out) == digits, argv
+    for argv in (["fib", "--n", "20577"], ["lucas", "--n", "20576"],
+                 ["racci", "--n", "16249", "--r", "3"]):
+        assert run(capsys, "compute", *argv)[0] == 3, argv
+    # a loose bound: 2,-1 gives u_n = n + 1, and |c| sums to 3
+    assert run(capsys, "compute", "recurrence", "--coeffs", "2,-1", "--n", "500")[1] == "501\n"
+
+
 def test_schur_work_cap_exit_code(capsys):
     code, out, err = run(capsys, "compute", "schur", "--parts", "5,3,2,1", "--vars", "7")
     assert (code, out) == (3, "")
