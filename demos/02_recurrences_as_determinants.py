@@ -15,7 +15,6 @@ from detrec import (
     enumerate_tilings,
     eval_recurrence,
     fibonacci,
-    from_matrix,
     poly_str,
     racci,
     racci_multinomial,
@@ -58,6 +57,6 @@ print("  fibonacci(10) =", fibonacci(10))
 
 print()
 print("the five linear subdigraphs behind det(F(4)) = 5:")
-for lsd in enumerate_lsds(from_matrix(build_F(4))):
+for lsd in enumerate_lsds(build_F(4)):
     print("  cycles", [[v + 1 for v in cyc] for cyc in lsd.cycles],
           "signed weight", lsd.signed_weight)

@@ -19,7 +19,6 @@ from detrec import (
     enumerate_circular_tilings,
     enumerate_cyclic_words,
     enumerate_lsds,
-    from_matrix,
     has_cyclic_occurrence,
     lsd_excluded_pair,
     lucas,
@@ -61,5 +60,5 @@ for n in range(3, 11):
 
 print()
 print("DOT rendering of the digraph of S(3) with one LSD bolded:")
-g = from_matrix(build_S(a, b, 3))
+g = build_S(a, b, 3)
 print(digraph_dot(g, highlight=enumerate_lsds(g)[0], names=ab))

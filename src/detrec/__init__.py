@@ -39,13 +39,11 @@ from .detmat import (
 )
 from .digraph import (
     LinearSubdigraph,
-    WeightedDigraph,
     count_cycle_type,
     cycle_type,
     det_via_lsd,
     digraph_dot,
     enumerate_lsds,
-    from_matrix,
 )
 from .combi import (
     CircularTiling,
@@ -74,6 +72,7 @@ from .recurrence import (
 )
 from .identities import (
     VerificationReport,
+    coeff_name,
     symbolic_coeffs,
     verify_all,
     verify_binet_fib,

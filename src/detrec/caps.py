@@ -13,8 +13,9 @@ holds the iteration that computes the recurrence value ``u_n`` with
 symbolic coefficients to ``MAX_RECURRENCE_WORK``, and ``check_schur_work``
 holds a Schur polynomial's division work bound to ``MAX_SCHUR_WORK``.
 ``check_growth`` and ``check_digits`` hold an integer value to ``MAX_DIGITS``,
-and ``COFACTOR_MAX_N`` caps cofactor expansion.  No environment variable
-changes these fixed limits.
+``check_steps`` holds the iteration that computes it to
+``MAX_RECURRENCE_STEPS``, and ``COFACTOR_MAX_N`` caps cofactor expansion.
+No environment variable changes these fixed limits.
 
 The environment variable ``DETREC_MAX_N`` replaces the default cap of every
 enumeration listed below, clamped to a per-operation hard limit (the hard
@@ -81,6 +82,11 @@ MAX_SCHUR_WORK = 2_500_000
 
 # Python's default limit on the digits of an int it converts to text
 MAX_DIGITS = 4300
+
+# The integer iteration takes n steps of r terms each, about 1.0-1.1 us a
+# term on that VM: racci --n 14285 --r 100 (1,428,500) takes 1.4 s, --r 210
+# (2,999,850) 3.3 s, and --coeffs 1 --n 3000000 1.4 s.
+MAX_RECURRENCE_STEPS = 3_000_000
 
 
 def cap(name: str) -> int:
@@ -206,6 +212,19 @@ def check_growth(n: int, coeffs: Iterable[int]) -> None:
             total += 10 ** min(0.0, log10(abs(c)) - i * step)
             if total >= 1:
                 raise TooLarge(f"value: more than {MAX_DIGITS} digits")
+
+
+def check_steps(n: int, r: int) -> None:
+    """Raise ``TooLarge`` if ``n`` iteration steps of ``r`` terms exceed ``MAX_RECURRENCE_STEPS``.
+
+    This bounds an integer recurrence whose value stays short, such as
+    ``c_1 = 1``, or grows slowly over many coefficients, which
+    ``check_growth`` lets through.
+    """
+    if n < 0 or r < 1:
+        return  # the evaluator rejects these
+    if n * r > MAX_RECURRENCE_STEPS:
+        raise TooLarge(f"recurrence: {n * r} iteration steps exceed {MAX_RECURRENCE_STEPS}")
 
 
 _DIGITS_LIMIT = 10 ** MAX_DIGITS

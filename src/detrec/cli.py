@@ -11,7 +11,8 @@ Size caps (see ``caps``) are checked before any work or output: each
 identity's ``IDENTITY_BOUNDS``, the enumerators' ``DETREC_MAX_N`` caps, the
 term cap of ``compute e`` and ``compute h``, the work caps of ``compute
 recurrence`` with symbolic coefficients and of ``compute schur``, and the
-digit cap of integer ``compute fib``/``lucas``/``racci``/``recurrence``.
+digit cap of integer ``compute fib``/``lucas``/``racci``/``recurrence``,
+whose iteration the step cap also bounds for ``racci`` and ``recurrence``.
 Symbolic ``--r`` coefficients are built only as far as the result reads.
 
 Exit codes: 0 success or all checks passed, 1 verification failure, 2 usage
@@ -31,7 +32,8 @@ from collections import Counter
 from itertools import islice, repeat
 from typing import Iterable
 
-from .caps import check_digits, check_growth, check_identity, check_recurrence
+from .caps import (check_digits, check_growth, check_identity, check_recurrence,
+                   check_steps)
 from .combi import (
     cyclic_word_weight,
     enumerate_circular_tilings,
@@ -42,9 +44,9 @@ from .combi import (
     word_weight,
 )
 from .detmat import build_A, build_C, build_F, build_G, build_S, det_bareiss
-from .digraph import enumerate_lsds, from_matrix
+from .digraph import enumerate_lsds
 from .errors import DimensionTooSmall, InvalidCycleType, NotDivisible, TooLarge
-from .identities import IDENTITIES, _coeff_name, symbolic_coeffs, verify_all
+from .identities import IDENTITIES, coeff_name, symbolic_coeffs, verify_all
 from .poly import MultiPoly, scalar_str, scalar_sum
 from .recurrence import eval_recurrence, fibonacci, lucas, racci
 from .symfunc import build_E, elementary, homogeneous, schur
@@ -67,12 +69,13 @@ def _need(args, flag: str):
 def _coeffs(args, n: int | None = None):
     """``--coeffs`` as integers, else symbolic ``c1..`` for ``--r``; with their names.
 
-    Given ``n``, only the symbolic coefficients a size-``n`` result reads are built.
+    Given ``n``, only the coefficients a size-``n`` result reads are kept.
     """
     if args.coeffs is not None:
-        return _int_list(args.coeffs), None
+        coeffs = _int_list(args.coeffs)
+        return coeffs if n is None else coeffs[:max(n, 1)], None
     r = _need(args, "--r")
-    return symbolic_coeffs(r if n is None else min(r, max(n, 1))), _coeff_name
+    return symbolic_coeffs(r if n is None else min(r, max(n, 1))), coeff_name
 
 
 def _family_matrix(args):
@@ -102,7 +105,8 @@ def _cmd_compute(args) -> int:
     names = None
     subject = args.subject
     # integer recurrence values are held to caps.MAX_DIGITS by check_growth
-    # before any work and by check_digits once computed
+    # before any work and by check_digits once computed, and their iteration
+    # to caps.MAX_RECURRENCE_STEPS by check_steps
     if subject in ("fib", "lucas"):
         n = _need(args, "--n")
         check_growth(n, (1, 1))
@@ -110,6 +114,7 @@ def _cmd_compute(args) -> int:
     elif subject == "racci":
         n, r = _need(args, "--n"), _need(args, "--r")
         check_growth(n, repeat(1, r))
+        check_steps(n, min(r, n))  # u_n reads c_1..c_n only
         value = racci(n, r)
     elif subject == "recurrence":
         n = _need(args, "--n")
@@ -118,6 +123,7 @@ def _cmd_compute(args) -> int:
         coeffs, names = _coeffs(args, n)
         if names is None:
             check_growth(n, coeffs)
+            check_steps(n, len(coeffs))  # u_n reads c_1..c_n only
         value = eval_recurrence(coeffs, n)
     elif subject == "e":
         value = elementary(_need(args, "--k"), _need(args, "--vars"))
@@ -192,7 +198,7 @@ def _cmd_enumerate(args) -> int:
             return len(items), str(len(items))
     elif subject == "lsds":
         matrix, names = _family_matrix(args)
-        items = enumerate_lsds(from_matrix(matrix))
+        items = enumerate_lsds(matrix)
         weights = [lsd.signed_weight for lsd in items]
 
         def lsd_line(lsd, signed) -> str:

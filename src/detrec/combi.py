@@ -11,7 +11,8 @@ circulant-like matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, filterfalse, product
+from itertools import (accumulate, combinations, combinations_with_replacement, filterfalse,
+                       product)
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .caps import check_cap
@@ -107,25 +108,11 @@ def enumerate_circular_tilings(n: int) -> list[CircularTiling]:
     if n < 3:
         raise DimensionTooSmall(f"circular board needs n >= 3, got {n}")
     check_cap("circular_tilings", n)
-    out: list[CircularTiling] = []
-    # cell 0 not covered by a wrapping tile: plain strip tiling of 0..n-1
-    for comp in enumerate_tilings(n, 2):
-        tiles = []
-        cell = 0
-        for part in comp:
-            tiles.append((cell, part))
-            cell += part
-        out.append(CircularTiling(n, tuple(tiles)))
-    # wrapping 2-tile covers cells n-1 and 0; cells 1..n-2 form a strip
-    for comp in enumerate_tilings(n - 2, 2):
-        tiles = []
-        cell = 1
-        for part in comp:
-            tiles.append((cell, part))
-            cell += part
-        tiles.append((n - 1, 2))
-        out.append(CircularTiling(n, tuple(tiles)))
-    return out
+    # cell 0 not covered by a wrapping tile: a strip tiling of cells 0..n-1;
+    # else a wrapping 2-tile covers cells n-1 and 0, and cells 1..n-2 form a strip
+    return [CircularTiling(n, tuple(zip(accumulate(comp, initial=first), comp)) + wrap)
+            for first, length, wrap in ((0, n, ()), (1, n - 2, ((n - 1, 2),)))
+            for comp in enumerate_tilings(length, 2)]
 
 
 def enumerate_increasing_words(m: int, n_vars: int) -> list[Word]:
@@ -235,18 +222,8 @@ def _cyclic_occurrence_test(pattern: str, length: int) -> Callable[[str], bool]:
 
 def cyclic_word_weight(word: str) -> MultiPoly:
     """Monomial ``a**(#a) * b**(#b)`` of a cyclic word."""
-    return MultiPoly({_normalize_ab(word): 1})
-
-
-def _normalize_ab(word: str) -> tuple[tuple[int, int], ...]:
     na = word.count("a")
-    nb = len(word) - na
-    pairs = []
-    if na:
-        pairs.append((0, na))
-    if nb:
-        pairs.append((1, nb))
-    return tuple(pairs)
+    return MultiPoly({((0, na), (1, len(word) - na)): 1})  # a zero exponent is dropped
 
 
 def cyclic_avoiding_weight(n: int) -> MultiPoly:

@@ -2,13 +2,17 @@
 
 The constructors build the banded recurrence matrix family (``C`` and its
 unit-coefficient specializations ``G`` and ``F``) and the circulant-like
-two-variable family (``S`` and its golden-ratio instance ``A``).  The banded
-matrix of elementary symmetric polynomials lives in ``symfunc``.
+two-variable family (``S`` and its golden-ratio instance ``A``).
+``build_C`` is the one band builder: the banded matrix of elementary
+symmetric polynomials, ``symfunc.build_E``, is ``C`` of the signed
+``e_1, -e_2, e_3, ...``.
 
 Determinants come in two independent flavours here: first-row cofactor
 expansion (the small reference oracle) and fraction-free Bareiss elimination
 (the scalable exact route).  Both are written once against plain ring
-operators, so integer, polynomial and quadratic-field matrices all work.
+operators, so integer, polynomial and quadratic-field matrices all work;
+Bareiss divides through ``_exact_div``, one rule for ints, polynomials and
+field elements.
 Cofactor expansion memoises each minor on its column set for the length of
 one call, so it expands ``2**n`` minors at most rather than ``n!`` paths.
 
@@ -22,12 +26,11 @@ textbook loop does O(n^3).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .caps import COFACTOR_MAX_N
 from .errors import DimensionTooSmall, ExactDivisionFailure, NotDivisible, TooLarge
-from .poly import MultiPoly, QuadExt, PHI, PSI, exact_divide, scalar_str
+from .poly import PHI, PSI, MultiPoly, exact_divide, scalar_str
 
 
 class SquareMatrix:
@@ -89,25 +92,21 @@ def build_C(coeffs: Sequence, n: int) -> SquareMatrix:
     ``(-1)**(t+1) * c_t`` (so ``c1, -c2, c3, ...``), the subdiagonal is all
     ones, and everything else is zero.  Bands truncate at the matrix
     boundary, which keeps the determinant equal to the recurrence value even
-    when ``n < r``.
+    when ``n < r``.  Each coefficient is signed once and shared by the cells
+    of its band.
     """
     r = len(coeffs)
     if r < 1:
         raise ValueError("need at least one coefficient")
     if n < 1:
         raise ValueError("matrix size must be positive")
+    band = [c if t % 2 else -c for t, c in enumerate(coeffs[:n], start=1)]
     rows = []
     for i in range(n):
-        row = []
-        for j in range(n):
-            t = j - i + 1
-            if 1 <= t <= r:
-                c = coeffs[t - 1]
-                row.append(c if t % 2 == 1 else -c)
-            elif i == j + 1:
-                row.append(1)
-            else:
-                row.append(0)
+        row = [0] * n
+        if i:
+            row[i - 1] = 1
+        row[i:i + r] = band[:n - i]
         rows.append(row)
     return SquareMatrix(rows)
 
@@ -155,29 +154,22 @@ def build_A(n: int) -> SquareMatrix:
 def _exact_div(num, den):
     """Exact scalar division used by the fraction-free elimination.
 
-    Plain ints, the common case, are tested first.  Polynomials go through
-    ``exact_divide``; ``QuadExt`` and ``Fraction`` are fields, where ``/``
-    is exact; any other integral domain (int subclasses, say) falls back to
-    ``divmod``.
+    Ints (and int subclasses) divide by ``divmod`` with the remainder
+    checked; polynomials, with an int operand promoted, by ``exact_divide``;
+    every other scalar here is a field element (``QuadExt``, ``Fraction``),
+    where ``/`` is exact.
     """
-    if type(num) is int and type(den) is int:
+    if isinstance(num, int) and isinstance(den, int):
         q, rem = divmod(num, den)
         if rem:
             raise ExactDivisionFailure(f"{num} not divisible by {den}")
         return q
     if isinstance(num, MultiPoly) or isinstance(den, MultiPoly):
-        pnum = num if isinstance(num, MultiPoly) else MultiPoly.const(num)
-        pden = den if isinstance(den, MultiPoly) else MultiPoly.const(den)
         try:
-            return exact_divide(pnum, pden)
+            return exact_divide(MultiPoly._coerce(num), MultiPoly._coerce(den))
         except NotDivisible as exc:
             raise ExactDivisionFailure(str(exc)) from exc
-    if isinstance(num, (QuadExt, Fraction)) or isinstance(den, (QuadExt, Fraction)):
-        return num / den
-    q, rem = divmod(num, den)
-    if rem:
-        raise ExactDivisionFailure(f"{num} not divisible by {den}")
-    return q
+    return num / den
 
 
 def det_cofactor(m: SquareMatrix):

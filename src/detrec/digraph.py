@@ -1,11 +1,13 @@
 """Weighted digraphs of square matrices and linear-subdigraph expansion.
 
-The digraph of an ``n x n`` matrix has vertices ``0..n-1`` and an edge
-``i -> j`` of weight ``M[i][j]`` for every nonzero entry.  A linear
-subdigraph (LSD) is a spanning collection of pairwise vertex-disjoint
-directed cycles; loops count as cycles of length 1.  Summing
-``(-1)**(n - c(L)) * w(L)`` over all LSDs gives the determinant, which is
-the expansion everything in this library is checked against.
+A square matrix is its own digraph: an ``n x n`` matrix has vertices
+``0..n-1`` and an edge ``i -> j`` of weight ``M[i][j]`` for every nonzero
+entry, listed by ``_successors``.  So every function here takes the
+``SquareMatrix`` itself.  A linear subdigraph (LSD) is a spanning
+collection of pairwise vertex-disjoint directed cycles; loops count as
+cycles of length 1.  Summing ``(-1)**(n - c(L)) * w(L)`` over all LSDs
+gives the determinant, which is the expansion everything in this library
+is checked against.
 
 Cycles are kept canonical: each cycle is rotated so its smallest vertex
 comes first, and the cycles of an LSD are listed by increasing smallest
@@ -55,37 +57,6 @@ class LinearSubdigraph:
         return self.sign * self.weight
 
 
-class WeightedDigraph:
-    """Digraph view of a square matrix; zero entries are absent edges."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: SquareMatrix):
-        object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightedDigraph is immutable")
-
-    @property
-    def n(self) -> int:
-        return self.matrix.n
-
-    def weight(self, i: int, j: int):
-        return self.matrix[i][j]
-
-    def edges(self):
-        """Nonzero edges as ``(i, j, weight)`` in row-major order."""
-        for i in range(self.n):
-            for j in range(self.n):
-                w = self.matrix[i][j]
-                if w:
-                    yield i, j, w
-
-
-def from_matrix(m: SquareMatrix) -> WeightedDigraph:
-    return WeightedDigraph(m)
-
-
 def _successors(rows) -> list[list[tuple[int, object]]]:
     """Edges out of each vertex: ``(j, M[i][j])`` for the nonzero entries, by ``j``."""
     return [[(j, w) for j, w in enumerate(row) if w] for row in rows]
@@ -126,7 +97,7 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def enumerate_lsds(g: WeightedDigraph) -> list[LinearSubdigraph]:
+def enumerate_lsds(m: SquareMatrix) -> list[LinearSubdigraph]:
     """All linear subdigraphs with nonzero weight, each exactly once.
 
     A depth-first search: the first cycle goes through vertex 0, each next
@@ -134,9 +105,9 @@ def enumerate_lsds(g: WeightedDigraph) -> list[LinearSubdigraph]:
     vertex come in lexicographic order.  So the output is already sorted
     lexicographically by the canonical cycle representation.
     """
-    n = g.n
+    n = m.n
     check_cap("lsd", n)
-    succ = _successors(g.matrix)
+    succ = _successors(m)
     found: list[LinearSubdigraph] = []
     cycles: list[tuple[int, ...]] = []
 
@@ -240,21 +211,22 @@ def count_cycle_type(n: int, ct: Mapping[int, int], band: int) -> int:
     return result // factorial(loops)
 
 
-def digraph_dot(g: WeightedDigraph, highlight: LinearSubdigraph | None = None,
+def digraph_dot(m: SquareMatrix, highlight: LinearSubdigraph | None = None,
                 names=None) -> str:
-    """DOT rendering; edges of the highlighted LSD are drawn bold."""
+    """DOT rendering of the digraph of ``m``; edges of the highlighted LSD are drawn bold."""
     bold = set()
     if highlight is not None:
         for cyc in highlight.cycles:
             for k, v in enumerate(cyc):
                 bold.add((v, cyc[(k + 1) % len(cyc)]))
     lines = ["digraph {"]
-    for v in range(g.n):
+    for v in range(m.n):
         lines.append(f"  v{v + 1};")
-    for i, j, w in g.edges():
-        attrs = f'label="{scalar_str(w, names)}"'
-        if (i, j) in bold:
-            attrs += ", style=bold"
-        lines.append(f"  v{i + 1} -> v{j + 1} [{attrs}];")
+    for i, edges in enumerate(_successors(m)):
+        for j, w in edges:
+            attrs = f'label="{scalar_str(w, names)}"'
+            if (i, j) in bold:
+                attrs += ", style=bold"
+            lines.append(f"  v{i + 1} -> v{j + 1} [{attrs}];")
     lines.append("}")
     return "\n".join(lines)

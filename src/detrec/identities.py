@@ -178,8 +178,9 @@ def symbolic_coeffs(r: int) -> list[MultiPoly]:
     return [MultiPoly.var(i) for i in range(r)]
 
 
-def _coeff_name(i: int) -> str:
-    return f"c{i + 1}"  # variable i of symbolic_coeffs
+def coeff_name(i: int) -> str:
+    """Printed name of variable ``i`` of ``symbolic_coeffs``: ``c1`` for ``x0``, and so on."""
+    return f"c{i + 1}"
 
 
 def _recurrence_grid(ranges: dict[str, range], seed: int) -> Iterable[tuple]:
@@ -203,7 +204,7 @@ def verify_recurrence_det(coeffs: Sequence, n: int):
     by_tilings = scalar_sum(tiling_weight(tiling, coeffs)
                             for tiling in enumerate_tilings(n, len(coeffs)))
     values = (eval_recurrence(coeffs, n), det_bareiss(build_C(coeffs, n)), by_tilings)
-    return [scalar_str(v, _coeff_name) for v in values]
+    return [scalar_str(v, coeff_name) for v in values]
 
 
 @_identity("racci", "--n", "--r")

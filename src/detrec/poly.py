@@ -210,16 +210,6 @@ class MultiPoly:
                 top = degree
         return top
 
-    def variables(self) -> set[int]:
-        return {v for m in self._terms for v, _ in m}
-
-    def leading_term(self) -> tuple[Monomial, int]:
-        """Largest term in graded-lex order.  Undefined for zero."""
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading term")
-        mono = max(self._terms, key=_Packing(self._terms, self.degree()).pack)
-        return mono, self._terms[mono]
-
     # -- ring operations ---------------------------------------------------
 
     @staticmethod
@@ -304,15 +294,7 @@ class MultiPoly:
             return NotImplemented
         if k < 0:
             raise ValueError("polynomial powers must be non-negative")
-        result = MultiPoly.one()
-        base = self
-        n = k
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, k, MultiPoly.one())
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -345,6 +327,17 @@ def _from_terms(terms: dict[Monomial, int]) -> MultiPoly:
     p = object.__new__(MultiPoly)
     _set_terms(p, terms)
     return p
+
+
+def _power(base, k: int, one):
+    """``base**k`` for ``k >= 0`` by square-and-multiply, starting from ``one``."""
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base
+        k >>= 1
+    return result
 
 
 VarNames = Union[Sequence[str], Callable[[int], str], None]
@@ -559,15 +552,7 @@ class QuadExt:
             return NotImplemented
         if k < 0:
             raise ValueError("quadratic powers must be non-negative")
-        result = _quad(1, 0, 1)
-        base = self
-        n = k
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, k, _quad(1, 0, 1))
 
     def __bool__(self) -> bool:
         return bool(self._a or self._b)

@@ -4,7 +4,9 @@ Schur polynomials are computed as the bialternant ratio of two alternating
 determinants, so the classical identity ``det(E(e_1..e_m)) = h_m`` relating
 the band matrix of elementary symmetric polynomials to the complete
 homogeneous one stays an independently testable fact rather than a
-definition.
+definition.  That band matrix, ``build_E``, is ``detmat.build_C`` of the
+signed ``e_1, -e_2, e_3, ...``: ``h_m`` satisfies the recurrence
+``h_m = sum_t (-1)**(t-1) * e_t * h_(m-t)``.
 
 Variables are 0-indexed (``x0, x1, ...``); a partition is any weakly
 decreasing sequence of non-negative integers.
@@ -16,7 +18,7 @@ from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
 from .caps import check_schur_work, check_terms
-from .detmat import SquareMatrix, det_cofactor
+from .detmat import SquareMatrix, build_C, det_cofactor
 from .poly import MultiPoly, exact_divide
 
 
@@ -114,21 +116,13 @@ def build_E(m: int, n_vars: int) -> SquareMatrix:
     """Band matrix of elementary symmetric polynomials with ``det = h_m``.
 
     1-based picture: entry ``(i, j)`` is ``e_{j-i+1}`` on and above the
-    diagonal, 1 on the subdiagonal, 0 below.  Since ``e_t = 0`` for
-    ``t > n_vars`` the same constructor yields the truncated band matrix
-    ``E(e_1..e_k, 0..0)`` whenever the variable count is smaller than ``m``.
+    diagonal, 1 on the subdiagonal, 0 below: ``build_C`` of the signed
+    ``e_1, -e_2, e_3, ...``, whose signs ``build_C`` undoes.  Since
+    ``e_t = 0`` for ``t > n_vars``, the coefficients stop at
+    ``e_(min(m, n_vars))`` and the band past them is 0, the truncated
+    matrix ``E(e_1..e_k, 0..0)``.
     """
     if m < 1:
         raise ValueError("matrix size must be positive")
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            if j >= i:
-                row.append(elementary(j - i + 1, n_vars))
-            elif i == j + 1:
-                row.append(1)
-            else:
-                row.append(0)
-        rows.append(row)
-    return SquareMatrix(rows)
+    k = min(m, max(n_vars, 1))  # at least e_1, whose check rejects n_vars < 1
+    return build_C([(-1) ** (t - 1) * elementary(t, n_vars) for t in range(1, k + 1)], m)

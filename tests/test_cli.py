@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 
 from detrec import cli
-from detrec.caps import MAX_RECURRENCE_WORK, check_recurrence
+from detrec.caps import MAX_RECURRENCE_STEPS, MAX_RECURRENCE_WORK, check_recurrence
 from detrec.cli import main
 from detrec.combi import cyclic_word_weight, tiling_weight, word_weight
-from detrec.digraph import enumerate_lsds, from_matrix
+from detrec.digraph import enumerate_lsds
 from detrec.errors import TooLarge
 from detrec.identities import symbolic_coeffs
 from detrec.poly import MultiPoly, scalar_str
@@ -240,7 +240,7 @@ def test_word_and_lsd_totals_are_the_sums_of_object_weights(capsys):
     assert total == scalar_str(expected)
     items, total = _objects_and_summary(capsys, "lsds", "--family", "E", "--n", "4",
                                         "--vars", "3")
-    lsds = enumerate_lsds(from_matrix(build_E(4, 3)))
+    lsds = enumerate_lsds(build_E(4, 3))
     assert [item["signed_weight"] for item in items] == [
         scalar_str(lsd.signed_weight) for lsd in lsds]
     expected = 0
@@ -407,6 +407,33 @@ def test_integer_values_are_held_to_the_digit_cap(capsys):
         assert run(capsys, "compute", *argv)[0] == 3, argv
     # a loose bound: 2,-1 gives u_n = n + 1, and |c| sums to 3
     assert run(capsys, "compute", "recurrence", "--coeffs", "2,-1", "--n", "500")[1] == "501\n"
+
+
+def test_integer_iteration_is_held_to_the_step_cap(capsys, monkeypatch):
+    def iterate(*args):
+        raise AssertionError("the iteration ran")
+    monkeypatch.setattr(cli, "eval_recurrence", iterate)
+    monkeypatch.setattr(cli, "racci", iterate)
+    # refused before any work: each value fits the digit cap, the loop does not
+    for argv in (["racci", "--n", "100000000", "--r", "1"],
+                 ["recurrence", "--coeffs", "1", "--n", "100000000"],
+                 ["racci", "--n", "14000", "--r", "14000"],
+                 ["racci", "--n", "14285", "--r", "300"]):
+        code, out, err = run(capsys, "compute", *argv)
+        assert (code, out) == (3, ""), argv
+        assert f"iteration steps exceed {MAX_RECURRENCE_STEPS}" in err
+    # the steps are n times the coefficients u_n reads, held to the cap itself
+    monkeypatch.setattr(cli, "eval_recurrence", lambda coeffs, n: 0)
+    monkeypatch.setattr(cli, "racci", lambda n, r: 0)
+    for argv in (["recurrence", "--coeffs", "1", "--n", str(MAX_RECURRENCE_STEPS)],
+                 ["recurrence", "--coeffs", "1,0,0", "--n", str(MAX_RECURRENCE_STEPS // 3)],
+                 ["recurrence", "--coeffs", ",".join(["1"] * 100000), "--n", "1000"],
+                 ["racci", "--n", "1000", "--r", "100000"],
+                 ["racci", "--n", "2000", "--r", "1500"]):
+        assert run(capsys, "compute", *argv)[:2] == (0, "0\n"), argv
+    for argv in (["recurrence", "--coeffs", "1", "--n", str(MAX_RECURRENCE_STEPS + 1)],
+                 ["racci", "--n", "2000", "--r", "1501"]):
+        assert run(capsys, "compute", *argv)[0] == 3, argv
 
 
 def test_schur_work_cap_exit_code(capsys):

@@ -22,7 +22,7 @@ from detrec.combi import (
     word_weight,
 )
 from detrec.detmat import build_C, build_S, det_bareiss
-from detrec.digraph import enumerate_lsds, from_matrix
+from detrec.digraph import enumerate_lsds
 from detrec.errors import DimensionTooSmall, TooLarge
 from detrec.poly import MultiPoly
 from detrec.recurrence import eval_recurrence, lucas
@@ -79,7 +79,7 @@ def test_bijection_on_fibonacci_board():
     coeffs = [MultiPoly.var(0), MultiPoly.var(1)]
     tilings = enumerate_tilings(4, 2)
     images = [tiling_to_lsd(t, coeffs) for t in tilings]
-    lsds = enumerate_lsds(from_matrix(build_C(coeffs, 4)))
+    lsds = enumerate_lsds(build_C(coeffs, 4))
     assert sorted(l.cycles for l in images) == [l.cycles for l in lsds]
     for tiling, image in zip(tilings, images):
         assert image.signed_weight == tiling_weight(tiling, coeffs)
@@ -96,7 +96,7 @@ def test_bijection_total_injective_weight_preserving():
                 assert lsd.cycles not in images  # injective
                 images[lsd.cycles] = lsd
                 assert lsd.signed_weight == tiling_weight(t, coeffs)
-            lsds = enumerate_lsds(from_matrix(build_C(coeffs, n)))
+            lsds = enumerate_lsds(build_C(coeffs, n))
             assert set(images) == {l.cycles for l in lsds}  # total image
             for lsd in lsds:
                 assert images[lsd.cycles].weight == lsd.weight
@@ -247,7 +247,7 @@ def test_lsd_excluded_pair_signed_weights():
 
 def test_excluded_pair_are_lsds_of_the_matrix():
     for n in (3, 4, 5):
-        lsds = {l.cycles: l for l in enumerate_lsds(from_matrix(build_S(A, B, n)))}
+        lsds = {l.cycles: l for l in enumerate_lsds(build_S(A, B, n))}
         l1, l2 = lsd_excluded_pair(n)
         assert lsds[l1.cycles].weight == l1.weight
         assert lsds[l2.cycles].weight == l2.weight

@@ -13,9 +13,10 @@ from detrec.detmat import (
     build_G,
     build_S,
     det_bareiss,
+    _exact_div,
     det_cofactor,
 )
-from detrec.errors import DimensionTooSmall, TooLarge
+from detrec.errors import DimensionTooSmall, ExactDivisionFailure, TooLarge
 from detrec.poly import PHI, PSI, MultiPoly, QuadExt, poly_str
 from detrec.recurrence import eval_recurrence, fibonacci, lucas, racci
 from detrec.symfunc import build_E, homogeneous
@@ -192,6 +193,20 @@ def test_det_bareiss_fraction_scalars():
     m = SquareMatrix([[Fraction(1, 2), Fraction(1, 3)],
                       [Fraction(1, 5), Fraction(1, 7)]])
     assert det_bareiss(m) == Fraction(1, 14) - Fraction(1, 15)
+
+
+def test_exact_div_rungs(counted_ints):
+    Counted, _ = counted_ints
+    assert _exact_div(-12, 4) == -3
+    q = _exact_div(Counted(12), Counted(4))
+    assert q == 3 and type(q) is Counted  # int subclasses divide by their divmod
+    assert _exact_div(2 * A * B, 2) == A * B
+    assert _exact_div(6, MultiPoly.const(3)) == 2
+    assert _exact_div(PHI * PSI, PSI) == PHI
+    assert _exact_div(Fraction(1, 2), Fraction(1, 3)) == Fraction(3, 2)
+    for num, den in ((7, 2), (Counted(7), Counted(2)), (A, B), (A + 1, 2)):
+        with pytest.raises(ExactDivisionFailure):
+            _exact_div(num, den)
 
 
 def test_matrices_are_immutable():

@@ -19,7 +19,6 @@ from detrec.digraph import (
     det_via_lsd,
     digraph_dot,
     enumerate_lsds,
-    from_matrix,
 )
 from detrec.errors import InvalidCycleType, TooLarge
 from detrec.poly import MultiPoly
@@ -35,15 +34,8 @@ def random_matrix(rng, n):
     return SquareMatrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
 
 
-def test_from_matrix_weights():
-    g = from_matrix(SquareMatrix([[1, 2], [3, 4]]))
-    assert g.n == 2
-    assert g.weight(0, 1) == 2
-    assert sorted(g.edges()) == [(0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 1, 4)]
-
-
 def test_identity_has_single_all_loop_lsd():
-    lsds = enumerate_lsds(from_matrix(identity_matrix(3)))
+    lsds = enumerate_lsds(identity_matrix(3))
     assert len(lsds) == 1
     (lsd,) = lsds
     assert lsd.cycles == ((0,), (1,), (2,))
@@ -54,7 +46,7 @@ def test_identity_has_single_all_loop_lsd():
 
 def test_full_two_by_two_has_two_lsds():
     a, b, c, d = 2, 3, 5, 7
-    lsds = enumerate_lsds(from_matrix(SquareMatrix([[a, b], [c, d]])))
+    lsds = enumerate_lsds(SquareMatrix([[a, b], [c, d]]))
     assert [(l.cycles, l.weight) for l in lsds] == [
         (((0,), (1,)), a * d),
         (((0, 1),), b * c),
@@ -63,7 +55,7 @@ def test_full_two_by_two_has_two_lsds():
 
 
 def test_lsds_of_fibonacci_matrix():
-    lsds = enumerate_lsds(from_matrix(build_F(4)))
+    lsds = enumerate_lsds(build_F(4))
     assert len(lsds) == 5
     # signed weights are all +1, matching the five tilings of the 4-board
     assert all(l.signed_weight == 1 for l in lsds)
@@ -71,7 +63,7 @@ def test_lsds_of_fibonacci_matrix():
 
 def test_zero_weight_edges_are_absent():
     m = SquareMatrix([[1, 0], [5, 1]])
-    lsds = enumerate_lsds(from_matrix(m))
+    lsds = enumerate_lsds(m)
     assert len(lsds) == 1  # the 2-cycle needs the zero (0,1) edge
 
 
@@ -107,7 +99,7 @@ def test_det_via_lsd_matches_on_structured_families():
 
 def test_sign_is_product_over_cycles():
     for matrix in (build_G(6, 3), build_S(MultiPoly.var(0), MultiPoly.var(1), 5)):
-        for lsd in enumerate_lsds(from_matrix(matrix)):
+        for lsd in enumerate_lsds(matrix):
             per_cycle = 1
             for cyc in lsd.cycles:
                 if len(cyc) % 2 == 0:
@@ -118,7 +110,7 @@ def test_sign_is_product_over_cycles():
 def test_lsd_count_of_banded_unit_matrix_is_racci():
     for r in range(1, 5):
         for n in range(1, 11):
-            lsds = enumerate_lsds(from_matrix(build_G(n, r)))
+            lsds = enumerate_lsds(build_G(n, r))
             assert len(lsds) == racci(n, r), (n, r)
 
 
@@ -126,7 +118,7 @@ def test_banded_census_matches_multinomial():
     for k in range(2, 5):
         for n in range(1, 9):
             census = {}
-            for lsd in enumerate_lsds(from_matrix(build_G(n, k))):
+            for lsd in enumerate_lsds(build_G(n, k)):
                 key = tuple(sorted(cycle_type(lsd).items()))
                 census[key] = census.get(key, 0) + 1
             for key, count in census.items():
@@ -154,7 +146,7 @@ def test_count_cycle_type_validation():
 
 def test_enumeration_cap():
     with pytest.raises(TooLarge):
-        enumerate_lsds(from_matrix(identity_matrix(13)))
+        enumerate_lsds(identity_matrix(13))
     with pytest.raises(TooLarge):
         det_via_lsd(identity_matrix(13))
 
@@ -164,7 +156,7 @@ def test_cap_override_via_environment(monkeypatch):
     assert det_via_lsd(build_F(13)) == 377
     monkeypatch.setenv("DETREC_MAX_N", "200")  # clamped to the hard limit
     with pytest.raises(TooLarge):
-        enumerate_lsds(from_matrix(identity_matrix(15)))
+        enumerate_lsds(identity_matrix(15))
 
 
 @pytest.mark.parametrize("raw", ["-3", "0", "abc"])
@@ -176,8 +168,8 @@ def test_invalid_cap_override_is_rejected(monkeypatch, raw):
 
 
 def test_enumeration_is_deterministic_and_canonical():
-    lsds = enumerate_lsds(from_matrix(build_G(6, 3)))
-    again = enumerate_lsds(from_matrix(build_G(6, 3)))
+    lsds = enumerate_lsds(build_G(6, 3))
+    again = enumerate_lsds(build_G(6, 3))
     assert lsds == again
     assert [l.cycles for l in lsds] == sorted(l.cycles for l in lsds)
     for lsd in lsds:
@@ -187,7 +179,7 @@ def test_enumeration_is_deterministic_and_canonical():
 
 
 def test_dot_output():
-    g = from_matrix(SquareMatrix([[1, 2], [0, 1]]))
+    g = SquareMatrix([[1, 2], [0, 1]])
     dot = digraph_dot(g)
     assert dot.startswith("digraph {")
     assert "v1 -> v2 [label=\"2\"];" in dot

@@ -23,7 +23,7 @@ from hypothesis import strategies as st  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from detrec.detmat import SquareMatrix, build_G, det_cofactor  # noqa: E402
-from detrec.digraph import det_via_lsd, enumerate_lsds, from_matrix  # noqa: E402
+from detrec.digraph import det_via_lsd, enumerate_lsds  # noqa: E402
 from detrec.poly import MultiPoly  # noqa: E402
 from detrec.recurrence import racci  # noqa: E402
 
@@ -108,7 +108,7 @@ def test_polynomial_det_matches_sympy(rows):
 @examples
 @given(st.one_of(matrices(ints), matrices(polys, max_n=5)))
 def test_lsds_biject_with_nonzero_permutations(rows):
-    lsds = enumerate_lsds(from_matrix(SquareMatrix(rows)))
+    lsds = enumerate_lsds(SquareMatrix(rows))
     expected = brute_force_lsds(rows)
     # same cycle sets, in the same (sorted) order
     assert [lsd.cycles for lsd in lsds] == [cycles for cycles, _, _ in expected]

@@ -6,7 +6,7 @@ from math import comb, factorial
 import pytest
 
 from detrec.caps import MAX_SCHUR_WORK, MAX_TERMS, check_schur_work, check_terms
-from detrec.detmat import det_bareiss
+from detrec.detmat import SquareMatrix, det_bareiss
 from detrec.errors import TooLarge
 from detrec.poly import MultiPoly, QuadExt, substitute
 from detrec.symfunc import alternant, build_E, elementary, homogeneous, schur
@@ -141,6 +141,21 @@ def test_build_E_band_truncates_with_few_variables():
     assert m[0][2] == MultiPoly.zero()  # e_3 over 2 vars
     assert m[2][1] == 1
     assert m[3][1] == 0
+
+
+def test_build_E_is_the_band_of_elementary_polynomials():
+    # entry (i, j) is e_{j-i+1} on and above the diagonal, 1 just below it
+    for m in range(1, 9):
+        for n_vars in range(1, 6):
+            cells = [[elementary(j - i + 1, n_vars) if j >= i else int(i == j + 1)
+                      for j in range(m)] for i in range(m)]
+            matrix = build_E(m, n_vars)
+            assert list(map(list, matrix)) == cells, (m, n_vars)
+            assert matrix.pretty() == SquareMatrix(cells).pretty()
+    with pytest.raises(ValueError, match="matrix size must be positive"):
+        build_E(0, 3)
+    with pytest.raises(ValueError, match="need at least one variable"):
+        build_E(3, 0)
 
 
 def test_det_E_2_2():
