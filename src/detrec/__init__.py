@@ -26,7 +26,7 @@ from .poly import (
     scalar_sum,
     substitute,
 )
-from .symfunc import alternant, build_E, elementary, homogeneous, schur
+from .symfunc import alternant, bialternant, build_E, elementary, homogeneous, schur
 from .detmat import (
     SquareMatrix,
     build_A,

@@ -6,15 +6,18 @@ caps keep the full verification sweep in the seconds range.
 ``IDENTITY_BOUNDS`` gives each verifier argument's least value and cap, the
 range ``check_identity`` enforces and the sweep in ``identities`` runs.
 
-A symmetric polynomial ``e_k`` or ``h_k`` is as large as its term count, a
-binomial that grows without bound in the degree and the variable count.
-``check_terms`` holds it to the fixed ``MAX_TERMS``.  ``check_recurrence``
-holds the iteration that computes the recurrence value ``u_n`` with
-symbolic coefficients to ``MAX_RECURRENCE_WORK``, and ``check_schur_work``
-holds a Schur polynomial's division work bound to ``MAX_SCHUR_WORK``.
-``check_growth`` and ``check_digits`` hold an integer value to ``MAX_DIGITS``,
-``check_steps`` holds the iteration that computes it to
-``MAX_RECURRENCE_STEPS``, and ``COFACTOR_MAX_N`` caps cofactor expansion.
+A symmetric polynomial ``e_k``, ``h_k`` or ``s_lam`` is as large as its term
+count, a binomial that grows without bound in the degree and the variable
+count.  ``check_terms`` holds it to the fixed ``MAX_TERMS``, and
+``MAX_SCHUR_WORK`` holds the modelled work of a Schur polynomial's
+Jacobi-Trudi expansion (see ``symfunc.schur``).  ``check_recurrence`` holds
+the iteration that computes the recurrence value ``u_n`` with symbolic
+coefficients to ``MAX_RECURRENCE_WORK``, and ``check_det_E`` and
+``check_det_S`` hold the elimination of the symbolic matrices ``E`` and
+``S`` to the same bound.  ``check_growth`` and ``check_digits`` hold an
+integer value to ``MAX_DIGITS``, ``check_steps`` holds the iteration that
+computes it to ``MAX_RECURRENCE_STEPS``, ``check_cells`` holds a matrix to
+``MAX_CELLS`` entries, and ``COFACTOR_MAX_N`` caps cofactor expansion.
 No environment variable changes these fixed limits.
 
 The environment variable ``DETREC_MAX_N`` replaces the default cap of every
@@ -25,7 +28,7 @@ Any value that is not a positive integer is rejected with ``ValueError``.
 
 import os
 from itertools import islice
-from math import log10
+from math import comb, log10
 from typing import Iterable
 
 from .errors import DimensionTooSmall, TooLarge
@@ -68,17 +71,31 @@ MAX_TERMS = 100_000
 # the iteration costs as much as _STEP_TERMS terms.  --r 10 --n 40 (work
 # 1,154,280) takes 1.4-1.7 s; the slowest accepted cases measured,
 # --r 3 --n 238, --r 2 --n 1531 and --r 1 --n 299999, take 2.5-3.0 s;
-# --r 10 --n 50 (work 4,941,240) took 9 s.
+# --r 10 --n 50 (work 4,941,240) took 9 s.  The elimination of E runs
+# at 0.5-1.3 us a unit of check_det_E, and that of S at about 1.3 us a
+# unit of check_det_S: compute det --family E --n 30 --vars 4 (work
+# 1,198,442) takes 1.5 s from the command line, and S of size 153 1.9 s.
+# Refused: E --n 40 --vars 4 (3,655,867, 2.9 s), --n 10 --vars 10
+# (19.0M, 10.6 s), --n 2 --vars 446 (44.7M, 10.4 s), and S of size 200
+# (2,666,666, 3.5 s).
 MAX_RECURRENCE_WORK = 1_200_000
 _STEP_TERMS = 3
 
-# The slowest accepted Schur polynomials measured on that VM: s_(1,1) and
-# s_(2) in 8 variables (bound 1,451,520) take 2.5-2.8 s, s_(900) in 3
-# variables (bound 2,438,106) 2.2 s, and s_(4,3,2,1) in 6 variables
-# (bound 2,162,160) 0.4 s.  s_(3,2,1) in 7 variables (bound 4,656,960)
-# took 2.0 s and is refused, as are s_(5,3,2,1) in 7 variables (62M, 39 s)
-# and s_(3,2,1) in 8 (69M, over 40 s).
-MAX_SCHUR_WORK = 2_500_000
+# The slowest accepted Schur polynomials measured on that VM, from the
+# command line, printing included: s_(33,2) in 5 variables (work
+# 1,499,630, 82k terms) takes 3.1 s, s_(6,3,2,2) in 8 (1,448,640) 2.3 s
+# and s_(7,5,2,2) in 7 (1,485,321) 2.2-2.5 s; s_(5,3,2,1) in 7 (104,318)
+# takes 0.2 s.  In-process the model runs at 0.15-1.3 us a unit: the
+# degree bound on a minor's terms is loosest in few variables.  Refused:
+# s_(60,60) in 3 variables (work 7,155,545, 1.7 s), s_(6,4) in 10
+# (5,277,957, 5.4 s) and s_(9,5,3,3,3) in 6 (134M, 20 s).
+MAX_SCHUR_WORK = 1_500_000
+
+# A 2000 x 2000 matrix: compute det --family A --n 2000 takes 1.5 s,
+# --family C --n 2000 --r 1 1.5 s and --family G --n 2000 --r 3 1.2 s on
+# that VM, most of it building the dense rows; --family A --n 3000 took
+# 2.95 s.
+MAX_CELLS = 4_000_000
 
 # Python's default limit on the digits of an int it converts to text
 MAX_DIGITS = 4300
@@ -145,15 +162,15 @@ def check_terms(name: str, n: int, k: int) -> None:
         raise TooLarge(f"{name}: result has more than {MAX_TERMS} terms")
 
 
-def check_recurrence(n: int, r: int) -> None:
+def check_recurrence(n: int, r: int, limit: int = MAX_RECURRENCE_WORK) -> None:
     """Raise ``TooLarge`` if ``u_n`` with symbolic ``c_1..c_r`` costs too much to compute.
 
     The iteration builds every ``u_m`` with ``m <= n``, whose terms are the
     partitions of ``m`` into parts ``<= r`` (one monomial per multiset of
     tile lengths), and passes each to up to ``r`` products.  Its time
     follows ``r`` times the summed term counts plus ``_STEP_TERMS`` a step,
-    which is held to ``MAX_RECURRENCE_WORK``.  Every ``u_m`` has at least
-    one term, and with parts 1 and 2 at least ``m // 2 + 1``, so that work
+    which is held to ``limit``.  Every ``u_m`` has at least one term, and
+    with parts 1 and 2 at least ``m // 2 + 1``, so that work
     is at least ``r * (n + 1) * (1 + _STEP_TERMS)``, and then over
     ``n**2 / 2``: a larger ``r`` or ``n`` is refused at once.  Otherwise one
     O(n) pass per part size counts the partitions, stopping once the work
@@ -161,38 +178,64 @@ def check_recurrence(n: int, r: int) -> None:
     """
     if n < 0 or r < 1:
         return  # the evaluator rejects these
-    too_large = TooLarge(f"recurrence: iteration work bound exceeds {MAX_RECURRENCE_WORK}")
+    too_large = TooLarge(f"recurrence: iteration work bound exceeds {limit}")
     overhead = r * (n + 1) * _STEP_TERMS
-    if r * (n + 1) + overhead > MAX_RECURRENCE_WORK:
+    if r * (n + 1) + overhead > limit:
         raise too_large
     if min(r, n) < 2:
         return  # each u_m is a single term
-    if n * n > 2 * MAX_RECURRENCE_WORK:
+    if n * n > 2 * limit:
         raise too_large
     counts = [1] * (n + 1)  # counts[m]: partitions of m into the parts so far
     for part in range(2, min(r, n) + 1):
         for m in range(part, n + 1):
             counts[m] += counts[m - part]
-        if r * sum(counts) + overhead > MAX_RECURRENCE_WORK:
+        if r * sum(counts) + overhead > limit:
             raise too_large
 
 
-def check_schur_work(weight: int, n_vars: int) -> None:
-    """Raise ``TooLarge`` if a Schur polynomial's division work bound exceeds ``MAX_SCHUR_WORK``.
+def check_det_E(n: int, n_vars: int) -> None:
+    """Raise ``TooLarge`` if ``det(build_E(n, n_vars))``, which is ``h_n``, is too large to compute.
 
-    The bound is ``comb(weight + n_vars - 1, n_vars - 1) * n_vars!``: the
-    monomials of the partition's weight, a bound on the quotient's terms,
-    times the terms of the Vandermonde divisor's expansion.  Both factors
-    are built one step at a time and stop once past the limit.
+    ``check_terms`` holds ``h_n`` to ``MAX_TERMS``.  Bareiss elimination on
+    the band matrix ``E`` divides nothing: it is the recurrence iteration
+    ``h_m = sum_t (-1)**(t-1) * e_t * h_(m-t)``.  Step ``k`` multiplies the
+    pivot ``h_k`` by each ``e_t``, ``t <= min(n_vars, n - k)``, of the next
+    row: ``comb(k + n_vars - 1, n_vars - 1) * comb(n_vars, t)`` monomial
+    products, whose terms, at most the ``comb(k + t + n_vars - 1, n_vars - 1)``
+    monomials of degree ``k + t``, are each unpacked over ``n_vars``
+    variables.  That work, summed, is held to ``MAX_RECURRENCE_WORK``; the
+    sum stops once past it.
     """
-    too_large = TooLarge(f"schur: division work bound exceeds {MAX_SCHUR_WORK}")
-    factorial = 1
-    for i in range(2, n_vars + 1):
-        factorial *= i
-        if factorial > MAX_SCHUR_WORK:
-            raise too_large
-    if _comb_exceeds(weight + n_vars - 1, n_vars - 1, MAX_SCHUR_WORK // factorial):
-        raise too_large
+    check_terms("det", n + n_vars - 1, n)
+    if n_vars < 1:
+        return  # build_E rejects it
+    work = 0
+    for k in range(1, n):
+        pivot = comb(k + n_vars - 1, n_vars - 1)
+        for t in range(1, min(n_vars, n - k) + 1):
+            products = pivot * comb(n_vars, t)
+            work += products + n_vars * min(products, comb(k + t + n_vars - 1, n_vars - 1))
+        if work > MAX_RECURRENCE_WORK:
+            raise TooLarge(f"det: elimination work bound exceeds {MAX_RECURRENCE_WORK}")
+
+
+def check_det_S(n: int) -> None:
+    """Raise ``TooLarge`` if the symbolic ``det(build_S(a, b, n))`` costs too much to compute.
+
+    Bareiss elimination on ``S`` fills its last row, and each step divides
+    that row's entries, of about ``k`` terms at step ``k``, by the previous
+    pivot, ``(a**k - b**k) / (a - b)`` up to sign, of ``k`` terms.  Its work,
+    ``n**3 / 3``, is held to ``MAX_RECURRENCE_WORK``.
+    """
+    if n ** 3 // 3 > MAX_RECURRENCE_WORK:
+        raise TooLarge(f"det: elimination work bound exceeds {MAX_RECURRENCE_WORK}")
+
+
+def check_cells(n: int) -> None:
+    """Raise ``TooLarge`` if an ``n x n`` matrix has more than ``MAX_CELLS`` entries."""
+    if n > 0 and n * n > MAX_CELLS:
+        raise TooLarge(f"matrix: {n}x{n} has more than {MAX_CELLS} cells")
 
 
 def check_growth(n: int, coeffs: Iterable[int]) -> None:

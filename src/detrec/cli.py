@@ -9,10 +9,12 @@ come from the registry ``identities.IDENTITIES``.
 
 Size caps (see ``caps``) are checked before any work or output: each
 identity's ``IDENTITY_BOUNDS``, the enumerators' ``DETREC_MAX_N`` caps, the
-term cap of ``compute e`` and ``compute h``, the work caps of ``compute
-recurrence`` with symbolic coefficients and of ``compute schur``, and the
-digit cap of integer ``compute fib``/``lucas``/``racci``/``recurrence``,
-whose iteration the step cap also bounds for ``racci`` and ``recurrence``.
+term cap of ``compute e``, ``compute h`` and ``compute schur``, the work
+caps of ``compute recurrence`` with symbolic coefficients and of ``compute
+schur``, and the digit cap of integer ``compute fib``/``lucas``/``racci``/
+``recurrence``, whose iteration the step cap also bounds for ``racci`` and
+``recurrence``.  ``compute det`` holds each family's value as the family's
+other route is held, and every matrix to ``caps.MAX_CELLS`` entries.
 Symbolic ``--r`` coefficients are built only as far as the result reads.
 
 Exit codes: 0 success or all checks passed, 1 verification failure, 2 usage
@@ -32,7 +34,8 @@ from collections import Counter
 from itertools import islice, repeat
 from typing import Iterable
 
-from .caps import (check_digits, check_growth, check_identity, check_recurrence,
+from .caps import (MAX_RECURRENCE_WORK, check_cells, check_det_E, check_det_S,
+                   check_digits, check_growth, check_identity, check_recurrence,
                    check_steps)
 from .combi import (
     cyclic_word_weight,
@@ -78,10 +81,17 @@ def _coeffs(args, n: int | None = None):
     return symbolic_coeffs(r if n is None else min(r, max(n, 1))), coeff_name
 
 
-def _family_matrix(args):
-    """Build the requested matrix family; returns (matrix, variable names)."""
+def _family_matrix(args, value_caps: bool = False):
+    """Build the requested matrix family; returns (matrix, variable names).
+
+    The matrix is held to ``caps.MAX_CELLS`` entries before it is built,
+    and with ``value_caps`` its determinant to the caps of ``_check_det``.
+    """
     family = _need(args, "--family")
     n = _need(args, "--n")
+    check_cells(n)
+    if value_caps:
+        _check_det(args)
     if family == "E":
         return build_E(n, _need(args, "--vars")), None
     if family == "C":
@@ -97,6 +107,35 @@ def _family_matrix(args):
     if family == "A":
         return build_A(n), None
     raise ValueError(f"unknown family {family!r}")
+
+
+def _check_det(args) -> None:
+    """Hold a determinant's value to the caps of the family's other route.
+
+    ``E`` is ``h_n``, symbolic ``C`` the recurrence value ``u_n`` and ``S``
+    the symbolic ``2(a**n + b**n)``, each held with its elimination work.
+    Integer ``C``, ``G`` and ``F`` are recurrence values, and half the
+    determinant of ``A`` is the Lucas number, held as ``compute lucas`` is.
+    """
+    family, n = _need(args, "--family"), _need(args, "--n")
+    if family == "E":
+        check_det_E(n, _need(args, "--vars"))
+    elif family == "S":
+        check_det_S(n)
+    elif family == "C" and args.coeffs is None:
+        # the matrix reads c_1..c_n only; elimination also copies and
+        # subtracts each pivot-row entry it multiplies, about twice the
+        # iteration's work
+        check_recurrence(n, min(_need(args, "--r"), max(n, 1)), MAX_RECURRENCE_WORK // 2)
+    else:
+        if family == "C":
+            coeffs = _coeffs(args, n)[0]
+        elif family == "G":
+            coeffs = [1] * min(_need(args, "--r"), max(n, 1))
+        else:  # F is G with r = 2, and A's Lucas numbers grow as fast
+            coeffs = [1, 1]
+        check_growth(n, coeffs)
+        check_steps(n, len(coeffs))
 
 
 def _cmd_compute(args) -> int:
@@ -133,7 +172,7 @@ def _cmd_compute(args) -> int:
         parts = _int_list(_need(args, "--parts"))
         value = schur(parts, _need(args, "--vars"))
     elif subject == "det":
-        matrix, names = _family_matrix(args)
+        matrix, names = _family_matrix(args, value_caps=True)
         if args.format == "pretty":
             print(matrix.pretty(names))
         value = det_bareiss(matrix)

@@ -45,7 +45,7 @@ from .recurrence import (
     racci,
     racci_multinomial,
 )
-from .symfunc import build_E, elementary, homogeneous, schur
+from .symfunc import bialternant, build_E, elementary, homogeneous
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,9 @@ def verify_mclaughlin(n: int):
 
     The quotient side divides the displayed degree-(n+3) numerator by
     ``(x-y)(x-z)(y-z)`` exactly, never substituting values, and is
-    cross-checked against the one-row Schur polynomial and ``h_n``.
+    cross-checked against the one-row Schur polynomial, taken as the
+    alternant quotient (``schur`` would build it as ``h_n`` itself), and
+    ``h_n``.
     """
     x, y, z = (MultiPoly.var(i) for i in range(3))
     e1, e2, e3 = (elementary(t, 3) for t in (1, 2, 3))
@@ -159,7 +161,7 @@ def verify_mclaughlin(n: int):
     denominator = (x - y) * (x - z) * (y - z)
     quotient = exact_divide(numerator, denominator)
     return [poly_str(lhs), poly_str(quotient),
-            poly_str(schur((n,), 3)), poly_str(homogeneous(n, 3))]
+            poly_str(bialternant((n,), 3)), poly_str(homogeneous(n, 3))]
 
 
 @_identity("two-var")

@@ -1,12 +1,15 @@
 """Elementary, complete homogeneous and Schur symmetric polynomials.
 
-Schur polynomials are computed as the bialternant ratio of two alternating
-determinants, so the classical identity ``det(E(e_1..e_m)) = h_m`` relating
-the band matrix of elementary symmetric polynomials to the complete
-homogeneous one stays an independently testable fact rather than a
-definition.  That band matrix, ``build_E``, is ``detmat.build_C`` of the
-signed ``e_1, -e_2, e_3, ...``: ``h_m`` satisfies the recurrence
-``h_m = sum_t (-1)**(t-1) * e_t * h_(m-t)``.
+The band matrix ``E(e_1..e_m)`` of elementary symmetric polynomials, whose
+determinant is ``h_m``, is the dual Jacobi-Trudi matrix of the one-row
+shape ``(m)``.  ``build_E`` is ``detmat.build_C`` of the signed
+``e_1, -e_2, e_3, ...``: ``h_m`` satisfies the recurrence
+``h_m = sum_t (-1)**(t-1) * e_t * h_(m-t)``.  Schur polynomials are
+Jacobi-Trudi determinants of the same kind, of ``h_k`` or of ``e_k``,
+expanded without division by ``detmat.det_cofactor``; ``schur`` picks the
+cheaper matrix by a stated cost model.  The bialternant quotient
+``a_(lam+delta) / a_delta`` of two alternating determinants stays as the
+independent check route, ``bialternant``.
 
 Variables are 0-indexed (``x0, x1, ...``); a partition is any weakly
 decreasing sequence of non-negative integers.
@@ -14,12 +17,14 @@ decreasing sequence of non-negative integers.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, groupby, repeat
+from math import comb
 from typing import Sequence
 
-from .caps import check_schur_work, check_terms
+from .caps import COFACTOR_MAX_N, MAX_SCHUR_WORK, check_terms
 from .detmat import SquareMatrix, build_C, det_cofactor
-from .poly import MultiPoly, exact_divide
+from .errors import TooLarge
+from .poly import Monomial, MultiPoly, _from_terms, exact_divide
 
 
 def elementary(k: int, n_vars: int) -> MultiPoly:
@@ -48,25 +53,43 @@ def homogeneous(k: int, n_vars: int) -> MultiPoly:
     """Complete homogeneous symmetric polynomial ``h_k``: all degree-k monomials.
 
     ``h_0 = 1``.  Raises ``TooLarge`` before any work when its
-    ``comb(k + n_vars - 1, k)`` terms exceed ``caps.MAX_TERMS``.
+    ``comb(k + n_vars - 1, k)`` terms exceed ``caps.MAX_TERMS``.  Each
+    monomial is built from ``min(k, n_vars)`` choices, so its cost does not
+    grow with the larger of the two: for ``k <= n_vars`` from the multiset
+    of its ``k`` variables, otherwise from the places of the ``n_vars - 1``
+    bars that split ``k`` stars into its exponents.
     """
     if k < 0:
         raise ValueError("degree must be non-negative")
     if n_vars < 1:
         raise ValueError("need at least one variable")
     check_terms("h", k + n_vars - 1, k)
-    if k == 0:
-        return MultiPoly.one()
-    terms = {}
-    for combo in combinations_with_replacement(range(n_vars), k):
-        exps: dict[int, int] = {}
-        for v in combo:
-            exps[v] = exps.get(v, 0) + 1
-        terms[tuple(sorted(exps.items()))] = 1
-    return MultiPoly(terms)
+    if k <= n_vars:
+        monos = (tuple((v, len(tuple(run))) for v, run in groupby(combo))
+                 for combo in combinations_with_replacement(range(n_vars), k))
+    else:
+        # combinations lists its whole pool even to choose no bar, so the
+        # one monomial of one variable comes without it
+        slots = k + n_vars - 1
+        bars = combinations(range(slots), n_vars - 1) if n_vars > 1 else [()]
+        monos = map(_stars_and_bars, bars, repeat(slots))
+    # each monomial is canonical as built: variables ascending, exponents positive
+    return _from_terms(dict.fromkeys(monos, 1))
+
+
+def _stars_and_bars(bars: tuple[int, ...], slots: int) -> Monomial:
+    """The monomial whose exponents are the star runs between the bars, in order."""
+    mono = []
+    prev = -1
+    for v, bar in enumerate((*bars, slots)):
+        if bar - prev > 1:
+            mono.append((v, bar - prev - 1))
+        prev = bar
+    return tuple(mono)
 
 
 def _check_partition(lam: Sequence[int], n_vars: int) -> tuple[int, ...]:
+    """The parts as ints, each non-negative, weakly decreasing, at most ``n_vars`` of them."""
     parts = tuple(int(p) for p in lam)
     if any(p < 0 for p in parts):
         raise ValueError("partition parts must be non-negative")
@@ -74,8 +97,7 @@ def _check_partition(lam: Sequence[int], n_vars: int) -> tuple[int, ...]:
         raise ValueError("partition parts must be weakly decreasing")
     if len(parts) > n_vars:
         raise ValueError("partition longer than the variable count")
-    # pad with zeros so the alternant matrix is n_vars by n_vars
-    return parts + (0,) * (n_vars - len(parts))
+    return parts
 
 
 def alternant(lam: Sequence[int], n_vars: int) -> MultiPoly:
@@ -86,6 +108,7 @@ def alternant(lam: Sequence[int], n_vars: int) -> MultiPoly:
     cofactor expansion over polynomial entries.
     """
     parts = _check_partition(lam, n_vars)
+    parts += (0,) * (n_vars - len(parts))
     rows = []
     for i in range(n_vars):
         exp = parts[i] + (n_vars - 1 - i)
@@ -99,17 +122,128 @@ def alternant(lam: Sequence[int], n_vars: int) -> MultiPoly:
     return det_cofactor(SquareMatrix(rows))
 
 
-def schur(lam: Sequence[int], n_vars: int) -> MultiPoly:
-    """Schur polynomial as the exact alternant quotient.
+def bialternant(lam: Sequence[int], n_vars: int) -> MultiPoly:
+    """Schur polynomial as the exact alternant quotient ``a_(lam+delta) / a_delta``.
 
-    The division is always exact (alternating polynomials are divisible by
-    the Vandermonde determinant); a ``NotDivisible`` escaping here is a bug.
-    Raises ``TooLarge`` before any work when the division work bound of
-    ``caps.check_schur_work`` exceeds ``caps.MAX_SCHUR_WORK``.
+    The independent check route for ``schur``.  The division is always
+    exact (alternating polynomials are divisible by the Vandermonde
+    determinant); a ``NotDivisible`` escaping here is a bug.  Its cost
+    follows the ``n_vars!`` terms of the divisor, and no cap holds it but
+    cofactor expansion's ``n_vars <= COFACTOR_MAX_N``.
     """
+    return exact_divide(alternant(lam, n_vars), alternant((), n_vars))
+
+
+def schur(lam: Sequence[int], n_vars: int) -> MultiPoly:
+    """Schur polynomial ``s_lam(x0..x_{n-1})`` by Jacobi-Trudi, with no division.
+
+    ``s_lam`` is ``det(h_{lam_i - i + j})``, of size ``l(lam)``, the number
+    of nonzero parts, and also ``det(e_{lam'_i - i + j})``, of size
+    ``lam_1``, over the conjugate partition ``lam'`` (Macdonald I.3).  When
+    ``lam`` has ``n`` nonzero parts, its ``lam_n`` full columns factor out
+    first as the monomial ``(x0*...*x_{n-1})**lam_n``.  The cheaper matrix
+    of size at most ``COFACTOR_MAX_N`` is expanded by ``det_cofactor``,
+    each distinct ``h_k`` or ``e_k`` built once.
+
+    Cost model: ``h_k`` has ``comb(k + n - 1, n - 1)`` terms and ``e_k``
+    ``comb(n, k)``.  The expansion multiplies each nonzero entry of a
+    minor's first row by the minor on the other columns, once per distinct
+    minor it reaches, and a product costs its factors' term counts
+    multiplied.  A minor has at most as many terms as the products summed
+    into it, and at most ``comb(d + n - 1, n - 1)``, the monomials of its
+    degree ``d``.  A matrix's work is its products' costs summed, plus the
+    terms of each distinct entry it builds.
+
+    Raises ``TooLarge`` before any work when the result's size bound
+    ``comb(|lam| + n - 1, n - 1)``, the monomials of degree ``|lam|``,
+    exceeds ``caps.MAX_TERMS``, or when the chosen matrix's work exceeds
+    ``caps.MAX_SCHUR_WORK``.  Under the size bound ``min(l(lam), lam_1)``
+    is at most 5, so one of the two matrices always fits.
+    """
+    if n_vars < 1:
+        raise ValueError("need at least one variable")
     parts = _check_partition(lam, n_vars)
-    check_schur_work(sum(parts), n_vars)
-    return exact_divide(alternant(parts, n_vars), alternant((), n_vars))
+    check_terms("schur", sum(parts) + n_vars - 1, n_vars - 1)
+    full = parts[-1] if len(parts) == n_vars else 0
+    parts = tuple(p - full for p in parts if p > full)
+    value = _jacobi_trudi(parts, n_vars) if parts else MultiPoly.one()
+    if full:
+        value = value * MultiPoly({tuple((v, full) for v in range(n_vars)): 1})
+    return value
+
+
+def _jacobi_trudi(parts: tuple[int, ...], n_vars: int) -> MultiPoly:
+    """``s_parts`` by the cheaper of its two Jacobi-Trudi matrices (see ``schur``)."""
+    candidates = [(parts, _h_terms, homogeneous)]
+    if parts[0] <= COFACTOR_MAX_N:
+        conjugate = tuple(sum(p > j for p in parts) for j in range(parts[0]))
+        candidates.append((conjugate, _e_terms, elementary))
+    work, shape, build = min(((_expansion_work(shape, n_vars, terms), shape, build)
+                              for shape, terms, build in candidates
+                              if len(shape) <= COFACTOR_MAX_N), key=lambda c: c[0])
+    if work > MAX_SCHUR_WORK:
+        raise TooLarge(f"schur: Jacobi-Trudi work {work} exceeds {MAX_SCHUR_WORK}")
+    built = {}
+
+    def entry(k: int):
+        if k < 0:
+            return 0
+        if k not in built:
+            built[k] = build(k, n_vars)
+        return built[k]
+    size = len(shape)
+    return det_cofactor(SquareMatrix([entry(p - i + j) for j in range(size)]
+                                     for i, p in enumerate(shape)))
+
+
+def _h_terms(k: int, n_vars: int) -> int:
+    return comb(k + n_vars - 1, n_vars - 1) if k >= 0 else 0
+
+
+def _e_terms(k: int, n_vars: int) -> int:
+    return comb(n_vars, k) if k >= 0 else 0
+
+
+def _expansion_work(shape: tuple[int, ...], n_vars: int, terms) -> int:
+    """Modelled work of ``det_cofactor`` on ``det(f_{shape_i - i + j})`` (see ``schur``).
+
+    ``terms(k, n_vars)`` is the term count of ``f_k``.  The recursion is the
+    expansion's own: a minor takes the last ``popcount(cols)`` rows and the
+    columns in the bitmask ``cols``, and is costed once.
+    """
+    size = len(shape)
+    offsets = [p - i for i, p in enumerate(shape)]  # entry (i, j) is f_(offsets[i] + j)
+    memo = {}
+    # building each distinct entry costs its terms
+    work = sum(terms(k, n_vars) for k in {o + j for o in offsets for j in range(size)})
+
+    def minor(cols: int) -> int:
+        # the bound on the terms of the minor on ``cols``
+        nonlocal work
+        row = size - cols.bit_count()
+        if row == size - 1:
+            return terms(offsets[row] + cols.bit_length() - 1, n_vars)
+        bound = memo.get(cols)
+        if bound is not None:
+            return bound
+        products = 0
+        degree = sum(offsets[row:])
+        rest = cols
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            j = bit.bit_length() - 1
+            degree += j
+            count = terms(offsets[row] + j, n_vars)
+            if count:
+                products += count * minor(cols ^ bit)
+        work += products
+        # a minor with no product is zero, whatever its degree
+        bound = memo[cols] = products and min(products, comb(degree + n_vars - 1, n_vars - 1))
+        return bound
+
+    minor((1 << size) - 1)
+    return work
 
 
 def build_E(m: int, n_vars: int) -> SquareMatrix:

@@ -437,9 +437,75 @@ def test_integer_iteration_is_held_to_the_step_cap(capsys, monkeypatch):
 
 
 def test_schur_work_cap_exit_code(capsys):
-    code, out, err = run(capsys, "compute", "schur", "--parts", "5,3,2,1", "--vars", "7")
+    # refused by the result's size and by the Jacobi-Trudi work, at once
+    for argv, message in ((["900", "3"], "schur: result has more than 100000 terms"),
+                          (["1", "2000000000"], "schur: result has more than 100000 terms"),
+                          (["60,60", "3"], "schur: Jacobi-Trudi work 7155545 exceeds")):
+        code, out, err = run(capsys, "compute", "schur", "--parts", argv[0], "--vars", argv[1])
+        assert (code, out) == (3, ""), argv
+        assert message in err, argv
+    # both refused by the alternant quotient's division bound before
+    code, out, _ = run(capsys, "compute", "schur", "--parts", "5,3,2,1", "--vars", "7")
+    assert code == 0 and out.count("+") == 8196
+    code, out, _ = run(capsys, "compute", "schur", "--parts", "3,2,1", "--vars", "8")
+    assert code == 0 and out.count("+") == 1399
+
+
+# (argv, message): refused by a value cap, by the work of elimination or by
+# the stored cells
+DET_REFUSALS = [
+    (["E", "--n", "80", "--vars", "4"], "elimination work bound exceeds 1200000"),
+    (["E", "--n", "31", "--vars", "4"], "elimination work bound exceeds 1200000"),
+    (["E", "--n", "10", "--vars", "10"], "elimination work bound exceeds 1200000"),
+    (["E", "--n", "2", "--vars", "446"], "elimination work bound exceeds 1200000"),
+    (["E", "--n", "4", "--vars", "40"], "det: result has more than 100000 terms"),
+    (["S", "--n", "154"], "elimination work bound exceeds 1200000"),
+    (["C", "--n", "190", "--r", "3"], "iteration work bound exceeds 600000"),
+    (["C", "--n", "1500", "--coeffs", "1000"], "more than 4300 digits"),
+    (["G", "--n", "2000", "--r", "2000"], "iteration steps exceed"),
+    (["A", "--n", "12000"], "more than 4000000 cells"),
+    (["A", "--n", "2001"], "more than 4000000 cells"),
+    (["F", "--n", "1000000000"], "more than 4000000 cells"),
+    (["C", "--n", "2001", "--coeffs", "1"], "more than 4000000 cells"),
+]
+
+
+@pytest.mark.parametrize("argv, message", DET_REFUSALS)
+def test_compute_det_refuses_before_any_work(capsys, monkeypatch, argv, message):
+    def unreachable(*args):
+        raise AssertionError("work before the cap")
+    for name in ("build_A", "build_C", "build_E", "build_F", "build_G", "build_S",
+                 "det_bareiss"):
+        monkeypatch.setattr(cli, name, unreachable)
+    code, out, err = run(capsys, "compute", "det", "--family", *argv)
+    assert (code, out) == (3, ""), argv
+    assert message in err, argv
+
+
+def test_compute_det_accepts_up_to_its_caps(capsys, monkeypatch):
+    # the largest accepted cases, with the matrix and its determinant stubbed
+    monkeypatch.setattr(cli, "det_bareiss", lambda matrix: 0)
+    for name in ("build_A", "build_C", "build_E", "build_F", "build_G", "build_S"):
+        monkeypatch.setattr(cli, name, lambda *args: None)
+    for argv in (["E", "--n", "30", "--vars", "4"], ["E", "--n", "2000", "--vars", "1"],
+                 ["S", "--n", "153"], ["C", "--n", "189", "--r", "3"],
+                 ["C", "--n", "3", "--r", "3000000"], ["A", "--n", "2000"],
+                 ["G", "--n", "2000", "--r", "1500"], ["C", "--n", "2000", "--coeffs", "1"]):
+        assert run(capsys, "compute", "det", "--family", *argv)[:2] == (0, "0\n"), argv
+
+
+def test_compute_det_benchmark_commands_are_accepted(capsys):
+    for argv in (["S", "--n", "6"], ["S", "--n", "8"], ["S", "--n", "10"],
+                 ["E", "--n", "4", "--vars", "3"], ["E", "--n", "5", "--vars", "3"]):
+        code, out, _ = run(capsys, "compute", "det", "--family", *argv)
+        assert code == 0 and out.endswith("\n"), argv
+
+
+def test_enumerate_lsds_refuses_a_huge_matrix_before_building_it(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_A", lambda n: pytest.fail("built"))
+    code, out, err = run(capsys, "enumerate", "lsds", "--family", "A", "--n", "12000")
     assert (code, out) == (3, "")
-    assert "schur" in err
+    assert "cells" in err
 
 
 def test_too_large_exit_code(capsys):

@@ -1,15 +1,17 @@
 """Symmetric polynomial constructors and the band-matrix identity."""
 
+import random
 from itertools import permutations
-from math import comb, factorial
+from math import comb
 
 import pytest
 
-from detrec.caps import MAX_SCHUR_WORK, MAX_TERMS, check_schur_work, check_terms
+from detrec import symfunc
+from detrec.caps import COFACTOR_MAX_N, MAX_SCHUR_WORK, MAX_TERMS, check_terms
 from detrec.detmat import SquareMatrix, det_bareiss
 from detrec.errors import TooLarge
 from detrec.poly import MultiPoly, QuadExt, substitute
-from detrec.symfunc import alternant, build_E, elementary, homogeneous, schur
+from detrec.symfunc import alternant, bialternant, build_E, elementary, homogeneous, schur
 
 X0, X1, X2 = (MultiPoly.var(i) for i in range(3))
 
@@ -72,9 +74,10 @@ def test_schur_small_cases():
 
 
 def test_schur_one_row_is_homogeneous():
+    # schur builds s_(n) as h_n itself, so the quotient is the other side
     for n in range(1, 6):
         for n_vars in (2, 3):
-            assert schur((n,), n_vars) == homogeneous(n, n_vars)
+            assert bialternant((n,), n_vars) == homogeneous(n, n_vars)
 
 
 def test_schur_never_fails_at_small_weight():
@@ -89,27 +92,164 @@ def test_schur_never_fails_at_small_weight():
         schur(lam, 3)  # must not raise NotDivisible
 
 
-def test_schur_work_bound_matches_its_formula():
+def _partitions(total, max_parts, largest=None):
+    """Partitions of ``total`` into at most ``max_parts`` parts, descending."""
+    if total == 0:
+        yield ()
+        return
+    for part in range(min(total, largest or total), 0, -1):
+        if max_parts:
+            for rest in _partitions(total - part, max_parts - 1, part):
+                yield (part,) + rest
+
+
+SMALL_SHAPES = [(lam, n_vars) for n_vars in range(1, 5) for weight in range(8)
+                for lam in _partitions(weight, n_vars)]
+
+
+def test_schur_equals_the_bialternant_quotient():
+    # every partition of weight <= 7 in <= 4 variables, and padded with zeros
+    for lam, n_vars in SMALL_SHAPES:
+        expected = bialternant(lam, n_vars)
+        assert schur(lam, n_vars) == expected, (lam, n_vars)
+        padded = lam + (0,) * (n_vars - len(lam))
+        assert schur(padded, n_vars) == expected, (padded, n_vars)
+
+
+def test_schur_times_the_vandermonde_is_the_alternant():
+    # the bialternant identity with no division
+    for lam, n_vars in SMALL_SHAPES:
+        assert schur(lam, n_vars) * alternant((), n_vars) == alternant(lam, n_vars), (lam, n_vars)
+
+
+def test_schur_on_larger_shapes():
+    # the quotient that takes a fraction of a second exactly, then shapes
+    # whose quotient takes seconds (s_(1,1) in 8 variables) or minutes, at
+    # random points: s_lam(p) * a_delta(p) == a_(lam+delta)(p), with both
+    # alternants integer determinants
+    assert schur((4, 3, 2, 1), 6) == bialternant((4, 3, 2, 1), 6)
+    rng = random.Random(8)
+    for lam, n_vars in (((1, 1), 8), ((5, 3, 2, 1), 7), ((6, 5, 4, 3, 2, 1), 6),
+                        ((3, 2, 1), 8)):
+        s = schur(lam, n_vars)
+        parts = lam + (0,) * (n_vars - len(lam))
+        for _ in range(3):
+            point = rng.sample(range(-20, 21), n_vars)
+            value = sum(c * _monomial_at(mono, point) for mono, c in s.terms.items())
+            alt = det_bareiss(SquareMatrix(
+                [[x ** (parts[i] + n_vars - 1 - i) for x in point] for i in range(n_vars)]))
+            vandermonde = det_bareiss(SquareMatrix(
+                [[x ** (n_vars - 1 - i) for x in point] for i in range(n_vars)]))
+            assert value * vandermonde == alt, (lam, n_vars, point)
+
+
+def _monomial_at(mono, point):
+    value = 1
+    for v, e in mono:
+        value *= point[v] ** e
+    return value
+
+
+def test_schur_size_bound_is_the_result_bound(monkeypatch):
+    # refused exactly when the monomials of degree |lam| exceed MAX_TERMS,
+    # for one row and one column alike; the determinant itself is stubbed
+    monkeypatch.setattr(symfunc, "_jacobi_trudi", lambda parts, n_vars: MultiPoly.one())
     for weight in range(40):
-        for n_vars in range(1, 11):
-            if comb(weight + n_vars - 1, n_vars - 1) * factorial(n_vars) > MAX_SCHUR_WORK:
-                with pytest.raises(TooLarge):
-                    check_schur_work(weight, n_vars)
+        for n_vars in range(1, 12):
+            shapes = [(weight,)] + ([(1,) * weight] if weight <= n_vars else [])
+            for lam in shapes:
+                if comb(weight + n_vars - 1, n_vars - 1) > MAX_TERMS:
+                    with pytest.raises(TooLarge, match="more than 100000 terms"):
+                        schur(lam, n_vars)
+                else:
+                    schur(lam, n_vars)
+
+
+def _jacobi_trudi_work(lam, n_vars):
+    """The modelled work of the matrix ``schur`` picks, by the module's own model."""
+    conjugate = tuple(sum(p > j for p in lam) for j in range(lam[0]))
+    return min(symfunc._expansion_work(shape, n_vars, terms)
+               for shape, terms in ((lam, symfunc._h_terms), (conjugate, symfunc._e_terms))
+               if len(shape) <= COFACTOR_MAX_N)
+
+
+def test_schur_work_bound_matches_its_formula(monkeypatch):
+    # s_(a,b) in 3 variables with a > 8 has only the 2x2 matrix of h_k
+    # (lam_1 = a columns is too wide): its work is the two products
+    # h_a*h_b and h_(a+1)*h_(b-1) plus the terms of the distinct entries
+    monkeypatch.setattr(symfunc, "det_cofactor", lambda m: MultiPoly.one())
+    monkeypatch.setattr(symfunc, "homogeneous", lambda k, n_vars: MultiPoly.one())
+
+    def terms(k):
+        return comb(k + 2, 2)
+    for a in range(9, 100):
+        for b in range(1, a + 1):
+            work = (terms(a) * terms(b) + terms(a + 1) * terms(b - 1)
+                    + sum(map(terms, {a, a + 1, b - 1, b})))
+            if work > MAX_SCHUR_WORK:
+                with pytest.raises(TooLarge, match="Jacobi-Trudi work"):
+                    schur((a, b), 3)
             else:
-                check_schur_work(weight, n_vars)
-    with pytest.raises(TooLarge):
-        check_schur_work(10**9, 10**9)  # refused without computing either factor
+                schur((a, b), 3)
+
+
+def test_schur_work_model_bounds_the_products(monkeypatch):
+    # the model never counts fewer monomial products than the expansion makes
+    count = [0]
+    counting = [False]
+    multiply = MultiPoly.__mul__
+    det_cofactor = symfunc.det_cofactor
+
+    def counted(self, other):
+        if counting[0] and isinstance(other, MultiPoly):
+            count[0] += len(self.terms) * len(other.terms)
+        return multiply(self, other)
+
+    def expand(matrix):
+        counting[0] = True
+        try:
+            return det_cofactor(matrix)
+        finally:
+            counting[0] = False
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    monkeypatch.setattr(symfunc, "det_cofactor", expand)
+    shapes = [(lam, n_vars) for lam, n_vars in SMALL_SHAPES if lam and len(lam) < n_vars]
+    shapes += [((4, 3, 2, 1), 6), ((5, 3, 2, 1), 7), ((3, 2, 1), 8), ((9, 2), 3), ((6, 3, 1), 5)]
+    for lam, n_vars in shapes:
+        count[0] = 0
+        schur(lam, n_vars)
+        assert count[0] <= _jacobi_trudi_work(lam, n_vars), (lam, n_vars)
 
 
 @pytest.mark.parametrize("lam, n_vars", [
-    ((3, 2, 1), 8),       # bound 69,189,120
-    ((5, 3, 2, 1), 7),    # bound 62,375,040
-    ((9, 5, 3), 8),       # bound 13,955,112,960
-    ((3, 2, 1), 7),       # bound 4,656,960
+    ((9, 2, 2), 8),           # work 7,320,265
+    ((10, 5, 3), 7),          # 134,596 terms
+    ((9, 5, 3), 8),           # 346,104 terms
+    ((8, 6, 1), 7),           # work 2,740,039 by the e_k matrix
+    ((100000,), 2),           # 100,001 terms
+    ((900,), 3),              # 406,351 terms
+    ((1,), 100_000_000),      # 100,000,000 terms, never padded
+    ((1,), 2_000_000_000),
+    ((60, 60), 3),            # work 7,155,545
+    ((7, 4), 9),              # work 4,591,487 by the e_k matrix
+    ((16, 9, 6, 5), 5),
+    ((9, 5, 3, 3, 3), 6),
 ])
-def test_schur_refuses_large_work_before_any(lam, n_vars):
+def test_schur_refuses_large_work_before_any(monkeypatch, lam, n_vars):
+    def unreachable(*args):
+        raise AssertionError("work before the cap")
+    for name in ("det_cofactor", "homogeneous", "elementary"):
+        monkeypatch.setattr(symfunc, name, unreachable)
     with pytest.raises(TooLarge):
         schur(lam, n_vars)
+
+
+def test_schur_needs_no_padding():
+    assert schur((), 2_000_000_000) == MultiPoly.one()
+    assert schur((3, 3), 2) == X0 ** 3 * X1 ** 3  # full columns factor out
+    assert schur((3, 3, 1), 3) == X0 * X1 * X2 * schur((2, 2), 3)
+    with pytest.raises(ValueError, match="need at least one variable"):
+        schur((), 0)
 
 
 def test_schur_checks_the_partition_before_the_cap():
