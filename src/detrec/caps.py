@@ -1,27 +1,20 @@
 """Size caps for the verifiers, the exhaustive enumerators and the printed values.
 
-Every enumeration in the library is exhaustive, so each entry point checks a
-cap before doing any work and raises ``TooLarge`` beyond it.  The default
-caps keep the full verification sweep in the seconds range.
-``IDENTITY_BOUNDS`` gives each verifier argument's least value and cap, the
-range ``check_identity`` enforces and the sweep in ``identities`` runs.
+Every computation checks a cap before doing any work and raises
+``TooLarge`` beyond it.  An identity's argument bounds are declared in its
+registry entry (see ``identities``), so this module names no identity.
 
-A symmetric polynomial ``e_k``, ``h_k`` or ``s_lam`` is as large as its term
-count, a binomial that grows without bound in the degree and the variable
-count.  ``check_terms`` holds it to the fixed ``MAX_TERMS``, and
-``MAX_SCHUR_WORK`` holds the modelled work of a Schur polynomial's
-Jacobi-Trudi expansion (see ``symfunc.schur``).  ``check_recurrence`` holds
-the iteration that computes the recurrence value ``u_n`` with symbolic
-coefficients to ``MAX_RECURRENCE_WORK``, and ``check_det_E`` and
-``check_det_S`` hold the elimination of the symbolic matrices ``E`` and
-``S`` to the same bound.  ``check_growth`` and ``check_digits`` hold an
-integer value to ``MAX_DIGITS``, ``check_steps`` holds the iteration that
-computes it to ``MAX_RECURRENCE_STEPS``, ``check_cells`` holds a matrix to
-``MAX_CELLS`` entries, and ``COFACTOR_MAX_N`` caps cofactor expansion.
-No environment variable changes these fixed limits.
+No environment variable changes the fixed limits: ``MAX_TERMS`` holds the
+term count of a symmetric polynomial, the increasing words listing ``h_k``
+and the weights printed for the linear subdigraphs of ``E``, and
+``MAX_FACTORS`` the variables its terms print;
+``MAX_SCHUR_WORK``, ``MAX_RECURRENCE_WORK`` and ``MAX_RECURRENCE_STEPS``
+hold the modelled work of a Schur polynomial, of a symbolic recurrence or
+elimination, and of an integer iteration; ``MAX_DIGITS`` holds an integer
+value, ``MAX_CELLS`` a matrix and ``COFACTOR_MAX_N`` cofactor expansion.
 
 The environment variable ``DETREC_MAX_N`` replaces the default cap of every
-enumeration listed below, clamped to a per-operation hard limit (the hard
+enumeration in ``_CAPS``, clamped to a per-operation hard limit (the hard
 limits exist because e.g. dense linear-subdigraph enumeration is factorial).
 Any value that is not a positive integer is rejected with ``ValueError``.
 """
@@ -31,22 +24,7 @@ from itertools import islice
 from math import comb, log10
 from typing import Iterable
 
-from .errors import DimensionTooSmall, TooLarge
-
-# identity -> {argument: (least value, cap)}; ``recurrence-det``'s ``r`` is
-# its coefficient count
-IDENTITY_BOUNDS = {
-    "hom-det": {"m": (1, 6), "vars": (1, 4)},
-    "sury": {"n": (1, 8), "k": (1, 4)},
-    "mclaughlin": {"n": (1, 8)},
-    "two-var": {"n": (1, 12)},
-    "recurrence-det": {"r": (1, 4), "n": (1, 10)},
-    "racci": {"n": (1, 10), "r": (1, 4)},
-    "fib": {"n": (1, 12)},
-    "binet-fib": {"n": (0, 30)},
-    "binet-lucas": {"n": (3, 30)},
-    "lucas-symbolic": {"n": (3, 8)},
-}
+from .errors import TooLarge
 
 COFACTOR_MAX_N = 8
 
@@ -65,6 +43,12 @@ _CAPS = {
 # h_10 in 10 variables (92,378 terms) takes about 1.4 s to build and print
 # with Python 3.11 on a 2-core VM
 MAX_TERMS = 100_000
+
+# A term prints each of its variables: e_999 in 1000 variables (999,000
+# factors, 4.9 MB) takes 2.1 s on that VM, and e_99999 in 100,000 (10**10)
+# ran out of memory.  h and s_lam, with at most min(k, n) variables a term,
+# stay under this bound whenever they meet MAX_TERMS.
+MAX_FACTORS = 1_000_000
 
 # The symbolic recurrence's time follows its work bound (see
 # check_recurrence), about 1.2-2.9 us a unit on that VM, where a step of
@@ -121,18 +105,6 @@ def cap(name: str) -> int:
     return min(hard, requested)
 
 
-def check_identity(name: str, **args: int) -> None:
-    """Raise ``DimensionTooSmall`` or ``TooLarge`` for an argument outside its bounds."""
-    bounds = IDENTITY_BOUNDS[name]
-    for arg, (least, _) in bounds.items():
-        if arg in args and args[arg] < least:
-            raise DimensionTooSmall(f"{name} needs {arg} >= {least}")
-    for arg, (_, most) in bounds.items():
-        if arg in args and args[arg] > most:
-            limits = ", ".join(f"{a} <= {m}" for a, (_, m) in bounds.items())
-            raise TooLarge(f"{name} capped at {limits}")
-
-
 def check_cap(name: str, n: int) -> None:
     """Raise ``TooLarge`` if ``n`` exceeds the effective cap for ``name``."""
     limit = cap(name)
@@ -156,38 +128,61 @@ def _comb_exceeds(n: int, k: int, limit: int) -> bool:
     return False
 
 
-def check_terms(name: str, n: int, k: int) -> None:
-    """Raise ``TooLarge`` if ``comb(n, k)``, a result's term count, exceeds ``MAX_TERMS``."""
+def check_terms(name: str, n: int, k: int, factors: int = 1) -> None:
+    """Raise ``TooLarge`` past ``MAX_TERMS`` terms, ``comb(n, k)``, or ``MAX_FACTORS`` factors."""
     if _comb_exceeds(n, k, MAX_TERMS):
         raise TooLarge(f"{name}: result has more than {MAX_TERMS} terms")
+    if factors > 1 and comb(n, k) * factors > MAX_FACTORS:
+        raise TooLarge(f"{name}: result has more than {MAX_FACTORS} factors")
+
+
+def check_lsds_E(n: int, n_vars: int) -> None:
+    """Raise ``TooLarge`` if the LSDs of ``build_E(n, n_vars)`` print over ``MAX_TERMS`` terms.
+
+    Each weight, a signed product of ``e_t`` of total degree ``n``, has at
+    most the terms of ``h_n``.  The LSDs are the ``racci(n, min(n, n_vars))``
+    compositions of ``n`` into parts ``<= n_vars``, counted one length at a
+    time; the count never falls, so the loop stops past the bound, within
+    25 lengths when ``n_vars >= 2``.
+    """
+    check_terms("lsds", n + n_vars - 1, n)
+    if n < 1 or n_vars < 2:
+        return  # at most one LSD, or build_E rejects it
+    counts = [1]  # counts[m]: compositions of m into parts <= n_vars
+    for _ in range(n):
+        counts.append(sum(counts[-n_vars:]))
+        if counts[-1] * comb(n + n_vars - 1, n) > MAX_TERMS:
+            raise TooLarge(f"lsds: weights have more than {MAX_TERMS} terms")
 
 
 def check_recurrence(n: int, r: int, limit: int = MAX_RECURRENCE_WORK) -> None:
     """Raise ``TooLarge`` if ``u_n`` with symbolic ``c_1..c_r`` costs too much to compute.
 
-    The iteration builds every ``u_m`` with ``m <= n``, whose terms are the
-    partitions of ``m`` into parts ``<= r`` (one monomial per multiset of
-    tile lengths), and passes each to up to ``r`` products.  Its time
-    follows ``r`` times the summed term counts plus ``_STEP_TERMS`` a step,
-    which is held to ``limit``.  Every ``u_m`` has at least one term, and
-    with parts 1 and 2 at least ``m // 2 + 1``, so that work
-    is at least ``r * (n + 1) * (1 + _STEP_TERMS)``, and then over
-    ``n**2 / 2``: a larger ``r`` or ``n`` is refused at once.  Otherwise one
-    O(n) pass per part size counts the partitions, stopping once the work
-    is past the limit.
+    ``u_n`` reads ``c_1..c_n`` only, so ``r`` counts at most ``max(n, 1)``
+    of them.  The iteration builds every ``u_m`` with ``m <= n``, whose
+    terms are the partitions of ``m`` into parts ``<= r`` (one monomial per
+    multiset of tile lengths), and passes each to up to ``r`` products.
+    Its time follows ``r`` times the summed term counts plus
+    ``_STEP_TERMS`` a step, which is held to ``limit``.  Every ``u_m`` has
+    at least one term, and with parts 1 and 2 at least ``m // 2 + 1``, so
+    that work is at least ``r * (n + 1) * (1 + _STEP_TERMS)``, and then
+    over ``n**2 / 2``: a larger ``r`` or ``n`` is refused at once.
+    Otherwise one O(n) pass per part size counts the partitions, stopping
+    once the work is past the limit.
     """
     if n < 0 or r < 1:
         return  # the evaluator rejects these
+    r = min(r, max(n, 1))
     too_large = TooLarge(f"recurrence: iteration work bound exceeds {limit}")
     overhead = r * (n + 1) * _STEP_TERMS
     if r * (n + 1) + overhead > limit:
         raise too_large
-    if min(r, n) < 2:
+    if r < 2:
         return  # each u_m is a single term
     if n * n > 2 * limit:
         raise too_large
     counts = [1] * (n + 1)  # counts[m]: partitions of m into the parts so far
-    for part in range(2, min(r, n) + 1):
+    for part in range(2, r + 1):
         for m in range(part, n + 1):
             counts[m] += counts[m - part]
         if r * sum(counts) + overhead > limit:
@@ -238,34 +233,27 @@ def check_cells(n: int) -> None:
         raise TooLarge(f"matrix: {n}x{n} has more than {MAX_CELLS} cells")
 
 
-def check_growth(n: int, coeffs: Iterable[int]) -> None:
-    """Raise ``TooLarge`` if the bound ``rho**n`` on ``|u_n|`` has over ``MAX_DIGITS + 1`` digits.
+def check_iteration(n: int, coeffs: Iterable[int]) -> None:
+    """Raise ``TooLarge`` if the integer ``u_n`` is too long or its iteration too slow.
 
-    Here ``u_m = c_1 u_{m-1} + ... + c_r u_{m-r}``, ``u_0 = 1``, and ``rho``
-    solves ``sum |c_i| / x**i = 1``: the bound is that long exactly when the
-    sum at ``x = 10**((MAX_DIGITS + 1) / n)`` is at least 1.  Fibonacci,
-    Lucas and r-acci values exceed a tenth of the bound, so all that fit pass.
+    ``u_m = c_1 u_{m-1} + ... + c_r u_{m-r}``, ``u_0 = 1``, reads ``c_1..c_n``
+    only.  Its bound ``rho**n``, where ``sum |c_i| / rho**i = 1``, is held to
+    ``MAX_DIGITS + 1`` digits, which it passes exactly when the sum at
+    ``x = 10**((MAX_DIGITS + 1) / n)`` is at least 1; Fibonacci, Lucas and
+    r-acci values exceed a tenth of it, so all that fit pass.  ``n`` steps
+    of a term per coefficient, held to ``MAX_RECURRENCE_STEPS``, bound the
+    values that stay short (``c_1 = 1``) or grow slowly over many terms.
     """
     if n < 1:
         return
     step = (MAX_DIGITS + 1) / n
     total = 0.0
-    for i, c in enumerate(islice(coeffs, n), start=1):
+    r = 0
+    for r, c in enumerate(islice(coeffs, n), start=1):
         if c:
-            total += 10 ** min(0.0, log10(abs(c)) - i * step)
+            total += 10 ** min(0.0, log10(abs(c)) - r * step)
             if total >= 1:
                 raise TooLarge(f"value: more than {MAX_DIGITS} digits")
-
-
-def check_steps(n: int, r: int) -> None:
-    """Raise ``TooLarge`` if ``n`` iteration steps of ``r`` terms exceed ``MAX_RECURRENCE_STEPS``.
-
-    This bounds an integer recurrence whose value stays short, such as
-    ``c_1 = 1``, or grows slowly over many coefficients, which
-    ``check_growth`` lets through.
-    """
-    if n < 0 or r < 1:
-        return  # the evaluator rejects these
     if n * r > MAX_RECURRENCE_STEPS:
         raise TooLarge(f"recurrence: {n * r} iteration steps exceed {MAX_RECURRENCE_STEPS}")
 

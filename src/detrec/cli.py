@@ -7,15 +7,14 @@ JSON object per item followed by a summary line, handing stdout
 JSON per check.  The ``verify`` choices and the flags each identity reads
 come from the registry ``identities.IDENTITIES``.
 
-Size caps (see ``caps``) are checked before any work or output: each
-identity's ``IDENTITY_BOUNDS``, the enumerators' ``DETREC_MAX_N`` caps, the
-term cap of ``compute e``, ``compute h`` and ``compute schur``, the work
-caps of ``compute recurrence`` with symbolic coefficients and of ``compute
-schur``, and the digit cap of integer ``compute fib``/``lucas``/``racci``/
-``recurrence``, whose iteration the step cap also bounds for ``racci`` and
-``recurrence``.  ``compute det`` holds each family's value as the family's
-other route is held, and every matrix to ``caps.MAX_CELLS`` entries.
-Symbolic ``--r`` coefficients are built only as far as the result reads.
+Size caps (see ``caps``) are checked before any work or output, by one
+guard per computation that every path running it shares.  ``verify``
+checks the identity's argument bounds on the flag values before it builds
+any argument.  ``compute det`` and ``enumerate lsds`` build their matrix
+through ``_family_matrix``, which holds it to ``caps.MAX_CELLS`` entries
+and its determinant as the family's other route is held; every integer
+recurrence value is held by ``caps.check_iteration``.  Symbolic ``--r``
+coefficients are built only as far as the result reads.
 
 Exit codes: 0 success or all checks passed, 1 verification failure, 2 usage
 error, 3 size cap exceeded.  A reader that closes the pipe early (``| head``)
@@ -34,9 +33,8 @@ from collections import Counter
 from itertools import islice, repeat
 from typing import Iterable
 
-from .caps import (MAX_RECURRENCE_WORK, check_cells, check_det_E, check_det_S,
-                   check_digits, check_growth, check_identity, check_recurrence,
-                   check_steps)
+from .caps import (MAX_RECURRENCE_WORK, check_cap, check_cells, check_det_E, check_det_S,
+                   check_digits, check_iteration, check_lsds_E, check_recurrence)
 from .combi import (
     cyclic_word_weight,
     enumerate_circular_tilings,
@@ -72,8 +70,7 @@ def _need(args, flag: str):
 def _coeffs(args, n: int | None = None):
     """``--coeffs`` as integers, else symbolic ``c1..`` for ``--r``; with their names.
 
-    Given ``n``, only the coefficients a size-``n`` result reads are kept.
-    """
+    Given ``n``, only the coefficients a size-``n`` result reads are kept."""
     if args.coeffs is not None:
         coeffs = _int_list(args.coeffs)
         return coeffs if n is None else coeffs[:max(n, 1)], None
@@ -81,103 +78,75 @@ def _coeffs(args, n: int | None = None):
     return symbolic_coeffs(r if n is None else min(r, max(n, 1))), coeff_name
 
 
-def _family_matrix(args, value_caps: bool = False):
+def _recurrence_coeffs(args, n: int, work: int = MAX_RECURRENCE_WORK):
+    """``_coeffs(args, n)`` after ``u_n``'s caps: ``work`` if symbolic, else ``check_iteration``."""
+    if args.coeffs is None:
+        check_recurrence(n, _need(args, "--r"), work)
+    coeffs, names = _coeffs(args, n)
+    if names is None:
+        check_iteration(n, coeffs)
+    return coeffs, names
+
+
+def _family_matrix(args):
     """Build the requested matrix family; returns (matrix, variable names).
 
-    The matrix is held to ``caps.MAX_CELLS`` entries before it is built,
-    and with ``value_caps`` its determinant to the caps of ``_check_det``.
-    """
-    family = _need(args, "--family")
-    n = _need(args, "--n")
-    check_cells(n)
-    if value_caps:
-        _check_det(args)
-    if family == "E":
-        return build_E(n, _need(args, "--vars")), None
-    if family == "C":
-        coeffs, names = _coeffs(args, n)
-        return build_C(coeffs, n), names
-    if family == "G":
-        return build_G(n, _need(args, "--r")), None
-    if family == "F":
-        return build_F(n), None
-    if family == "S":
-        a, b = MultiPoly.var(0), MultiPoly.var(1)
-        return build_S(a, b, n), ("a", "b")
-    if family == "A":
-        return build_A(n), None
-    raise ValueError(f"unknown family {family!r}")
-
-
-def _check_det(args) -> None:
-    """Hold a determinant's value to the caps of the family's other route.
-
-    ``E`` is ``h_n``, symbolic ``C`` the recurrence value ``u_n`` and ``S``
-    the symbolic ``2(a**n + b**n)``, each held with its elimination work.
+    Before it is built, the matrix is held to ``caps.MAX_CELLS`` entries and
+    its determinant to the caps of the family's other route: ``E`` is
+    ``h_n``, symbolic ``C`` the recurrence value ``u_n`` and ``S`` the
+    symbolic ``2(a**n + b**n)``, each held with its elimination work.
     Integer ``C``, ``G`` and ``F`` are recurrence values, and half the
     determinant of ``A`` is the Lucas number, held as ``compute lucas`` is.
     """
     family, n = _need(args, "--family"), _need(args, "--n")
+    check_cells(n)
     if family == "E":
         check_det_E(n, _need(args, "--vars"))
-    elif family == "S":
+        return build_E(n, args.vars), None
+    if family == "S":
         check_det_S(n)
-    elif family == "C" and args.coeffs is None:
-        # the matrix reads c_1..c_n only; elimination also copies and
-        # subtracts each pivot-row entry it multiplies, about twice the
-        # iteration's work
-        check_recurrence(n, min(_need(args, "--r"), max(n, 1)), MAX_RECURRENCE_WORK // 2)
-    else:
-        if family == "C":
-            coeffs = _coeffs(args, n)[0]
-        elif family == "G":
-            coeffs = [1] * min(_need(args, "--r"), max(n, 1))
-        else:  # F is G with r = 2, and A's Lucas numbers grow as fast
-            coeffs = [1, 1]
-        check_growth(n, coeffs)
-        check_steps(n, len(coeffs))
+        return build_S(MultiPoly.var(0), MultiPoly.var(1), n), ("a", "b")
+    if family == "C":
+        # elimination also copies and subtracts each pivot-row entry it
+        # multiplies, about twice the iteration's work
+        coeffs, names = _recurrence_coeffs(args, n, MAX_RECURRENCE_WORK // 2)
+        return build_C(coeffs, n), names
+    if family == "G":
+        check_iteration(n, repeat(1, _need(args, "--r")))
+        return build_G(n, args.r), None
+    check_iteration(n, (1, 1))  # F is G with r = 2, and A's Lucas numbers grow as fast
+    return (build_F(n) if family == "F" else build_A(n)), None
 
 
 def _cmd_compute(args) -> int:
-    if args.format == "csv":
-        raise ValueError("csv output is only available for verify")
     names = None
     subject = args.subject
-    # integer recurrence values are held to caps.MAX_DIGITS by check_growth
-    # before any work and by check_digits once computed, and their iteration
-    # to caps.MAX_RECURRENCE_STEPS by check_steps
+    # integer recurrence values are held to caps.MAX_DIGITS and their
+    # iteration to caps.MAX_RECURRENCE_STEPS by check_iteration before any
+    # work, and by check_digits once computed
     if subject in ("fib", "lucas"):
         n = _need(args, "--n")
-        check_growth(n, (1, 1))
+        check_iteration(n, (1, 1))
         value = fibonacci(n) if subject == "fib" else lucas(n)
     elif subject == "racci":
         n, r = _need(args, "--n"), _need(args, "--r")
-        check_growth(n, repeat(1, r))
-        check_steps(n, min(r, n))  # u_n reads c_1..c_n only
+        check_iteration(n, repeat(1, r))
         value = racci(n, r)
     elif subject == "recurrence":
         n = _need(args, "--n")
-        if args.coeffs is None:
-            check_recurrence(n, _need(args, "--r"))
-        coeffs, names = _coeffs(args, n)
-        if names is None:
-            check_growth(n, coeffs)
-            check_steps(n, len(coeffs))  # u_n reads c_1..c_n only
+        coeffs, names = _recurrence_coeffs(args, n)
         value = eval_recurrence(coeffs, n)
     elif subject == "e":
         value = elementary(_need(args, "--k"), _need(args, "--vars"))
     elif subject == "h":
         value = homogeneous(_need(args, "--k"), _need(args, "--vars"))
     elif subject == "schur":
-        parts = _int_list(_need(args, "--parts"))
-        value = schur(parts, _need(args, "--vars"))
-    elif subject == "det":
-        matrix, names = _family_matrix(args, value_caps=True)
+        value = schur(_int_list(_need(args, "--parts")), _need(args, "--vars"))
+    else:  # det
+        matrix, names = _family_matrix(args)
         if args.format == "pretty":
             print(matrix.pretty(names))
         value = det_bareiss(matrix)
-    else:
-        raise ValueError(f"unknown subject {subject!r}")
     if isinstance(value, int):
         check_digits(value)
     print(scalar_str(value, names))
@@ -199,8 +168,6 @@ def _write_lines(lines: Iterable[str]) -> None:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.format == "csv":
-        raise ValueError("csv output is only available for verify")
     pretty = args.format == "pretty"
     subject = args.subject
     # Each branch sets ``objects``, an iterable of output lines, and
@@ -212,8 +179,8 @@ def _cmd_enumerate(args) -> int:
     # needs no JSON escaping.
     if subject == "tilings":
         n, r = _need(args, "--n"), _need(args, "--r")
-        coeffs, names = _coeffs(args, n)
-        items = enumerate_tilings(n, r)
+        items = enumerate_tilings(n, r)  # its cap comes before any coefficient is built
+        coeffs, names = _recurrence_coeffs(args, n)  # the total weight is u_n
         if min(n, r) > len(coeffs):
             # the first tiling with a part past the coefficients, found up front
             raise ValueError(f"tile length {len(coeffs) + 1} outside 1..{len(coeffs)}")
@@ -236,6 +203,11 @@ def _cmd_enumerate(args) -> int:
         def summary():
             return len(items), str(len(items))
     elif subject == "lsds":
+        family, n = _need(args, "--family"), _need(args, "--n")
+        check_cells(n)  # then the size cap enumerate_lsds checks only once it is built
+        check_cap("lsd", n)
+        if family == "E":  # each LSD prints a weight of up to h_n's terms
+            check_lsds_E(n, _need(args, "--vars"))
         matrix, names = _family_matrix(args)
         items = enumerate_lsds(matrix)
         weights = [lsd.signed_weight for lsd in items]
@@ -259,7 +231,7 @@ def _cmd_enumerate(args) -> int:
 
         def summary():
             return len(items), scalar_str(scalar_sum(map(word_weight, items)))
-    elif subject == "cyclic-words":
+    else:  # cyclic-words
         n = _need(args, "--n")
         words = iter_cyclic_words(n, args.avoid)
         a_counts = Counter()
@@ -275,8 +247,6 @@ def _cmd_enumerate(args) -> int:
             total = scalar_sum(count * cyclic_word_weight("a" * k + "b" * (n - k))
                                for k, count in a_counts.items())
             return a_counts.total(), scalar_str(total, ("a", "b"))
-    else:
-        raise ValueError(f"unknown subject {subject!r}")
 
     def lines():
         yield from objects
@@ -294,13 +264,15 @@ def _cmd_verify(args) -> int:
     if identity == "all":
         reports = verify_all(6 if args.max_n is None else args.max_n, args.seed)
     else:
-        # the entry names the flag of each verifier argument; "--coeffs" is
-        # the coefficient list, whose symbolic count is checked before it is built
+        # the bounds hold the flag values before any argument is built; a
+        # coefficient list's value is its length, --r when symbolic
         entry = IDENTITIES[identity]
-        if "--coeffs" in entry.flags and args.coeffs is None:
-            check_identity(identity, r=_need(args, "--r"))
-        reports = [entry.verify(*(_coeffs(args)[0] if flag == "--coeffs"
-                                  else _need(args, flag) for flag in entry.flags))]
+        flags = {a.name: (len(_int_list(args.coeffs)) if args.coeffs is not None
+                          else _need(args, "--r")) if a.flag == "--coeffs"
+                 else _need(args, a.flag) for a in entry.args}
+        entry.check(flags)
+        reports = [entry.verify(*(_coeffs(args)[0] if a.flag == "--coeffs" else flags[a.name]
+                                  for a in entry.args))]
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["identity", "params", "lhs", "rhs", "passed", "elapsed_ms"])
@@ -365,6 +337,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.format == "csv" and args.command != "verify":
+            raise ValueError("csv output is only available for verify")
         code = args.handler(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code

@@ -15,7 +15,7 @@ from itertools import (accumulate, combinations, combinations_with_replacement, 
                        product)
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .caps import check_cap
+from .caps import check_cap, check_terms
 from .digraph import LinearSubdigraph
 from .errors import DimensionTooSmall
 from .poly import MultiPoly
@@ -120,13 +120,15 @@ def enumerate_increasing_words(m: int, n_vars: int) -> list[Word]:
 
     These are exactly the words avoiding every descent (a larger letter
     immediately before a smaller one); their weights sum to the complete
-    homogeneous polynomial ``h_m``.
+    homogeneous polynomial ``h_m``, one word per term, so their count is
+    held to ``caps.MAX_TERMS`` as ``h_m``'s terms are.
     """
     if m < 0:
         raise ValueError("word length must be non-negative")
     if n_vars < 1:
         raise ValueError("need at least one letter")
     check_cap("words", m)
+    check_terms("words", m + n_vars - 1, m)
     return [tuple(w) for w in combinations_with_replacement(range(1, n_vars + 1), m)]
 
 

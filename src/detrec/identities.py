@@ -8,9 +8,9 @@ is the first route that disagrees with the first one, so a failing report
 shows the actual mismatch.
 
 Each identity is declared once: the ``_identity`` decorator on its route
-function registers it in ``IDENTITIES``, and its bounds are its row of
-``caps.IDENTITY_BOUNDS``.  ``verify_all`` runs every registered verifier
-over its grid and is the repository's primary gate.
+function registers it in ``IDENTITIES``, with each argument's report name,
+CLI flag, least value and cap.  ``verify_all`` runs every registered
+verifier over its grid and is the repository's primary gate.
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ import inspect
 import json
 import random
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 from itertools import product
 from math import comb
 from typing import Callable, Iterable, Sequence
 
-from .caps import IDENTITY_BOUNDS, check_identity
 from .combi import (
     enumerate_circular_tilings,
     enumerate_tilings,
@@ -35,6 +35,7 @@ from .combi import (
 )
 from .detmat import build_A, build_C, build_F, build_G, build_S, det_bareiss
 from .digraph import count_cycle_type, cycle_types
+from .errors import DimensionTooSmall, TooLarge
 from .poly import MultiPoly, exact_divide, poly_str, scalar_str, scalar_sum
 from .recurrence import (
     binet_fib,
@@ -61,63 +62,78 @@ class VerificationReport:
         return json.dumps({**asdict(self), "elapsed_ms": round(self.elapsed_ms, 3)})
 
 
+# a verifier argument: its report name, CLI flag, least value and cap (a
+# list's cap is on its length)
+Arg = namedtuple("Arg", "name flag least cap")
+
+
 @dataclass(frozen=True)
 class Identity:
-    """A verifier, the CLI flag of each of its arguments, and its sweep grid."""
+    """A verifier, its arguments in the order it takes them, and its sweep grid."""
 
     name: str
     verify: Callable[..., VerificationReport]
-    flags: tuple[str, ...]
+    args: tuple[Arg, ...]
     grid: Callable[[dict[str, range], int], Iterable[tuple]]
 
     def points(self, max_n: int, seed: int = 0) -> Iterable[tuple]:
-        """The sweep's argument tuples, each bound range clipped to ``max_n``."""
-        ranges = {arg: range(least, min(cap, max_n) + 1)
-                  for arg, (least, cap) in IDENTITY_BOUNDS[self.name].items()}
-        return self.grid(ranges, seed)
+        """The sweep's argument tuples, each argument's range clipped to ``max_n``."""
+        return self.grid({a.name: range(a.least, min(a.cap, max_n) + 1) for a in self.args}, seed)
+
+    def check(self, values: dict[str, int]) -> None:
+        """Raise ``DimensionTooSmall`` or ``TooLarge`` for a value outside its argument's bounds."""
+        for a in self.args:
+            if values[a.name] < a.least:
+                raise DimensionTooSmall(f"{self.name} needs {a.name} >= {a.least}")
+        for a in self.args:
+            if values[a.name] > a.cap:
+                limits = ", ".join(f"{a.name} <= {a.cap}" for a in self.args)
+                raise TooLarge(f"{self.name} capped at {limits}")
 
 
 IDENTITIES: dict[str, Identity] = {}
 
 
-def _identity(name: str, *flags: str, grid=lambda ranges, seed: product(*ranges.values()),
+def _identity(name: str, *args: Arg, grid=lambda ranges, seed: product(*ranges.values()),
               params=None):
     """Register the decorated function, which returns its routes' strings, as ``name``.
 
-    The verifier that replaces it checks the bounds, then computes and
-    compares the routes, timed.  ``grid`` maps the bound ranges and a seed
-    to argument tuples; ``params`` maps the arguments to the report's
-    parameters, by default named after the ``IDENTITY_BOUNDS`` row.
+    The verifier that replaces it checks the bounds of ``args``, then
+    computes and compares the routes, timed.  ``grid`` maps the argument
+    ranges and a seed to argument tuples; ``params`` maps the arguments to
+    the report's parameters, by default keyed by the argument names.
     """
+    names = [a.name for a in args]
+
     def register(routes: Callable[..., list[str]]):
         signature = inspect.signature(routes)
 
         @functools.wraps(routes)
-        def verify(*args, **kwargs) -> VerificationReport:
+        def verify(*values, **kwargs) -> VerificationReport:
             started = time.perf_counter()
             if kwargs:
-                args = signature.bind(*args, **kwargs).args
-            report_params = params(*args) if params else dict(zip(IDENTITY_BOUNDS[name], args))
-            check_identity(name, **report_params)
-            lhs, *others = routes(*args)
+                values = signature.bind(*values, **kwargs).args
+            report_params = params(*values) if params else dict(zip(names, values))
+            entry.check(report_params)
+            lhs, *others = routes(*values)
             mismatches = [s for s in others if s != lhs]
             rhs = mismatches[0] if mismatches else (others or [lhs])[0]
             elapsed_ms = (time.perf_counter() - started) * 1000.0
             return VerificationReport(name, report_params, lhs, rhs, not mismatches, elapsed_ms)
 
-        IDENTITIES[name] = Identity(name, verify, flags or ("--n",), grid)
+        entry = IDENTITIES[name] = Identity(name, verify, args, grid)
         return verify
     return register
 
 
-@_identity("hom-det", "--n", "--vars")
+@_identity("hom-det", Arg("m", "--n", 1, 6), Arg("vars", "--vars", 1, 4))
 def verify_hom_det(m: int, n_vars: int):
     """Band-matrix determinant of elementary polynomials vs ``h_m``."""
     return [scalar_str(det_bareiss(build_E(m, n_vars))), poly_str(homogeneous(m, n_vars))]
 
 
 # k = 1 leaves h_n = e_1**n, so the sweep starts at k = 2
-@_identity("sury", "--n", "--k",
+@_identity("sury", Arg("n", "--n", 1, 8), Arg("k", "--k", 1, 4),
            grid=lambda ranges, seed: product(ranges["n"], ranges["k"][1:]))
 def verify_sury(n: int, k: int):
     """Power-sum expansion of ``h_n`` in the elementary polynomial basis.
@@ -137,7 +153,7 @@ def verify_sury(n: int, k: int):
     return [poly_str(homogeneous(n, k)), poly_str(rhs)]
 
 
-@_identity("mclaughlin")
+@_identity("mclaughlin", Arg("n", "--n", 1, 8))
 def verify_mclaughlin(n: int):
     """Three-variable expansion of ``h_n`` vs the explicit alternant quotient.
 
@@ -164,7 +180,7 @@ def verify_mclaughlin(n: int):
             poly_str(bialternant((n,), 3)), poly_str(homogeneous(n, 3))]
 
 
-@_identity("two-var")
+@_identity("two-var", Arg("n", "--n", 1, 12))
 def verify_two_var(n: int):
     """Two-variable alternating binomial sum vs ``x**n + x**(n-1) y + ... + y**n``."""
     x, y = MultiPoly.var(0), MultiPoly.var(1)
@@ -196,7 +212,8 @@ def _recurrence_grid(ranges: dict[str, range], seed: int) -> Iterable[tuple]:
         yield [rng.randint(-5, 5) for _ in range(r)], n
 
 
-@_identity("recurrence-det", "--coeffs", "--n", grid=_recurrence_grid,
+@_identity("recurrence-det", Arg("r", "--coeffs", 1, 4), Arg("n", "--n", 1, 10),
+           grid=_recurrence_grid,
            params=lambda coeffs, n: {
                "coeffs": ("symbolic" if any(isinstance(c, MultiPoly) for c in coeffs)
                           else list(coeffs)),
@@ -209,27 +226,27 @@ def verify_recurrence_det(coeffs: Sequence, n: int):
     return [scalar_str(v, coeff_name) for v in values]
 
 
-@_identity("racci", "--n", "--r")
+@_identity("racci", Arg("n", "--n", 1, 10), Arg("r", "--r", 1, 4))
 def verify_racci(n: int, r: int):
     """r-acci number: iteration, unit-band determinant, multinomial sum."""
     return [str(racci(n, r)), scalar_str(det_bareiss(build_G(n, r))),
             str(racci_multinomial(n, r))]
 
 
-@_identity("fib")
+@_identity("fib", Arg("n", "--n", 1, 12))
 def verify_fib(n: int):
     """Fibonacci number vs tridiagonal determinant."""
     return [str(fibonacci(n)), scalar_str(det_bareiss(build_F(n)))]
 
 
-@_identity("binet-fib")
+@_identity("binet-fib", Arg("n", "--n", 0, 30))
 def verify_binet_fib(n: int):
     """Golden-ratio closed form vs iteration (and the determinant when small)."""
     by_det = [scalar_str(det_bareiss(build_F(n)))] if 1 <= n <= 12 else []
     return [scalar_str(binet_fib(n)), str(fibonacci(n)), *by_det]
 
 
-@_identity("binet-lucas")
+@_identity("binet-lucas", Arg("n", "--n", 3, 30))
 def verify_binet_lucas(n: int):
     """Lucas number along four routes: iteration, closed form, determinant, tilings."""
     routes = [str(lucas(n)), scalar_str(binet_lucas(n))]
@@ -240,7 +257,7 @@ def verify_binet_lucas(n: int):
     return routes
 
 
-@_identity("lucas-symbolic")
+@_identity("lucas-symbolic", Arg("n", "--n", 3, 8))
 def verify_lucas_symbolic(n: int):
     """Symbolic ``det(S) = 2(a**n + b**n)`` plus its proof decomposition.
 

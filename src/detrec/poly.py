@@ -118,8 +118,8 @@ class _Packing:
         self.bits = bits = bound.bit_length() + 1
         n = len(self.variables)
         self.shift = {v: bits * (n - 1 - i) for i, v in enumerate(self.variables)}
-        top = 1 << (bits - 1)
-        self.guard = sum(top << (bits * i) for i in range(n + 1))
+        # the top bit of each of the n + 1 fields
+        self.guard = (1 << (bits - 1)) * ((1 << bits * (n + 1)) - 1) // ((1 << bits) - 1)
 
     def pack(self, m: Monomial) -> int:
         shift = self.shift
@@ -351,6 +351,18 @@ def _name_of(names: VarNames, index: int) -> str:
     return names[index]
 
 
+# Past this many bits a packed key costs more to build than a tuple of the
+# monomial's factors costs to compare (h_1 in 2000 variables, 4000 bits, is
+# about even with Python 3.11 on a 2-core VM), and its memory grows with
+# the variable count rather than with the factors.
+_MAX_KEY_BITS = 4096
+
+
+def _graded_lex_key(m: Monomial) -> tuple:
+    """Sort key of ``m`` in graded-lex order, unpacked."""
+    return sum(e for _, e in m), tuple([(-v, e) for v, e in m])
+
+
 def poly_str(p: MultiPoly, names: VarNames = None) -> str:
     """Canonical text form: graded-lex descending, ``coef*x0^e0*...`` terms.
 
@@ -360,8 +372,10 @@ def poly_str(p: MultiPoly, names: VarNames = None) -> str:
         return "0"
     ordered = p._terms.items()
     if len(ordered) > 1:
-        pack = _Packing(p._terms, p.degree()).pack
-        ordered = sorted(ordered, key=lambda kv: pack(kv[0]), reverse=True)
+        packing = _Packing(p._terms, p.degree())
+        narrow = packing.bits * len(packing.variables) <= _MAX_KEY_BITS
+        key = packing.pack if narrow else _graded_lex_key
+        ordered = sorted(ordered, key=lambda kv: key(kv[0]), reverse=True)
     pieces: list[str] = []
     for i, (mono, coef) in enumerate(ordered):
         mag = abs(coef)
@@ -519,12 +533,6 @@ class QuadExt:
         return _quad(a1 * a2 + 5 * b1 * b2, a1 * b2 + a2 * b1, self._den * other._den)
 
     __rmul__ = __mul__
-
-    def conjugate(self) -> "QuadExt":
-        return _quad(self._a, -self._b, self._den)
-
-    def norm(self) -> Fraction:
-        return Fraction(self._a * self._a - 5 * self._b * self._b, self._den * self._den)
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -32,13 +32,14 @@ def elementary(k: int, n_vars: int) -> MultiPoly:
 
     ``e_0 = 1``; the zero polynomial when ``k > n_vars`` (no k-subset exists).
     Raises ``TooLarge`` before any work when its ``comb(n_vars, k)`` terms
-    exceed ``caps.MAX_TERMS``.
+    exceed ``caps.MAX_TERMS``, or their ``k`` factors each, in all,
+    ``caps.MAX_FACTORS``.
     """
     if k < 0:
         raise ValueError("degree must be non-negative")
     if n_vars < 1:
         raise ValueError("need at least one variable")
-    check_terms("e", n_vars, k)
+    check_terms("e", n_vars, k, k)
     if k == 0:
         return MultiPoly.one()
     if k > n_vars:

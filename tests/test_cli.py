@@ -5,13 +5,14 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from detrec import cli
+from detrec import cli, combi, symfunc
 from detrec.caps import MAX_RECURRENCE_STEPS, MAX_RECURRENCE_WORK, check_recurrence
 from detrec.cli import main
 from detrec.combi import cyclic_word_weight, tiling_weight, word_weight
@@ -325,9 +326,13 @@ def test_symbolic_recurrence_work_cap(capsys):
     code, out, err = run(capsys, "compute", "recurrence", "--r", "10", "--n", "60")
     assert (code, out) == (3, "")
     assert "recurrence" in err
-    # r or n far out of range: refused at once, before any coefficient is built
-    for r, n in (("1", "1000000000"), ("2", "200000"), ("1000000000", "5")):
+    # n far out of range: refused at once, before any coefficient is built
+    for r, n in (("1", "1000000000"), ("2", "200000")):
         assert run(capsys, "compute", "recurrence", "--r", r, "--n", n)[0] == 3
+    # u_5 reads c1..c5 only, so a huge r costs what r = 5 does
+    code, out, _ = run(capsys, "compute", "recurrence", "--r", "1000000000", "--n", "5")
+    assert (code, out) == run(capsys, "compute", "recurrence", "--r", "5", "--n", "5")[:2]
+    assert code == 0
     check_recurrence(40, 10)  # 16,928 terms, about 1.5 s: still computed
     with pytest.raises(TooLarge):
         check_recurrence(41, 10)
@@ -373,7 +378,8 @@ def test_huge_symbolic_r_builds_only_the_coefficients_read(capsys, monkeypatch):
                                                 "total_weight": "c1^3 + 2*c1*c2 + c3"}
     code, out, _ = run(capsys, "compute", "det", "--family", "C", "--n", "3", "--r", r)
     assert (code, out) == (0, "c1^3 + 2*c1*c2 + c3\n")
-    assert run(capsys, "compute", "recurrence", "--n", "3", "--r", r)[0] == 3
+    code, out, _ = run(capsys, "compute", "recurrence", "--n", "3", "--r", r)
+    assert (code, out) == (0, "c1^3 + 2*c1*c2 + c3\n")
     assert requested and max(requested) <= 3
     # unit coefficients too: a list of 2**62 ones is refused at once, unallocated
     assert run(capsys, "compute", "det", "--family", "G", "--n", "3", "--r", str(2**62))[1] == "4\n"
@@ -506,6 +512,109 @@ def test_enumerate_lsds_refuses_a_huge_matrix_before_building_it(capsys, monkeyp
     code, out, err = run(capsys, "enumerate", "lsds", "--family", "A", "--n", "12000")
     assert (code, out) == (3, "")
     assert "cells" in err
+
+
+HUGE = str(10**9)
+
+# (argv, the refusal's message, or None for a boundary case that prints):
+# every subject on huge arguments, and each command refused or accepted by
+# the caps on increasing words and on the LSD weights of E
+CAPPED_COMMANDS = [
+    (["compute", "fib", "--n", HUGE], "more than 4300 digits"),
+    (["compute", "lucas", "--n", HUGE], "more than 4300 digits"),
+    (["compute", "racci", "--n", HUGE, "--r", HUGE], "more than 4300 digits"),
+    (["compute", "recurrence", "--n", HUGE, "--r", HUGE], "iteration work bound exceeds"),
+    (["compute", "recurrence", "--n", HUGE, "--coeffs", "1,1"], "more than 4300 digits"),
+    (["compute", "e", "--k", HUGE, "--vars", HUGE], "e: result has more than 1000000 factors"),
+    (["compute", "e", "--k", "99999", "--vars", "100000"], "e: result has more than 1000000"),
+    (["compute", "h", "--k", HUGE, "--vars", HUGE], "h: result has more than 100000 terms"),
+    (["compute", "schur", "--parts", HUGE, "--vars", HUGE], "result has more than 100000"),
+    (["compute", "det", "--family", "A", "--n", HUGE], "more than 4000000 cells"),
+    (["compute", "det", "--family", "E", "--n", "2", "--vars", "446"], "work bound exceeds"),
+    (["enumerate", "tilings", "--n", HUGE, "--r", HUGE], "tilings: size"),
+    (["enumerate", "tilings", "--n", "3", "--r", "1", "--coeffs", "1" + "0" * 2000],
+     "more than 4300 digits"),  # the total weight, u_3
+    (["enumerate", "circular-tilings", "--n", HUGE], "circular_tilings: size"),
+    (["enumerate", "cyclic-words", "--n", HUGE], "cyclic_words: size"),
+    (["enumerate", "lsds", "--family", "F", "--n", HUGE], "more than 4000000 cells"),
+    (["enumerate", "words", "--n", HUGE, "--vars", "2"], "words: size"),
+    (["enumerate", "words", "--n", "12", "--vars", "16"], "words: result has more than"),
+    (["enumerate", "words", "--n", "12", "--vars", "40"], "words: result has more than"),
+    (["enumerate", "words", "--n", "1", "--vars", "100000000"], "words: result has more than"),
+    (["enumerate", "words", "--n", "10", "--vars", "10"], None),  # 92,378 words
+    (["enumerate", "lsds", "--family", "E", "--n", "12", "--vars", "4"], "lsds: weights have"),
+    (["enumerate", "lsds", "--family", "E", "--n", "10", "--vars", "6"], "lsds: weights have"),
+    (["enumerate", "lsds", "--family", "E", "--n", "8", "--vars", "8"], "lsds: weights have"),
+    (["enumerate", "lsds", "--family", "E", "--n", "12", "--vars", "6"], "lsds: weights have"),
+    (["enumerate", "lsds", "--family", "E", "--n", "2", "--vars", "446"], "lsds: weights have"),
+    (["enumerate", "lsds", "--family", "E", "--n", "12", "--vars", "3"], None),  # 84,357 terms
+    (["enumerate", "lsds", "--family", "E", "--n", "6", "--vars", "3"], None),
+    (["enumerate", "lsds", "--family", "E", "--n", "5", "--vars", "5"], None),
+    (["enumerate", "lsds", "--family", "E", "--n", "4", "--vars", "3"], None),
+    (["verify", "sury", "--n", HUGE, "--k", HUGE], "sury capped at n <= 8, k <= 4"),
+]
+
+
+@pytest.mark.parametrize("argv, message", CAPPED_COMMANDS,
+                         ids=[" ".join(argv) for argv, _ in CAPPED_COMMANDS])
+def test_every_subject_is_capped_before_any_work(capsys, monkeypatch, argv, message):
+    def work(*args):
+        if message:
+            raise AssertionError("work before the cap")
+        return []  # past the caps: the enumeration itself is not this test's
+
+    # so a regressed cap fails here rather than filling memory
+    for module in (combi, symfunc):
+        monkeypatch.setattr(module, "combinations_with_replacement", work)
+    monkeypatch.setattr(symfunc, "combinations", work)
+    for name in ("fibonacci", "lucas", "racci", "eval_recurrence", "symbolic_coeffs",
+                 "build_A", "build_E", "build_F", "det_bareiss", "enumerate_lsds"):
+        monkeypatch.setattr(cli, name, work)
+    code, out, err = run(capsys, *argv)
+    if message:
+        assert (code, out) == (3, "")
+        assert message in err
+    else:
+        assert (code, out) == (0, '{"count": 0, "total_weight": "0"}\n')
+
+
+# (E, S or symbolic C over one of the caps of _family_matrix, the message of
+# enumerate lsds): the cells, the LSDs' size cap and the weights they print
+# come first there, with the messages they gave before the caps were shared
+SHARED_REFUSALS = [
+    (["E", "--n", "2", "--vars", "446"], "lsds: weights have more than 100000 terms"),
+    (["E", "--n", "10", "--vars", "10"], "lsds: weights have more than 100000 terms"),
+    (["E", "--n", "31", "--vars", "4"], "lsd: size 31 exceeds cap 12"),
+    (["S", "--n", "154"], "lsd: size 154 exceeds cap 12"),
+    (["S", "--n", "2001"], "matrix: 2001x2001 has more than 4000000 cells"),
+    (["C", "--n", "190", "--r", "3"], "lsd: size 190 exceeds cap 12"),
+    (["C", "--n", "1531", "--r", "2"], "lsd: size 1531 exceeds cap 12"),
+]
+
+
+@pytest.mark.parametrize("family, message", SHARED_REFUSALS,
+                         ids=[" ".join(family) for family, _ in SHARED_REFUSALS])
+def test_enumerate_lsds_and_compute_det_refuse_alike(capsys, monkeypatch, family, message):
+    def unreachable(*args):
+        raise AssertionError("work before the cap")
+    for name in ("build_C", "build_E", "build_S", "det_bareiss", "enumerate_lsds"):
+        monkeypatch.setattr(cli, name, unreachable)
+    assert run(capsys, "compute", "det", "--family", *family)[:2] == (3, "")
+    assert run(capsys, "enumerate", "lsds", "--family", *family) == (3, "", f"error: {message}\n")
+
+
+def test_many_variables_print_within_memory():
+    # one packed sort key per term, 200,000 bits wide, took 2 GB and more
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    limit = 2 * 10**9
+    proc = subprocess.run(
+        [sys.executable, "-m", "detrec", "compute", "h", "--k", "1", "--vars", "99999"],
+        capture_output=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (" + ".join(f"x{v}" for v in range(99999)) + "\n").encode()
 
 
 def test_too_large_exit_code(capsys):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from detrec import poly
 from detrec.errors import NotDivisible, UnassignedVariable
 from detrec.poly import (
     PHI,
@@ -193,6 +194,25 @@ def test_poly_str_graded_lex_order():
     p = X0 + X0 ** 2 + X1 ** 3
     assert poly_str(p) == "x1^3 + x0^2 + x0"
     assert poly_str(X0 * X1 + X1 ** 2 + X0 ** 2) == "x0^2 + x0*x1 + x1^2"
+
+
+def test_poly_str_sorts_wide_monomials_unpacked(monkeypatch):
+    # 3000 variables would take 6000-bit packed keys: sorted as tuples
+    wide = MultiPoly({((v, 1),): 1 for v in range(3000)}) + X1 ** 2 - X0 * X1
+    expected = "-x0*x1 + x1^2 + " + " + ".join(f"x{v}" for v in range(3000))
+
+    def unreachable(self, mono):
+        raise AssertionError("packed a wide key")
+    monkeypatch.setattr(poly._Packing, "pack", unreachable)
+    assert poly_str(wide) == expected
+
+
+def test_poly_str_orders_alike_packed_or_not(monkeypatch):
+    rng = random.Random(11)
+    polys = [random_poly(rng, n_vars=6, max_degree=8, max_terms=12) for _ in range(200)]
+    packed = [poly_str(p) for p in polys]
+    monkeypatch.setattr(poly, "_MAX_KEY_BITS", 0)
+    assert [poly_str(p) for p in polys] == packed
 
 
 def test_scalar_str_unifies_types():

@@ -1,11 +1,10 @@
-"""The identity registry: bounds, caps and the sweep, each declared once."""
+"""The identity registry: bounds, caps and the sweep, each declared once, in its entry."""
 
 import hashlib
 import re
 
 import pytest
 
-from detrec.caps import IDENTITY_BOUNDS
 from detrec.cli import main
 from detrec.digraph import cycle_types
 from detrec.identities import IDENTITIES, verify_all
@@ -63,27 +62,27 @@ CAP_MESSAGES = {
 
 
 def test_registry_and_bounds_name_the_same_identities():
-    assert list(IDENTITIES) == list(IDENTITY_BOUNDS) == list(CAP_MESSAGES)
+    assert list(IDENTITIES) == list(CAP_MESSAGES)
     assert {rep.identity for rep in verify_all(3)} == set(IDENTITIES)
 
 
 @pytest.mark.parametrize("name", list(IDENTITIES))
 def test_identity_bounds(capsys, name):
-    entry, bounds = IDENTITIES[name], IDENTITY_BOUNDS[name]
+    entry = IDENTITIES[name]
     # the smallest and largest points of the full grid pass
-    points = list(entry.points(max(cap for _, cap in bounds.values())))
+    points = list(entry.points(max(arg.cap for arg in entry.args)))
     for args in (points[0], points[-1]):
         assert entry.verify(*args).passed, args
 
     def argv(values: dict) -> list[str]:
-        # the flags follow the bounds row; the coefficient list's length is --r
-        flags = ["--r" if flag == "--coeffs" else flag for flag in entry.flags]
-        return ["verify", name, *(f"{flag}={values[arg]}" for flag, arg in zip(flags, bounds))]
+        # the coefficient list's length is --r
+        return ["verify", name, *(f"{'--r' if a.flag == '--coeffs' else a.flag}={values[a.name]}"
+                                  for a in entry.args)]
 
-    least = {arg: lo for arg, (lo, _) in bounds.items()}
-    caps = {arg: cap for arg, (_, cap) in bounds.items()}
+    least = {a.name: a.least for a in entry.args}
+    caps = {a.name: a.cap for a in entry.args}
     assert run(capsys, argv(caps))[0] == 0
-    for arg in bounds:
+    for arg in least:
         code, out, err = run(capsys, argv({**least, arg: caps[arg] + 1}))
         assert (code, out, err) == (3, "", f"error: {CAP_MESSAGES[name]}\n")
         code, out, err = run(capsys, argv({**least, arg: least[arg] - 1}))
