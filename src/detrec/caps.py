@@ -4,22 +4,18 @@ Every computation checks a cap before doing any work and raises
 ``TooLarge`` beyond it.  An identity's argument bounds are declared in its
 registry entry (see ``identities``), so this module names no identity.
 
-No environment variable changes the fixed limits: ``MAX_TERMS`` holds the
-term count of a symmetric polynomial, the increasing words listing ``h_k``
-and the weights printed for the linear subdigraphs of ``E``, and
-``MAX_FACTORS`` the variables its terms print;
-``MAX_SCHUR_WORK``, ``MAX_RECURRENCE_WORK`` and ``MAX_RECURRENCE_STEPS``
-hold the modelled work of a Schur polynomial, of a symbolic recurrence or
-elimination, and of an integer iteration; ``MAX_DIGITS`` holds an integer
-value, ``MAX_CELLS`` a matrix and ``COFACTOR_MAX_N`` cofactor expansion.
-
-The environment variable ``DETREC_MAX_N`` replaces the default cap of every
-enumeration in ``_CAPS``, clamped to a per-operation hard limit (the hard
-limits exist because e.g. dense linear-subdigraph enumeration is factorial).
-Any value that is not a positive integer is rejected with ``ValueError``.
+Every limit is a fixed constant, so identical arguments give identical
+output.  ``_CAPS`` holds the size of each exhaustive enumeration;
+``MAX_TERMS`` the term count of a symmetric polynomial, the increasing
+words listing ``h_k`` and the weights printed for the linear subdigraphs
+of ``E``, and ``MAX_FACTORS`` the variables its terms print and the letters
+of those words; ``MAX_SCHUR_WORK``, ``MAX_RECURRENCE_WORK`` and
+``MAX_RECURRENCE_STEPS`` the modelled work of a Schur polynomial, of a
+symbolic recurrence or elimination, and of an integer iteration;
+``MAX_DIGITS`` an integer value, ``MAX_CELLS`` a matrix and
+``COFACTOR_MAX_N`` cofactor expansion.
 """
 
-import os
 from itertools import islice
 from math import comb, log10
 from typing import Iterable
@@ -28,16 +24,16 @@ from .errors import TooLarge
 
 COFACTOR_MAX_N = 8
 
-# name -> (default cap, hard limit)
+# enumeration -> the largest size it accepts; linear subdigraphs of a
+# dense matrix are factorial in its size, the others exponential
 _CAPS = {
-    "lsd": (12, 14),
-    "tilings": (20, 24),
-    "circular_tilings": (20, 24),
-    "words": (12, 14),
-    "pie_linear": (10, 12),
-    "cyclic_words": (20, 22),
-    "pie_cyclic": (16, 18),
-    "racci_sum": (30, 40),
+    "lsd": 12,
+    "tilings": 20,
+    "circular_tilings": 20,
+    "pie_linear": 10,
+    "cyclic_words": 20,
+    "pie_cyclic": 16,
+    "racci_sum": 30,
 }
 
 # h_10 in 10 variables (92,378 terms) takes about 1.4 s to build and print
@@ -90,26 +86,10 @@ MAX_DIGITS = 4300
 MAX_RECURRENCE_STEPS = 3_000_000
 
 
-def cap(name: str) -> int:
-    """Effective size cap for the named enumeration."""
-    default, hard = _CAPS[name]
-    raw = os.environ.get("DETREC_MAX_N")
-    if raw is None:
-        return default
-    try:
-        requested = int(raw)
-    except ValueError:
-        requested = 0  # rejected below, like any other value under 1
-    if requested < 1:
-        raise ValueError(f"DETREC_MAX_N must be a positive integer, got {raw!r}")
-    return min(hard, requested)
-
-
 def check_cap(name: str, n: int) -> None:
-    """Raise ``TooLarge`` if ``n`` exceeds the effective cap for ``name``."""
-    limit = cap(name)
-    if n > limit:
-        raise TooLarge(f"{name}: size {n} exceeds cap {limit}")
+    """Raise ``TooLarge`` if ``n`` exceeds the cap for ``name``."""
+    if n > _CAPS[name]:
+        raise TooLarge(f"{name}: size {n} exceeds cap {_CAPS[name]}")
 
 
 def _comb_exceeds(n: int, k: int, limit: int) -> bool:

@@ -18,8 +18,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .caps import check_cap, check_terms
 from .digraph import LinearSubdigraph
 from .errors import DimensionTooSmall
-from .poly import MultiPoly
-from .symfunc import elementary
+from .poly import MultiPoly, scalar_sum
+from .symfunc import _signed_elementary
 
 Tiling = tuple[int, ...]
 Word = tuple[int, ...]
@@ -121,14 +121,14 @@ def enumerate_increasing_words(m: int, n_vars: int) -> list[Word]:
     These are exactly the words avoiding every descent (a larger letter
     immediately before a smaller one); their weights sum to the complete
     homogeneous polynomial ``h_m``, one word per term, so their count is
-    held to ``caps.MAX_TERMS`` as ``h_m``'s terms are.
+    held to ``caps.MAX_TERMS`` as ``h_m``'s terms are, and their letters,
+    ``m`` a word, in all to ``caps.MAX_FACTORS``.
     """
     if m < 0:
         raise ValueError("word length must be non-negative")
     if n_vars < 1:
         raise ValueError("need at least one letter")
-    check_cap("words", m)
-    check_terms("words", m + n_vars - 1, m)
+    check_terms("words", m + n_vars - 1, m, m)
     return [tuple(w) for w in combinations_with_replacement(range(1, n_vars + 1), m)]
 
 
@@ -153,19 +153,11 @@ def pie_linear_sum(m: int, n_vars: int) -> MultiPoly:
     check_cap("pie_linear", m)
     if n_vars < 1:
         raise ValueError("need at least one letter")
-    # blocks longer than the alphabet admit no strictly descending run
-    longest = max(1, min(n_vars, m))
-    e = {length: elementary(length, n_vars) for length in range(1, longest + 1)}
-    total = MultiPoly.zero()
-    for placement in enumerate_tilings(m, longest):
-        term = MultiPoly.one()
-        sign = 1
-        for length in placement:
-            term = term * e[length]
-            if length % 2 == 0:
-                sign = -sign
-        total = total + sign * term
-    return total
+    # blocks longer than the alphabet admit no strictly descending run; at
+    # m = 0 the sum is the int weight 1 of the empty placement, made a MultiPoly
+    signed = _signed_elementary(max(1, min(n_vars, m)), n_vars)
+    return MultiPoly.zero() + scalar_sum(tiling_weight(placement, signed)
+                                         for placement in enumerate_tilings(m, len(signed)))
 
 
 def iter_cyclic_words(n: int, avoid: str | None = None) -> Iterator[str]:
@@ -235,10 +227,7 @@ def cyclic_avoiding_weight(n: int) -> MultiPoly:
     the sum is ``a**n + b**n``.  Computed here by direct filtering of all
     ``2**n`` words; the inclusion-exclusion route is ``pie_cyclic_sum``.
     """
-    total = MultiPoly.zero()
-    for word in iter_cyclic_words(n, avoid="ab"):
-        total = total + cyclic_word_weight(word)
-    return total
+    return scalar_sum(map(cyclic_word_weight, iter_cyclic_words(n, avoid="ab")))
 
 
 def pie_cyclic_sum(n: int) -> MultiPoly:

@@ -250,6 +250,19 @@ def test_word_and_lsd_totals_are_the_sums_of_object_weights(capsys):
     assert total == scalar_str(expected)
 
 
+@pytest.mark.parametrize("n, n_vars, count, total", [
+    ("13", "2", 14, "x0^13 + x0^12*x1 + x0^11*x1^2 + x0^10*x1^3 + x0^9*x1^4 + x0^8*x1^5 + "
+     "x0^7*x1^6 + x0^6*x1^7 + x0^5*x1^8 + x0^4*x1^9 + x0^3*x1^10 + x0^2*x1^11 + "
+     "x0*x1^12 + x1^13"),
+    ("1000000", "1", 1, "x0^1000000"),  # one word of MAX_FACTORS letters
+])
+def test_words_are_held_by_their_size_alone(capsys, n, n_vars, count, total):
+    items, printed = _objects_and_summary(capsys, "words", "--n", n, "--vars", n_vars)
+    assert len(items) == count
+    assert all(len(item["letters"]) == int(n) for item in items)
+    assert printed == total
+
+
 def test_tilings_with_too_few_coefficients_fail_before_any_output(capsys):
     code, out, err = run(capsys, "enumerate", "tilings", "--n", "5", "--r", "3",
                          "--coeffs", "1,1")
@@ -537,7 +550,10 @@ CAPPED_COMMANDS = [
     (["enumerate", "circular-tilings", "--n", HUGE], "circular_tilings: size"),
     (["enumerate", "cyclic-words", "--n", HUGE], "cyclic_words: size"),
     (["enumerate", "lsds", "--family", "F", "--n", HUGE], "more than 4000000 cells"),
-    (["enumerate", "words", "--n", HUGE, "--vars", "2"], "words: size"),
+    (["enumerate", "words", "--n", HUGE, "--vars", "2"],
+     "words: result has more than 100000 terms"),
+    (["enumerate", "words", "--n", "1000001", "--vars", "1"],
+     "words: result has more than 1000000 factors"),
     (["enumerate", "words", "--n", "12", "--vars", "16"], "words: result has more than"),
     (["enumerate", "words", "--n", "12", "--vars", "40"], "words: result has more than"),
     (["enumerate", "words", "--n", "1", "--vars", "100000000"], "words: result has more than"),
@@ -643,14 +659,6 @@ def test_symmetric_polynomials_under_the_term_cap(capsys):
     assert code == 0 and out.count("+") == 1000
     code, out, _ = run(capsys, "compute", "e", "--k", "40", "--vars", "30")
     assert (code, out) == (0, "0\n")
-
-
-@pytest.mark.parametrize("raw", ["-3", "0", "abc"])
-def test_invalid_cap_override_is_a_usage_error(capsys, monkeypatch, raw):
-    monkeypatch.setenv("DETREC_MAX_N", raw)
-    code, _, err = run(capsys, "enumerate", "tilings", "--n", "0", "--r", "2")
-    assert code == 2
-    assert "DETREC_MAX_N" in err
 
 
 def test_closed_pipe_exits_quietly():

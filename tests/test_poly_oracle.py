@@ -4,9 +4,14 @@ Every identity in the library compares two routes that share ``MultiPoly``,
 so a bug in its arithmetic or its term order could pass on both sides.
 Here sympy is the independent oracle: products, sums and exact quotients are
 expanded by sympy and rendered in the canonical text format from sympy's own
-graded-lex term order.  Hypothesis properties cover the ring laws and the
-canonical invariant that the trusted constructor relies on.
+graded-lex term order.  Hypothesis properties cover the ring laws, the
+canonical invariant that the trusted constructor relies on, and copy and
+pickle round trips of random polynomials and quadratic elements.
 """
+
+import copy
+import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +22,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from detrec.errors import NotDivisible  # noqa: E402
-from detrec.poly import MultiPoly, exact_divide, poly_str  # noqa: E402
+from detrec.poly import MultiPoly, QuadExt, exact_divide, poly_str, scalar_str  # noqa: E402
 
 N_VARS = 4
 SYMS = sympy.symbols(f"x0:{N_VARS}")
@@ -26,11 +31,15 @@ SYMS = sympy.symbols(f"x0:{N_VARS}")
 # larger ones widen the packed exponent fields.  Repeated monomials in the
 # drawn list overwrite each other.
 exponent_vectors = st.tuples(*[st.integers(0, 12)] * N_VARS)
-polys = st.lists(st.tuples(exponent_vectors, st.integers(-10**30, 10**30)),
+coefficients = st.integers(-10**30, 10**30)
+polys = st.lists(st.tuples(exponent_vectors, coefficients),
                  max_size=6).map(lambda terms: MultiPoly({
                      tuple((v, e) for v, e in enumerate(exps) if e): coef
                      for exps, coef in terms}))
 nonzero_polys = polys.filter(bool)
+# (a + b*sqrt(5)) / den: every quadratic element is one such triple
+quads = st.builds(lambda a, b, den: QuadExt(Fraction(a, den), Fraction(b, den)),
+                  coefficients, coefficients, st.integers(1, 10**12))
 
 examples = settings(max_examples=200, deadline=None)
 
@@ -142,3 +151,14 @@ def test_operator_results_are_canonical(a, b, k):
         results.append(exact_divide(a * b, b))
     for result in results:
         assert_canonical(result)
+
+
+@examples
+@given(polys, quads)
+def test_copy_and_pickle_round_trips(p, q):
+    for value, text in ((p, poly_str), (q, scalar_str)):
+        for clone in (copy.copy(value), copy.deepcopy(value),
+                      pickle.loads(pickle.dumps(value))):
+            assert type(clone) is type(value)
+            assert clone == value and hash(clone) == hash(value)
+            assert text(clone) == text(value)
