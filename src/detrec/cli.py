@@ -4,8 +4,10 @@ Values print in their canonical text serialization (integers are plain JSON
 numbers, polynomials the graded-lex term string).  ``enumerate`` streams one
 JSON object per item followed by a summary line, handing stdout
 ``CHUNK_LINES`` lines per write; ``verify`` emits one verification report in
-JSON per check.  The ``verify`` choices and the flags each identity reads
-come from the registry ``identities.IDENTITIES``.
+JSON per check.  ``SUBJECTS`` names each command's subjects and the flags
+each one reads, and the parser takes exactly those, so a flag a subject does
+not read is a usage error; the ``verify`` rows come from the registry
+``identities.IDENTITIES``.
 
 Size caps (see ``caps``) are checked before any work or output, by one
 guard per computation that every path running it shares.  ``verify``
@@ -46,7 +48,7 @@ from .combi import (
 )
 from .detmat import build_A, build_C, build_F, build_G, build_S, det_bareiss
 from .digraph import enumerate_lsds
-from .errors import DimensionTooSmall, InvalidCycleType, NotDivisible, TooLarge
+from .errors import NotDivisible, TooLarge
 from .identities import IDENTITIES, coeff_name, symbolic_coeffs, verify_all
 from .poly import MultiPoly, scalar_str, scalar_sum
 from .recurrence import eval_recurrence, fibonacci, lucas, racci
@@ -61,7 +63,8 @@ def _int_list(text: str) -> list[int]:
 
 
 def _need(args, flag: str):
-    value = getattr(args, flag.strip("-").replace("-", "_"))
+    """The value of ``flag``, which only some of its subject's families or forms read."""
+    value = getattr(args, flag[2:])
     if value is None:
         raise ValueError(f"{flag} is required here")
     return value
@@ -98,7 +101,7 @@ def _family_matrix(args):
     Integer ``C``, ``G`` and ``F`` are recurrence values, and half the
     determinant of ``A`` is the Lucas number, held as ``compute lucas`` is.
     """
-    family, n = _need(args, "--family"), _need(args, "--n")
+    family, n = args.family, args.n
     check_cells(n)
     if family == "E":
         check_det_E(n, _need(args, "--vars"))
@@ -125,23 +128,20 @@ def _cmd_compute(args) -> int:
     # iteration to caps.MAX_RECURRENCE_STEPS by check_iteration before any
     # work, and by check_digits once computed
     if subject in ("fib", "lucas"):
-        n = _need(args, "--n")
-        check_iteration(n, (1, 1))
-        value = fibonacci(n) if subject == "fib" else lucas(n)
+        check_iteration(args.n, (1, 1))
+        value = fibonacci(args.n) if subject == "fib" else lucas(args.n)
     elif subject == "racci":
-        n, r = _need(args, "--n"), _need(args, "--r")
-        check_iteration(n, repeat(1, r))
-        value = racci(n, r)
+        check_iteration(args.n, repeat(1, args.r))
+        value = racci(args.n, args.r)
     elif subject == "recurrence":
-        n = _need(args, "--n")
-        coeffs, names = _recurrence_coeffs(args, n)
-        value = eval_recurrence(coeffs, n)
+        coeffs, names = _recurrence_coeffs(args, args.n)
+        value = eval_recurrence(coeffs, args.n)
     elif subject == "e":
-        value = elementary(_need(args, "--k"), _need(args, "--vars"))
+        value = elementary(args.k, args.vars)
     elif subject == "h":
-        value = homogeneous(_need(args, "--k"), _need(args, "--vars"))
+        value = homogeneous(args.k, args.vars)
     elif subject == "schur":
-        value = schur(_int_list(_need(args, "--parts")), _need(args, "--vars"))
+        value = schur(_int_list(args.parts), args.vars)
     else:  # det
         matrix, names = _family_matrix(args)
         if args.format == "pretty":
@@ -178,7 +178,7 @@ def _cmd_enumerate(args) -> int:
     # repr of a list of ints is its ``json.dumps``, and a word over {a, b}
     # needs no JSON escaping.
     if subject == "tilings":
-        n, r = _need(args, "--n"), _need(args, "--r")
+        n, r = args.n, args.r
         items = enumerate_tilings(n, r)  # its cap comes before any coefficient is built
         coeffs, names = _recurrence_coeffs(args, n)  # the total weight is u_n
         if min(n, r) > len(coeffs):
@@ -196,17 +196,17 @@ def _cmd_enumerate(args) -> int:
                                for parts, count in groups.items())
             return len(items), scalar_str(total, names)
     elif subject == "circular-tilings":
-        items = enumerate_circular_tilings(_need(args, "--n"))
+        items = enumerate_circular_tilings(args.n)
         tiles = ([list(t) for t in tiling.tiles] for tiling in items)
         objects = map(str, tiles) if pretty else (f'{{"tiles": {t}}}' for t in tiles)
 
         def summary():
             return len(items), str(len(items))
     elif subject == "lsds":
-        family, n = _need(args, "--family"), _need(args, "--n")
+        n = args.n
         check_cells(n)  # then the size cap enumerate_lsds checks only once it is built
         check_cap("lsd", n)
-        if family == "E":  # each LSD prints a weight of up to h_n's terms
+        if args.family == "E":  # each LSD prints a weight of up to h_n's terms
             check_lsds_E(n, _need(args, "--vars"))
         matrix, names = _family_matrix(args)
         items = enumerate_lsds(matrix)
@@ -223,7 +223,7 @@ def _cmd_enumerate(args) -> int:
         def summary():
             return len(items), scalar_str(scalar_sum(weights), names)
     elif subject == "words":
-        items = enumerate_increasing_words(_need(args, "--n"), _need(args, "--vars"))
+        items = enumerate_increasing_words(args.n, args.vars)
         if pretty:
             objects = (str(list(w)) for w in items)
         else:
@@ -232,7 +232,7 @@ def _cmd_enumerate(args) -> int:
         def summary():
             return len(items), scalar_str(scalar_sum(map(word_weight, items)))
     else:  # cyclic-words
-        n = _need(args, "--n")
+        n = args.n
         words = iter_cyclic_words(n, args.avoid)
         a_counts = Counter()
 
@@ -260,16 +260,15 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    identity = args.identity
-    if identity == "all":
-        reports = verify_all(6 if args.max_n is None else args.max_n, args.seed)
+    if args.subject == "all":
+        reports = verify_all(args.max_n, args.seed)
     else:
         # the bounds hold the flag values before any argument is built; a
         # coefficient list's value is its length, --r when symbolic
-        entry = IDENTITIES[identity]
+        entry = IDENTITIES[args.subject]
         flags = {a.name: (len(_int_list(args.coeffs)) if args.coeffs is not None
                           else _need(args, "--r")) if a.flag == "--coeffs"
-                 else _need(args, a.flag) for a in entry.args}
+                 else getattr(args, a.flag[2:]) for a in entry.args}
         entry.check(flags)
         reports = [entry.verify(*(_coeffs(args)[0] if a.flag == "--coeffs" else flags[a.name]
                                   for a in entry.args))]
@@ -289,23 +288,32 @@ def _cmd_verify(args) -> int:
     return 0 if all(rep.passed for rep in reports) else 1
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=None)
-    parser.add_argument("--r", type=int, default=None)
-    parser.add_argument("--k", type=int, default=None)
-    parser.add_argument("--vars", type=int, default=None)
-    parser.add_argument("--coeffs", type=str, default=None,
-                        help="comma-separated integer coefficients c1,c2,...")
-    parser.add_argument("--parts", type=str, default=None,
-                        help="comma-separated partition parts, e.g. 2,1")
-    parser.add_argument("--family", choices=["E", "C", "G", "F", "S", "A"],
-                        default=None)
-    parser.add_argument("--avoid", type=str, default=None,
-                        help="pattern cyclic words must avoid, e.g. ab")
-    parser.add_argument("--max-n", type=int, default=None, dest="max_n")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--format", choices=["json", "csv", "pretty"],
-                        default="json")
+# add_argument keywords of each flag
+_FLAGS = {
+    "--n": {"type": int}, "--r": {"type": int}, "--k": {"type": int}, "--vars": {"type": int},
+    "--coeffs": {"help": "comma-separated integer coefficients c1,c2,..."},
+    "--parts": {"help": "comma-separated partition parts, e.g. 2,1"},
+    "--family": {"choices": ["E", "C", "G", "F", "S", "A"]},
+    "--avoid": {"help": "pattern cyclic words must avoid, e.g. ab"},
+    "--max-n": {"type": int, "default": 6},
+    "--seed": {"type": int, "default": 0},
+}
+
+# Each command's subjects and the flags each one reads, besides --format: a
+# flag ending in "?" is optional, and the others are required.  A matrix
+# family reads --vars (E), --r (G) or --coeffs else --r (C) besides --family
+# and --n; a coefficient list is --coeffs, else symbolic of length --r.
+_MATRIX = "--family --n --vars? --r? --coeffs?"
+SUBJECTS = {
+    "compute": {"fib": "--n", "lucas": "--n", "racci": "--n --r",
+                "recurrence": "--n --r? --coeffs?", "e": "--k --vars", "h": "--k --vars",
+                "schur": "--parts --vars", "det": _MATRIX},
+    "enumerate": {"tilings": "--n --r --coeffs?", "circular-tilings": "--n", "lsds": _MATRIX,
+                  "words": "--n --vars", "cyclic-words": "--n --avoid?"},
+    "verify": {**{name: " ".join("--coeffs? --r?" if a.flag == "--coeffs" else a.flag
+                                 for a in entry.args) for name, entry in IDENTITIES.items()},
+               "all": "--max-n? --seed?"},
+}
 
 
 @functools.cache
@@ -313,32 +321,27 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="detrec",
         description="exact determinant identities: compute, enumerate, verify")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    compute = sub.add_parser("compute", help="compute one value")
-    compute.add_argument("subject", choices=[
-        "fib", "lucas", "racci", "recurrence", "e", "h", "schur", "det"])
-    _add_common_flags(compute)
-    compute.set_defaults(handler=_cmd_compute)
-
-    enumerate_ = sub.add_parser("enumerate", help="stream combinatorial objects")
-    enumerate_.add_argument("subject", choices=[
-        "tilings", "circular-tilings", "lsds", "words", "cyclic-words"])
-    _add_common_flags(enumerate_)
-    enumerate_.set_defaults(handler=_cmd_enumerate)
-
-    verify = sub.add_parser("verify", help="verify identities")
-    verify.add_argument("identity", choices=[*IDENTITIES, "all"])
-    _add_common_flags(verify)
-    verify.set_defaults(handler=_cmd_verify)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, handler, help_ in (("compute", _cmd_compute, "compute one value"),
+                                    ("enumerate", _cmd_enumerate, "stream combinatorial objects"),
+                                    ("verify", _cmd_verify, "verify identities")):
+        command_parser = commands.add_parser(command, help=help_)
+        command_parser.set_defaults(handler=handler)
+        subjects = command_parser.add_subparsers(dest="subject", required=True)
+        formats = ["json", "csv", "pretty"] if command == "verify" else ["json", "pretty"]
+        for subject, flags in SUBJECTS[command].items():
+            subject_parser = subjects.add_parser(subject)
+            for flag in flags.split():
+                name = flag.rstrip("?")
+                subject_parser.add_argument(name, required=not flag.endswith("?"),
+                                            **_FLAGS[name])
+            subject_parser.add_argument("--format", choices=formats, default="json")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.format == "csv" and args.command != "verify":
-            raise ValueError("csv output is only available for verify")
         code = args.handler(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code
@@ -353,7 +356,7 @@ def main(argv=None) -> int:
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DimensionTooSmall, InvalidCycleType, NotDivisible, ValueError) as exc:
+    except (NotDivisible, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

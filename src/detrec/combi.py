@@ -10,9 +10,9 @@ circulant-like matrix.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import (accumulate, combinations, combinations_with_replacement, filterfalse,
-                       product)
+from itertools import accumulate, combinations_with_replacement, filterfalse, product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .caps import check_cap, check_terms
@@ -238,25 +238,16 @@ def pie_cyclic_sum(n: int) -> MultiPoly:
     marked pair and the remaining ``n - 2j`` positions free; each layer
     carries sign ``(-1)**j``.  Overlapping pairs force contradictory letters
     and contribute nothing, so this is the full inclusion-exclusion over
-    occurrences.
+    occurrences.  A set of ``j`` disjoint markings is a circular tiling with
+    ``j`` 2-tiles, so the layers count the tilings by their 2-tiles.
     """
     if n < 3:
         raise DimensionTooSmall(f"cyclic board needs n >= 3, got {n}")
     check_cap("pie_cyclic", n)
-    free = _A + _B
-    forced = _A * _B
-    total = MultiPoly.zero()
-    for j in range(n // 2 + 1):
-        layer = (forced ** j) * (free ** (n - 2 * j))
-        for marks in combinations(range(n), j):
-            covered: set[int] = set()
-            for p in marks:
-                covered.add(p)
-                covered.add((p + 1) % n)
-            if len(covered) != 2 * j:
-                continue
-            total = total + (layer if j % 2 == 0 else -layer)
-    return total
+    # n cells in t tiles hold n - t 2-tiles
+    layers = Counter(n - len(tiling.tiles) for tiling in enumerate_circular_tilings(n))
+    return scalar_sum(count * (-_A * _B) ** j * (_A + _B) ** (n - 2 * j)
+                      for j, count in layers.items())
 
 
 def lsd_excluded_pair(n: int) -> tuple[LinearSubdigraph, LinearSubdigraph]:

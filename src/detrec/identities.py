@@ -16,7 +16,6 @@ verifier over its grid and is the repository's primary gate.
 from __future__ import annotations
 
 import functools
-import inspect
 import json
 import random
 import time
@@ -106,13 +105,9 @@ def _identity(name: str, *args: Arg, grid=lambda ranges, seed: product(*ranges.v
     names = [a.name for a in args]
 
     def register(routes: Callable[..., list[str]]):
-        signature = inspect.signature(routes)
-
         @functools.wraps(routes)
-        def verify(*values, **kwargs) -> VerificationReport:
+        def verify(*values) -> VerificationReport:
             started = time.perf_counter()
-            if kwargs:
-                values = signature.bind(*values, **kwargs).args
             report_params = params(*values) if params else dict(zip(names, values))
             entry.check(report_params)
             lhs, *others = routes(*values)

@@ -146,15 +146,19 @@ def test_verify_exit_codes(capsys):
 
 
 def test_usage_errors(capsys):
-    code, _, err = run(capsys, "compute", "fib")  # missing --n
-    assert code == 2
-    code, _, err = run(capsys, "compute", "fib", "--n", "3", "--format", "csv")
-    assert code == 2
+    # argparse refuses a missing --n, csv outside verify, an unknown subject
+    # and a flag before the subject, since flags belong to the subject
+    for argv in (["compute", "fib"], ["compute", "fib", "--n", "3", "--format", "csv"],
+                 ["compute", "nonsense"], ["compute", "--n", "10", "fib"],
+                 ["verify", "--format", "csv", "fib", "--n", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
     code, _, _ = run(capsys, "compute", "schur", "--parts", "1,2", "--vars", "2")
     assert code == 2  # not weakly decreasing
-    with pytest.raises(SystemExit) as exc:
-        main(["compute", "nonsense"])
-    assert exc.value.code == 2
+    code, out, err = run(capsys, "compute", "recurrence", "--coeffs", "1,x", "--n", "3")
+    assert (code, out) == (2, "")
+    assert "expected comma-separated integers" in err
 
 
 ENUMERATE_ARGVS = [
@@ -316,6 +320,39 @@ def test_enumerate_writes_in_chunks(monkeypatch):
     lines = stdout.getvalue().count("\n")
     assert lines > 3 * cli.CHUNK_LINES
     assert stdout.writes <= math.ceil(lines / cli.CHUNK_LINES) + 1
+
+
+# a valid value of each flag, 1 where it takes an integer
+FLAG_VALUES = {"--family": "F", "--parts": "2,1", "--coeffs": "1,1", "--avoid": "ab",
+               "--format": "pretty"}
+
+
+@pytest.mark.parametrize("command, subject", [
+    (command, subject) for command, subjects in cli.SUBJECTS.items() for subject in subjects])
+def test_each_subject_takes_only_the_flags_it_reads(command, subject):
+    flags = cli.SUBJECTS[command][subject].split()
+    required = [flag for flag in flags if not flag.endswith("?")]
+    optional = [flag.rstrip("?") for flag in flags if flag.endswith("?")]
+
+    def argv(*names):
+        return [command, subject, *(part for name in names
+                                    for part in (name, FLAG_VALUES.get(name, "1")))]
+
+    # its required flags alone parse, with each optional one or --format
+    args = cli._build_parser().parse_args(argv(*required))
+    assert (args.command, args.subject, args.format) == (command, subject, "json")
+    for flag in optional + ["--format"]:
+        cli._build_parser().parse_args(argv(*required, flag))
+    # a flag it does not read, a missing required flag and csv outside verify exit 2
+    unread = sorted(cli._FLAGS.keys() - {*required, *optional})
+    refused = [argv(*required, flag) for flag in unread]
+    refused += [argv(*required[:i], *required[i + 1:]) for i in range(len(required))]
+    if command != "verify":
+        refused.append(argv(*required) + ["--format", "csv"])
+    for shape in refused:
+        with pytest.raises(SystemExit) as exc:
+            main(shape)
+        assert exc.value.code == 2, shape
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch):
