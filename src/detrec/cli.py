@@ -13,8 +13,9 @@ Size caps (see ``caps``) are checked before any work or output, by one
 guard per computation that every path running it shares.  ``verify``
 checks the identity's argument bounds on the flag values before it builds
 any argument.  ``compute det`` and ``enumerate lsds`` build their matrix
-through ``_family_matrix``, which holds it to ``caps.MAX_CELLS`` entries
-and its determinant as the family's other route is held; every integer
+through ``_family_matrix``, which first refuses a flag the family does not
+read, then holds the matrix to ``caps.MAX_CELLS`` entries and its
+determinant as the family's other route is held; every integer
 recurrence value is held by ``caps.check_iteration``.  Symbolic ``--r``
 coefficients are built only as far as the result reads.
 
@@ -58,8 +59,9 @@ from .symfunc import build_E, elementary, homogeneous, schur
 def _int_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part != ""]
-    except ValueError as exc:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def _need(args, flag: str):
@@ -75,8 +77,7 @@ def _coeffs(args, n: int | None = None):
 
     Given ``n``, only the coefficients a size-``n`` result reads are kept."""
     if args.coeffs is not None:
-        coeffs = _int_list(args.coeffs)
-        return coeffs if n is None else coeffs[:max(n, 1)], None
+        return args.coeffs if n is None else args.coeffs[:max(n, 1)], None
     r = _need(args, "--r")
     return symbolic_coeffs(r if n is None else min(r, max(n, 1))), coeff_name
 
@@ -91,18 +92,28 @@ def _recurrence_coeffs(args, n: int, work: int = MAX_RECURRENCE_WORK):
     return coeffs, names
 
 
-def _family_matrix(args):
+def _family_matrix(args, lsds: bool = False):
     """Build the requested matrix family; returns (matrix, variable names).
 
-    Before it is built, the matrix is held to ``caps.MAX_CELLS`` entries and
-    its determinant to the caps of the family's other route: ``E`` is
-    ``h_n``, symbolic ``C`` the recurrence value ``u_n`` and ``S`` the
-    symbolic ``2(a**n + b**n)``, each held with its elimination work.
+    A flag the family does not read (``_FAMILY_FLAGS``) is a usage error,
+    refused first.  Before it is built, the matrix is held to
+    ``caps.MAX_CELLS`` entries, then, for ``lsds``, to the LSD enumeration's
+    caps, and its determinant to the caps of the family's other route:
+    ``E`` is ``h_n``, symbolic ``C`` the recurrence value ``u_n`` and ``S``
+    the symbolic ``2(a**n + b**n)``, each held with its elimination work.
     Integer ``C``, ``G`` and ``F`` are recurrence values, and half the
     determinant of ``A`` is the Lucas number, held as ``compute lucas`` is.
     """
     family, n = args.family, args.n
+    unread = [flag for flag in ("--vars", "--r", "--coeffs")
+              if flag not in _FAMILY_FLAGS.get(family, ()) and getattr(args, flag[2:]) is not None]
+    if unread:
+        args.parser.error(f"family {family} does not read {' '.join(unread)}")
     check_cells(n)
+    if lsds:
+        check_cap("lsd", n)
+        if family == "E":  # each LSD prints a weight of up to h_n's terms
+            check_lsds_E(n, _need(args, "--vars"))
     if family == "E":
         check_det_E(n, _need(args, "--vars"))
         return build_E(n, args.vars), None
@@ -141,7 +152,7 @@ def _cmd_compute(args) -> int:
     elif subject == "h":
         value = homogeneous(args.k, args.vars)
     elif subject == "schur":
-        value = schur(_int_list(args.parts), args.vars)
+        value = schur(args.parts, args.vars)
     else:  # det
         matrix, names = _family_matrix(args)
         if args.format == "pretty":
@@ -203,12 +214,7 @@ def _cmd_enumerate(args) -> int:
         def summary():
             return len(items), str(len(items))
     elif subject == "lsds":
-        n = args.n
-        check_cells(n)  # then the size cap enumerate_lsds checks only once it is built
-        check_cap("lsd", n)
-        if args.family == "E":  # each LSD prints a weight of up to h_n's terms
-            check_lsds_E(n, _need(args, "--vars"))
-        matrix, names = _family_matrix(args)
+        matrix, names = _family_matrix(args, lsds=True)
         items = enumerate_lsds(matrix)
         weights = [lsd.signed_weight for lsd in items]
 
@@ -266,7 +272,7 @@ def _cmd_verify(args) -> int:
         # the bounds hold the flag values before any argument is built; a
         # coefficient list's value is its length, --r when symbolic
         entry = IDENTITIES[args.subject]
-        flags = {a.name: (len(_int_list(args.coeffs)) if args.coeffs is not None
+        flags = {a.name: (len(args.coeffs) if args.coeffs is not None
                           else _need(args, "--r")) if a.flag == "--coeffs"
                  else getattr(args, a.flag[2:]) for a in entry.args}
         entry.check(flags)
@@ -291,8 +297,8 @@ def _cmd_verify(args) -> int:
 # add_argument keywords of each flag
 _FLAGS = {
     "--n": {"type": int}, "--r": {"type": int}, "--k": {"type": int}, "--vars": {"type": int},
-    "--coeffs": {"help": "comma-separated integer coefficients c1,c2,..."},
-    "--parts": {"help": "comma-separated partition parts, e.g. 2,1"},
+    "--coeffs": {"type": _int_list, "help": "comma-separated integer coefficients c1,c2,..."},
+    "--parts": {"type": _int_list, "help": "comma-separated partition parts, e.g. 2,1"},
     "--family": {"choices": ["E", "C", "G", "F", "S", "A"]},
     "--avoid": {"help": "pattern cyclic words must avoid, e.g. ab"},
     "--max-n": {"type": int, "default": 6},
@@ -301,9 +307,10 @@ _FLAGS = {
 
 # Each command's subjects and the flags each one reads, besides --format: a
 # flag ending in "?" is optional, and the others are required.  A matrix
-# family reads --vars (E), --r (G) or --coeffs else --r (C) besides --family
-# and --n; a coefficient list is --coeffs, else symbolic of length --r.
+# family reads the flags _FAMILY_FLAGS gives it besides --family and --n; a
+# coefficient list is --coeffs, else symbolic of length --r.
 _MATRIX = "--family --n --vars? --r? --coeffs?"
+_FAMILY_FLAGS = {"E": ("--vars",), "C": ("--coeffs", "--r"), "G": ("--r",)}
 SUBJECTS = {
     "compute": {"fib": "--n", "lucas": "--n", "racci": "--n --r",
                 "recurrence": "--n --r? --coeffs?", "e": "--k --vars", "h": "--k --vars",
@@ -331,6 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
         formats = ["json", "csv", "pretty"] if command == "verify" else ["json", "pretty"]
         for subject, flags in SUBJECTS[command].items():
             subject_parser = subjects.add_parser(subject)
+            subject_parser.set_defaults(parser=subject_parser)
             for flag in flags.split():
                 name = flag.rstrip("?")
                 subject_parser.add_argument(name, required=not flag.endswith("?"),
@@ -340,7 +348,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, unread = _build_parser().parse_known_args(argv)
+    if unread:  # reported by the subject's own parser, under its usage line
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         code = args.handler(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit

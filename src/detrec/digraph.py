@@ -20,20 +20,23 @@ int bitmasks), so the sparse structured matrices stay fast.
 already the canonical one; ``det_via_lsd`` memoises the signed weight sum
 on the vertex set left, expanding each distinct set once per call and
 building no LSD.  The hard cap exists because a dense matrix has ``n!``
-linear subdigraphs.
+linear subdigraphs.  In a banded digraph every cycle is a block of
+consecutive vertices, so its LSDs group by cycle type (``cycle_types``,
+``count_cycle_type``), and ``cycle_type_sum`` is their weight sum written
+that way: Sury's identity and the r-acci multinomial sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import factorial
-from typing import Mapping
+from math import factorial, prod
+from typing import Mapping, Sequence
 
 from .caps import check_cap
 from .detmat import SquareMatrix
 from .errors import InvalidCycleType
-from .poly import scalar_str
+from .poly import scalar_str, scalar_sum
 
 
 @dataclass(frozen=True)
@@ -209,6 +212,24 @@ def count_cycle_type(n: int, ct: Mapping[int, int], band: int) -> int:
     for count in ct.values():
         result //= factorial(count)
     return result // factorial(loops)
+
+
+def cycle_type_sum(n: int, weights: Sequence):
+    """The width-``len(weights)`` banded digraph's LSDs summed by cycle type.
+
+    Each cycle type ``{t: i_t}`` contributes ``count_cycle_type`` times
+    ``w_1**loops * prod_t w_t**i_t``, with ``w_t = weights[t - 1]``: the
+    weight of every LSD of that type when a ``t``-cycle weighs ``w_t``.
+    With unit weights it counts the LSDs; with ``(-1)**(t-1) e_t`` it is
+    Sury's expansion of ``h_n``.
+    """
+    band = len(weights)
+    terms = []
+    for ct in cycle_types(n, band):
+        loops = n - sum(t * c for t, c in ct.items())
+        terms.append(prod((weights[t - 1] ** c for t, c in ct.items()),
+                          start=count_cycle_type(n, ct, band) * weights[0] ** loops))
+    return scalar_sum(terms)
 
 
 def digraph_dot(m: SquareMatrix, highlight: LinearSubdigraph | None = None,

@@ -1,16 +1,20 @@
 """One verifier per identity, each returning a self-evidencing report.
 
 Every verifier computes the two (or more) sides of an identity along
-independent routes, serializes each side canonically, and reports pass or
-fail by comparing the strings.  ``passed`` is true exactly when the ``lhs``
-and ``rhs`` strings are identical; when several routes are checked, ``rhs``
-is the first route that disagrees with the first one, so a failing report
-shows the actual mismatch.
+independent routes and reports pass or fail by comparing their canonical
+strings.  ``passed`` is true exactly when the ``lhs`` and ``rhs`` strings
+are identical; when several routes are checked, ``rhs`` is the first route
+that disagrees with the first one, so a failing report shows the actual
+mismatch.
 
 Each identity is declared once: the ``_identity`` decorator on its route
 function registers it in ``IDENTITIES``, with each argument's report name,
-CLI flag, least value and cap.  ``verify_all`` runs every registered
-verifier over its grid and is the repository's primary gate.
+CLI flag, least value and cap, and the names its variables print as.  A
+route function returns its routes' exact values (``int``, ``MultiPoly``,
+``QuadExt``); the verifier serializes each once, with ``scalar_str``.
+Sury's expansion and the r-acci multinomial sum are both
+``digraph.cycle_type_sum``.  ``verify_all`` runs every registered verifier
+over its grid and is the repository's primary gate.
 """
 
 from __future__ import annotations
@@ -33,9 +37,9 @@ from .combi import (
     tiling_weight,
 )
 from .detmat import build_A, build_C, build_F, build_G, build_S, det_bareiss
-from .digraph import count_cycle_type, cycle_types
+from .digraph import cycle_type_sum
 from .errors import DimensionTooSmall, TooLarge
-from .poly import MultiPoly, exact_divide, poly_str, scalar_str, scalar_sum
+from .poly import MultiPoly, VarNames, exact_divide, scalar_str, scalar_sum
 from .recurrence import (
     binet_fib,
     binet_lucas,
@@ -94,23 +98,25 @@ IDENTITIES: dict[str, Identity] = {}
 
 
 def _identity(name: str, *args: Arg, grid=lambda ranges, seed: product(*ranges.values()),
-              params=None):
-    """Register the decorated function, which returns its routes' strings, as ``name``.
+              params=None, var_names: VarNames = None):
+    """Register the decorated function, which returns its routes' values, as ``name``.
 
     The verifier that replaces it checks the bounds of ``args``, then
-    computes and compares the routes, timed.  ``grid`` maps the argument
-    ranges and a seed to argument tuples; ``params`` maps the arguments to
-    the report's parameters, by default keyed by the argument names.
+    computes the routes, serializes each with ``scalar_str(value,
+    var_names)`` and compares the strings, timed.  ``grid`` maps the
+    argument ranges and a seed to argument tuples; ``params`` maps the
+    arguments to the report's parameters, by default keyed by the argument
+    names.
     """
     names = [a.name for a in args]
 
-    def register(routes: Callable[..., list[str]]):
+    def register(routes: Callable[..., list]):
         @functools.wraps(routes)
         def verify(*values) -> VerificationReport:
             started = time.perf_counter()
             report_params = params(*values) if params else dict(zip(names, values))
             entry.check(report_params)
-            lhs, *others = routes(*values)
+            lhs, *others = [scalar_str(value, var_names) for value in routes(*values)]
             mismatches = [s for s in others if s != lhs]
             rhs = mismatches[0] if mismatches else (others or [lhs])[0]
             elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -124,7 +130,7 @@ def _identity(name: str, *args: Arg, grid=lambda ranges, seed: product(*ranges.v
 @_identity("hom-det", Arg("m", "--n", 1, 6), Arg("vars", "--vars", 1, 4))
 def verify_hom_det(m: int, n_vars: int):
     """Band-matrix determinant of elementary polynomials vs ``h_m``."""
-    return [scalar_str(det_bareiss(build_E(m, n_vars))), poly_str(homogeneous(m, n_vars))]
+    return [det_bareiss(build_E(m, n_vars)), homogeneous(m, n_vars)]
 
 
 # k = 1 leaves h_n = e_1**n, so the sweep starts at k = 2
@@ -133,19 +139,12 @@ def verify_hom_det(m: int, n_vars: int):
 def verify_sury(n: int, k: int):
     """Power-sum expansion of ``h_n`` in the elementary polynomial basis.
 
-    The right side is assembled cycle type by cycle type: the multinomial
-    count times ``e_1**loops`` times ``((-1)**(t-1) e_t)**i_t``.
+    The right side is the LSD expansion of ``det E`` summed cycle type by
+    cycle type: the multinomial count times ``e_1**loops`` times
+    ``((-1)**(t-1) e_t)**i_t``.
     """
-    e = {t: elementary(t, k) for t in range(1, k + 1)}
-    rhs = MultiPoly.zero()
-    for ct in cycle_types(n, k):
-        loops = n - sum(t * c for t, c in ct.items())
-        term = MultiPoly.const(count_cycle_type(n, ct, k)) * e[1] ** loops
-        for t, c in ct.items():
-            term = term * e[t] ** c
-        odd = sum((t - 1) * c for t, c in ct.items()) % 2
-        rhs = rhs - term if odd else rhs + term
-    return [poly_str(homogeneous(n, k)), poly_str(rhs)]
+    return [homogeneous(n, k),
+            cycle_type_sum(n, [(-1) ** (t - 1) * elementary(t, k) for t in range(1, k + 1)])]
 
 
 @_identity("mclaughlin", Arg("n", "--n", 1, 8))
@@ -160,30 +159,23 @@ def verify_mclaughlin(n: int):
     """
     x, y, z = (MultiPoly.var(i) for i in range(3))
     e1, e2, e3 = (elementary(t, 3) for t in (1, 2, 3))
-    lhs = MultiPoly.zero()
-    for i in range(n // 2 + 1):
-        for j in range((n - 2 * i) // 3 + 1):
-            c = comb(i + j, j) * comb(n - i - 2 * j, i + j)
-            term = MultiPoly.const(c) * e1 ** (n - 2 * i - 3 * j) * e2 ** i * e3 ** j
-            lhs = lhs + (term if i % 2 == 0 else -term)
+    lhs = scalar_sum((-1) ** i * comb(i + j, j) * comb(n - i - 2 * j, i + j)
+                     * e1 ** (n - 2 * i - 3 * j) * e2 ** i * e3 ** j
+                     for i in range(n // 2 + 1) for j in range((n - 2 * i) // 3 + 1))
     numerator = (x * y * (x ** (n + 1) - y ** (n + 1))
                  - x * z * (x ** (n + 1) - z ** (n + 1))
                  + y * z * (y ** (n + 1) - z ** (n + 1)))
     denominator = (x - y) * (x - z) * (y - z)
-    quotient = exact_divide(numerator, denominator)
-    return [poly_str(lhs), poly_str(quotient),
-            poly_str(bialternant((n,), 3)), poly_str(homogeneous(n, 3))]
+    return [lhs, exact_divide(numerator, denominator), bialternant((n,), 3), homogeneous(n, 3)]
 
 
 @_identity("two-var", Arg("n", "--n", 1, 12))
 def verify_two_var(n: int):
     """Two-variable alternating binomial sum vs ``x**n + x**(n-1) y + ... + y**n``."""
     x, y = MultiPoly.var(0), MultiPoly.var(1)
-    lhs = MultiPoly.zero()
-    for i in range(n // 2 + 1):
-        term = MultiPoly.const(comb(n - i, i)) * (x + y) ** (n - 2 * i) * (x * y) ** i
-        lhs = lhs + (term if i % 2 == 0 else -term)
-    return [poly_str(lhs), poly_str(homogeneous(n, 2))]
+    lhs = scalar_sum((-1) ** i * comb(n - i, i) * (x + y) ** (n - 2 * i) * (x * y) ** i
+                     for i in range(n // 2 + 1))
+    return [lhs, homogeneous(n, 2)]
 
 
 def symbolic_coeffs(r: int) -> list[MultiPoly]:
@@ -208,7 +200,7 @@ def _recurrence_grid(ranges: dict[str, range], seed: int) -> Iterable[tuple]:
 
 
 @_identity("recurrence-det", Arg("r", "--coeffs", 1, 4), Arg("n", "--n", 1, 10),
-           grid=_recurrence_grid,
+           grid=_recurrence_grid, var_names=coeff_name,
            params=lambda coeffs, n: {
                "coeffs": ("symbolic" if any(isinstance(c, MultiPoly) for c in coeffs)
                           else list(coeffs)),
@@ -217,42 +209,40 @@ def verify_recurrence_det(coeffs: Sequence, n: int):
     """Three-way check: recurrence iteration, band determinant, tiling weights."""
     by_tilings = scalar_sum(tiling_weight(tiling, coeffs)
                             for tiling in enumerate_tilings(n, len(coeffs)))
-    values = (eval_recurrence(coeffs, n), det_bareiss(build_C(coeffs, n)), by_tilings)
-    return [scalar_str(v, coeff_name) for v in values]
+    return [eval_recurrence(coeffs, n), det_bareiss(build_C(coeffs, n)), by_tilings]
 
 
 @_identity("racci", Arg("n", "--n", 1, 10), Arg("r", "--r", 1, 4))
 def verify_racci(n: int, r: int):
     """r-acci number: iteration, unit-band determinant, multinomial sum."""
-    return [str(racci(n, r)), scalar_str(det_bareiss(build_G(n, r))),
-            str(racci_multinomial(n, r))]
+    return [racci(n, r), det_bareiss(build_G(n, r)), racci_multinomial(n, r)]
 
 
 @_identity("fib", Arg("n", "--n", 1, 12))
 def verify_fib(n: int):
     """Fibonacci number vs tridiagonal determinant."""
-    return [str(fibonacci(n)), scalar_str(det_bareiss(build_F(n)))]
+    return [fibonacci(n), det_bareiss(build_F(n))]
 
 
 @_identity("binet-fib", Arg("n", "--n", 0, 30))
 def verify_binet_fib(n: int):
     """Golden-ratio closed form vs iteration (and the determinant when small)."""
-    by_det = [scalar_str(det_bareiss(build_F(n)))] if 1 <= n <= 12 else []
-    return [scalar_str(binet_fib(n)), str(fibonacci(n)), *by_det]
+    by_det = [det_bareiss(build_F(n))] if 1 <= n <= 12 else []
+    return [binet_fib(n), fibonacci(n), *by_det]
 
 
 @_identity("binet-lucas", Arg("n", "--n", 3, 30))
 def verify_binet_lucas(n: int):
     """Lucas number along four routes: iteration, closed form, determinant, tilings."""
-    routes = [str(lucas(n)), scalar_str(binet_lucas(n))]
+    routes = [lucas(n), binet_lucas(n)]
     if n <= 12:
-        routes.append(scalar_str(det_bareiss(build_A(n)) / 2))
+        routes.append(det_bareiss(build_A(n)) / 2)
     if n <= 15:
-        routes.append(str(len(enumerate_circular_tilings(n))))
+        routes.append(len(enumerate_circular_tilings(n)))
     return routes
 
 
-@_identity("lucas-symbolic", Arg("n", "--n", 3, 8))
+@_identity("lucas-symbolic", Arg("n", "--n", 3, 8), var_names=("a", "b"))
 def verify_lucas_symbolic(n: int):
     """Symbolic ``det(S) = 2(a**n + b**n)`` plus its proof decomposition.
 
@@ -260,13 +250,10 @@ def verify_lucas_symbolic(n: int):
     inclusion-exclusion sum plus the signed weights of the two excluded
     spanning cycles.
     """
-    names = ("a", "b")
     a, b = MultiPoly.var(0), MultiPoly.var(1)
-    det = det_bareiss(build_S(a, b, n))
-    direct = 2 * (a ** n + b ** n)
     l1, l2 = lsd_excluded_pair(n)
-    decomposition = pie_cyclic_sum(n) + l1.signed_weight + l2.signed_weight
-    return [poly_str(det, names), poly_str(direct, names), poly_str(decomposition, names)]
+    return [det_bareiss(build_S(a, b, n)), 2 * (a ** n + b ** n),
+            pie_cyclic_sum(n) + l1.signed_weight + l2.signed_weight]
 
 
 def verify_all(max_n: int, seed: int = 0) -> list[VerificationReport]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .caps import check_cap
-from .digraph import count_cycle_type, cycle_types
+from .digraph import cycle_type_sum
 from .poly import PHI, PSI, SQRT5, QuadExt
 
 
@@ -73,14 +73,15 @@ def racci_multinomial(n: int, r: int) -> int:
 
     Sums, over every cycle type with ``2*i_2 + ... + r*i_r <= n``, the
     number of linear subdigraphs of the width-r banded digraph with that
-    type.
+    type: ``cycle_type_sum`` with unit weights.  No cycle is longer than
+    ``n``, so the band is cut to ``n``.
     """
     if r < 1:
         raise ValueError("order must be positive")
     check_cap("racci_sum", n)
     if n == 0:
         return 1
-    return sum(count_cycle_type(n, ct, r) for ct in cycle_types(n, r))
+    return cycle_type_sum(n, [1] * min(r, n))
 
 
 def binet_fib(n: int) -> QuadExt:

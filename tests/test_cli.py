@@ -145,20 +145,46 @@ def test_verify_exit_codes(capsys):
     assert code == 0
 
 
-def test_usage_errors(capsys):
-    # argparse refuses a missing --n, csv outside verify, an unknown subject
-    # and a flag before the subject, since flags belong to the subject
+# a flag its matrix family does not read, each with a size past the family's caps
+FAMILY_UNREAD = [
+    ["E", "--n", "80", "--vars", "4", "--r", "2"],
+    ["C", "--n", "2001", "--r", "3", "--vars", "2"],
+    ["G", "--n", "2000", "--r", "2000", "--coeffs", "1"],
+    ["F", "--n", "1000000000", "--r", "3", "--vars", "9", "--coeffs", "5"],
+    ["S", "--n", "2001", "--vars", "2"],
+    ["A", "--n", "12000", "--r", "2"],
+]
+
+
+def test_usage_errors(capsys, monkeypatch):
+    # argparse refuses a missing --n, csv outside verify, an unknown subject,
+    # a flag before the subject, since flags belong to the subject, and a
+    # coefficient list that is not integers
     for argv in (["compute", "fib"], ["compute", "fib", "--n", "3", "--format", "csv"],
                  ["compute", "nonsense"], ["compute", "--n", "10", "fib"],
-                 ["verify", "--format", "csv", "fib", "--n", "5"]):
+                 ["verify", "--format", "csv", "fib", "--n", "5"],
+                 ["compute", "recurrence", "--coeffs", "1,x", "--n", "3"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+    assert capsys.readouterr().err.endswith(
+        "error: argument --coeffs: expected comma-separated integers, got '1,x'\n")
     code, _, _ = run(capsys, "compute", "schur", "--parts", "1,2", "--vars", "2")
     assert code == 2  # not weakly decreasing
-    code, out, err = run(capsys, "compute", "recurrence", "--coeffs", "1,x", "--n", "3")
-    assert (code, out) == (2, "")
-    assert "expected comma-separated integers" in err
+    # a matrix family refuses the flags it does not read before any cap or build
+    def unreachable(*args):
+        raise AssertionError("work before the flag check")
+    for name in ("build_A", "build_C", "build_E", "build_F", "build_G", "build_S",
+                 "check_cells", "check_cap"):
+        monkeypatch.setattr(cli, name, unreachable)
+    for family in FAMILY_UNREAD:
+        for command in (["compute", "det"], ["enumerate", "lsds"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--family", *family])
+            assert exc.value.code == 2, family
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"usage: detrec {' '.join(command)} "), family
+            assert f"error: family {family[0]} does not read --" in err, family
 
 
 ENUMERATE_ARGVS = [
@@ -329,7 +355,7 @@ FLAG_VALUES = {"--family": "F", "--parts": "2,1", "--coeffs": "1,1", "--avoid": 
 
 @pytest.mark.parametrize("command, subject", [
     (command, subject) for command, subjects in cli.SUBJECTS.items() for subject in subjects])
-def test_each_subject_takes_only_the_flags_it_reads(command, subject):
+def test_each_subject_takes_only_the_flags_it_reads(capsys, command, subject):
     flags = cli.SUBJECTS[command][subject].split()
     required = [flag for flag in flags if not flag.endswith("?")]
     optional = [flag.rstrip("?") for flag in flags if flag.endswith("?")]
@@ -353,6 +379,13 @@ def test_each_subject_takes_only_the_flags_it_reads(command, subject):
         with pytest.raises(SystemExit) as exc:
             main(shape)
         assert exc.value.code == 2, shape
+    # the subject's own parser reports an unread flag, under the subject's usage line
+    for flag in unread:
+        with pytest.raises(SystemExit):
+            main(argv(*required, flag))
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: detrec {command} {subject} [-h]"), flag
+        assert f"detrec {command} {subject}: error: unrecognized arguments: {flag}" in err, flag
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch):

@@ -1,8 +1,11 @@
 """Linear-subdigraph enumeration and the determinant expansion."""
 
 import random
+from itertools import product
 
 import pytest
+
+from detrec.combi import enumerate_tilings, tiling_weight
 
 from detrec.detmat import (
     SquareMatrix,
@@ -16,12 +19,13 @@ from detrec.detmat import (
 from detrec.digraph import (
     count_cycle_type,
     cycle_type,
+    cycle_type_sum,
     det_via_lsd,
     digraph_dot,
     enumerate_lsds,
 )
 from detrec.errors import InvalidCycleType, TooLarge
-from detrec.poly import MultiPoly
+from detrec.poly import MultiPoly, scalar_str, scalar_sum
 from detrec.recurrence import racci
 from detrec.symfunc import build_E, homogeneous
 
@@ -142,6 +146,19 @@ def test_count_cycle_type_validation():
         count_cycle_type(4, {1: 1}, 2)  # loops are implied, not listed
     with pytest.raises(InvalidCycleType):
         count_cycle_type(4, {2: -1}, 2)
+
+
+@pytest.mark.parametrize("n, band", list(product(range(1, 11), range(1, 5))))
+def test_cycle_type_sum_is_the_tiling_sum(n, band):
+    # a tiling of n by parts <= band is an LSD of the width-band banded
+    # digraph, a part t being a t-cycle of weight w_t
+    rng = random.Random(n * 10 + band)
+    x = [MultiPoly.var(i) for i in range(band)]
+    for weights in ([rng.randint(-5, 5) for _ in range(band)], x,
+                    [rng.randint(-3, 3) * x[rng.randrange(band)] + rng.randint(-3, 3)
+                     for _ in range(band)]):
+        by_tilings = scalar_sum(tiling_weight(t, weights) for t in enumerate_tilings(n, band))
+        assert scalar_str(cycle_type_sum(n, weights)) == scalar_str(by_tilings), weights
 
 
 def test_enumeration_cap():

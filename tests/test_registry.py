@@ -90,6 +90,15 @@ def test_identity_bounds(capsys, name):
         assert f"{arg} >= {least[arg]}" in err
 
 
+@pytest.mark.parametrize("name", list(IDENTITIES))
+def test_routes_return_values_not_strings(name):
+    # the verifier serializes the routes; the route function only computes them
+    entry = IDENTITIES[name]
+    least = next(iter(entry.points(max(arg.cap for arg in entry.args))))
+    values = entry.verify.__wrapped__(*least)
+    assert len(values) >= 2 and not any(isinstance(v, str) for v in values), values
+
+
 def test_cycle_types():
     assert list(cycle_types(4, 3)) == [{}, {3: 1}, {2: 1}, {2: 2}]
     # lengths past n fit no cycle, however wide the band
