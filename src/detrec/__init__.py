@@ -46,17 +46,16 @@ from .digraph import (
     enumerate_lsds,
 )
 from .combi import (
-    CircularTiling,
     cyclic_avoiding_weight,
     enumerate_circular_tilings,
     enumerate_cyclic_words,
     enumerate_increasing_words,
     enumerate_tilings,
     has_cyclic_occurrence,
-    iter_cyclic_words,
     lsd_excluded_pair,
     pie_cyclic_sum,
     pie_linear_sum,
+    tiling_sum,
     tiling_to_lsd,
     tiling_weight,
     word_weight,

@@ -41,10 +41,10 @@ from .caps import (MAX_RECURRENCE_WORK, check_cap, check_cells, check_det_E, che
 from .combi import (
     cyclic_word_weight,
     enumerate_circular_tilings,
+    enumerate_cyclic_words,
     enumerate_increasing_words,
     enumerate_tilings,
-    iter_cyclic_words,
-    tiling_weight,
+    tiling_sum,
     word_weight,
 )
 from .detmat import build_A, build_C, build_F, build_G, build_S, det_bareiss
@@ -58,7 +58,7 @@ from .symfunc import build_E, elementary, homogeneous, schur
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        return [int(part) for part in text.split(",")] if text else []
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}") from None
@@ -185,9 +185,9 @@ def _cmd_enumerate(args) -> int:
     # ``summary``, called once ``objects`` is exhausted, which returns the
     # object count and the canonical total weight.  Tilings and cyclic words
     # sum their weights per group of objects that share one weight, one
-    # ring product per group, and every total is one ``scalar_sum``.  The
-    # repr of a list of ints is its ``json.dumps``, and a word over {a, b}
-    # needs no JSON escaping.
+    # ring product per group (``tiling_sum`` for tilings), and every total
+    # is one ``scalar_sum``.  The repr of a list of ints is its
+    # ``json.dumps``, and a word over {a, b} needs no JSON escaping.
     if subject == "tilings":
         n, r = args.n, args.r
         items = enumerate_tilings(n, r)  # its cap comes before any coefficient is built
@@ -201,14 +201,10 @@ def _cmd_enumerate(args) -> int:
             objects = (f'{{"parts": {list(t)}}}' for t in items)
 
         def summary():
-            # a tiling's weight depends only on its multiset of parts
-            groups = Counter(map(tuple, map(sorted, items)))
-            total = scalar_sum(count * tiling_weight(parts, coeffs)
-                               for parts, count in groups.items())
-            return len(items), scalar_str(total, names)
+            return len(items), scalar_str(tiling_sum(items, coeffs), names)
     elif subject == "circular-tilings":
         items = enumerate_circular_tilings(args.n)
-        tiles = ([list(t) for t in tiling.tiles] for tiling in items)
+        tiles = ([list(t) for t in tiling] for tiling in items)
         objects = map(str, tiles) if pretty else (f'{{"tiles": {t}}}' for t in tiles)
 
         def summary():
@@ -239,7 +235,7 @@ def _cmd_enumerate(args) -> int:
             return len(items), scalar_str(scalar_sum(map(word_weight, items)))
     else:  # cyclic-words
         n = args.n
-        words = iter_cyclic_words(n, args.avoid)
+        words = enumerate_cyclic_words(n, args.avoid)
         a_counts = Counter()
 
         def counted():

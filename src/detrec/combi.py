@@ -2,16 +2,22 @@
 
 These enumerations are the combinatorial side of every determinant identity
 in the library: tilings of a linear board biject onto the linear
-subdigraphs of the banded recurrence matrix, weakly increasing words carry
-the complete homogeneous polynomial, and cyclic words avoiding a cyclic
-``ab`` account for all but two linear subdigraphs of the two-variable
-circulant-like matrix.
+subdigraphs of the banded recurrence matrix, so ``u_n`` is their weight sum
+``tiling_sum`` (with the signed ``e_t`` as weights, that sum is ``h_m``);
+weakly increasing words carry the complete homogeneous polynomial; and
+cyclic words avoiding a cyclic ``ab`` account for all but two linear
+subdigraphs of the two-variable circulant-like matrix.
+
+Linear tilings, circular tilings and words are plain tuples (``Tiling``,
+``CircularTiling``, ``Word``) and cyclic words plain strings.  A tile's
+length is checked, and the tiles' weights multiplied, only in
+``tiling_weight``; ``enumerate_cyclic_words`` is the one cyclic-word
+enumerator, lazy, with an optional pattern to avoid.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, combinations_with_replacement, filterfalse, product
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -19,9 +25,11 @@ from .caps import check_cap, check_terms
 from .digraph import LinearSubdigraph
 from .errors import DimensionTooSmall
 from .poly import MultiPoly, scalar_sum
-from .symfunc import _signed_elementary
+from .symfunc import signed_elementary
 
 Tiling = tuple[int, ...]
+# (start, length) pairs sorted by start; a 2-tile starting at n-1 wraps to cell 0
+CircularTiling = tuple[tuple[int, int], ...]
 Word = tuple[int, ...]
 
 # the two cyclic-word letters as polynomial variables
@@ -64,53 +72,46 @@ def tiling_weight(tiling: Sequence[int], coeffs: Sequence):
     return weight
 
 
+def tiling_sum(tilings: Iterable[Sequence[int]], coeffs: Sequence):
+    """Weight sum of ``tilings``, one ``tiling_weight`` per multiset of parts.
+
+    A tiling's weight depends only on its multiset of parts, so the tilings
+    are counted by their sorted parts and each group costs one ring
+    product.  An empty sum is the int 0.
+    """
+    groups = Counter(map(tuple, map(sorted, tilings)))
+    return scalar_sum(count * tiling_weight(parts, coeffs) for parts, count in groups.items())
+
+
 def tiling_to_lsd(tiling: Sequence[int], coeffs: Sequence) -> LinearSubdigraph:
     """Image of a tiling under the tilings-to-subdigraphs bijection.
 
     A tile of length ``i`` covering cells ``k..k+i-1`` becomes the cycle
     ``k -> k+i-1 -> k+i-2 -> ... -> k`` of the digraph of the banded
     recurrence matrix built from ``coeffs``; 1-tiles become loops.  The raw
-    cycle weight is the band entry ``(-1)**(i+1) * c_i``, so the signed
-    weight of the resulting LSD equals the tiling weight.
+    cycle weight is the band entry ``(-1)**(i+1) * c_i``, so the LSD's raw
+    weight is ``(-1)**(n - len(tiling))`` times the tiling weight and its
+    signed weight equals the tiling weight.
     """
     n = sum(tiling)
-    cycles = []
-    weight = 1
-    cell = 0
-    for part in tiling:
-        if not 1 <= part <= len(coeffs):
-            raise ValueError(f"tile length {part} outside 1..{len(coeffs)}")
-        cycles.append((cell,) + tuple(range(cell + part - 1, cell, -1)))
-        band = coeffs[part - 1]
-        weight = weight * (band if part % 2 == 1 else -band)
-        cell += part
-    return LinearSubdigraph(n, tuple(cycles), weight)
-
-
-@dataclass(frozen=True)
-class CircularTiling:
-    """Tiling of a circular board with labeled cells ``0..n-1``.
-
-    ``tiles`` lists ``(start, length)`` pairs sorted by start; a 2-tile
-    starting at ``n-1`` wraps around to cell 0.  Rotated tilings are
-    distinct because the cells are labeled.
-    """
-
-    n: int
-    tiles: tuple[tuple[int, int], ...]
+    cycles = tuple((cell,) + tuple(range(cell + part - 1, cell, -1))
+                   for cell, part in zip(accumulate(tiling, initial=0), tiling))
+    return LinearSubdigraph(n, cycles, (-1) ** (n - len(tiling)) * tiling_weight(tiling, coeffs))
 
 
 def enumerate_circular_tilings(n: int) -> list[CircularTiling]:
     """All tilings of the circular n-board by 1- and 2-tiles (n >= 3).
 
-    The count is the n-th Lucas number.
+    Each tiling is its ``(start, length)`` pairs sorted by start (see
+    ``CircularTiling``).  The cells are labeled ``0..n-1``, so rotated
+    tilings are distinct, and the count is the n-th Lucas number.
     """
     if n < 3:
         raise DimensionTooSmall(f"circular board needs n >= 3, got {n}")
     check_cap("circular_tilings", n)
     # cell 0 not covered by a wrapping tile: a strip tiling of cells 0..n-1;
     # else a wrapping 2-tile covers cells n-1 and 0, and cells 1..n-2 form a strip
-    return [CircularTiling(n, tuple(zip(accumulate(comp, initial=first), comp)) + wrap)
+    return [tuple(zip(accumulate(comp, initial=first), comp)) + wrap
             for first, length, wrap in ((0, n, ()), (1, n - 2, ((n - 1, 2),)))
             for comp in enumerate_tilings(length, 2)]
 
@@ -155,15 +156,16 @@ def pie_linear_sum(m: int, n_vars: int) -> MultiPoly:
         raise ValueError("need at least one letter")
     # blocks longer than the alphabet admit no strictly descending run; at
     # m = 0 the sum is the int weight 1 of the empty placement, made a MultiPoly
-    signed = _signed_elementary(max(1, min(n_vars, m)), n_vars)
-    return MultiPoly.zero() + scalar_sum(tiling_weight(placement, signed)
-                                         for placement in enumerate_tilings(m, len(signed)))
+    signed = signed_elementary(max(1, min(n_vars, m)), n_vars)
+    return MultiPoly.zero() + tiling_sum(enumerate_tilings(m, len(signed)), signed)
 
 
-def iter_cyclic_words(n: int, avoid: str | None = None) -> Iterator[str]:
-    """Lazy form of ``enumerate_cyclic_words``: the same words in the same order.
+def enumerate_cyclic_words(n: int, avoid: str | None = None) -> Iterator[str]:
+    """The ``2**n`` cyclic words over ``{a, b}`` with fixed start and orientation, lazily.
 
-    With ``avoid``, only the words with no cyclic occurrence of that pattern
+    Equality is positional (the start is pinned), so the words are plain
+    strings of length ``n``, yielded in lexicographic order.  With
+    ``avoid``, only the words with no cyclic occurrence of that pattern
     (see ``has_cyclic_occurrence``).  The size and the cap are checked when
     this is called, before the first word is built.
     """
@@ -178,15 +180,6 @@ def iter_cyclic_words(n: int, avoid: str | None = None) -> Iterator[str]:
     if avoid is None:
         return words
     return filterfalse(_cyclic_occurrence_test(avoid, n), words)
-
-
-def enumerate_cyclic_words(n: int) -> list[str]:
-    """All ``2**n`` cyclic words over ``{a, b}`` with fixed start and orientation.
-
-    Equality is positional (the start is pinned), so the words are plain
-    strings of length ``n``.
-    """
-    return list(iter_cyclic_words(n))
 
 
 def has_cyclic_occurrence(word: str, pattern: str) -> bool:
@@ -227,7 +220,7 @@ def cyclic_avoiding_weight(n: int) -> MultiPoly:
     the sum is ``a**n + b**n``.  Computed here by direct filtering of all
     ``2**n`` words; the inclusion-exclusion route is ``pie_cyclic_sum``.
     """
-    return scalar_sum(map(cyclic_word_weight, iter_cyclic_words(n, avoid="ab")))
+    return scalar_sum(map(cyclic_word_weight, enumerate_cyclic_words(n, avoid="ab")))
 
 
 def pie_cyclic_sum(n: int) -> MultiPoly:
@@ -245,7 +238,7 @@ def pie_cyclic_sum(n: int) -> MultiPoly:
         raise DimensionTooSmall(f"cyclic board needs n >= 3, got {n}")
     check_cap("pie_cyclic", n)
     # n cells in t tiles hold n - t 2-tiles
-    layers = Counter(n - len(tiling.tiles) for tiling in enumerate_circular_tilings(n))
+    layers = Counter(n - len(tiling) for tiling in enumerate_circular_tilings(n))
     return scalar_sum(count * (-_A * _B) ** j * (_A + _B) ** (n - 2 * j)
                       for j, count in layers.items())
 

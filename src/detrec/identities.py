@@ -13,7 +13,8 @@ CLI flag, least value and cap, and the names its variables print as.  A
 route function returns its routes' exact values (``int``, ``MultiPoly``,
 ``QuadExt``); the verifier serializes each once, with ``scalar_str``.
 Sury's expansion and the r-acci multinomial sum are both
-``digraph.cycle_type_sum``.  ``verify_all`` runs every registered verifier
+``digraph.cycle_type_sum``, and the recurrence's tiling route is
+``combi.tiling_sum``.  ``verify_all`` runs every registered verifier
 over its grid and is the repository's primary gate.
 """
 
@@ -34,7 +35,7 @@ from .combi import (
     enumerate_tilings,
     lsd_excluded_pair,
     pie_cyclic_sum,
-    tiling_weight,
+    tiling_sum,
 )
 from .detmat import build_A, build_C, build_F, build_G, build_S, det_bareiss
 from .digraph import cycle_type_sum
@@ -49,7 +50,7 @@ from .recurrence import (
     racci,
     racci_multinomial,
 )
-from .symfunc import bialternant, build_E, elementary, homogeneous
+from .symfunc import bialternant, build_E, elementary, homogeneous, signed_elementary
 
 
 @dataclass(frozen=True)
@@ -143,8 +144,7 @@ def verify_sury(n: int, k: int):
     cycle type: the multinomial count times ``e_1**loops`` times
     ``((-1)**(t-1) e_t)**i_t``.
     """
-    return [homogeneous(n, k),
-            cycle_type_sum(n, [(-1) ** (t - 1) * elementary(t, k) for t in range(1, k + 1)])]
+    return [homogeneous(n, k), cycle_type_sum(n, signed_elementary(k, k))]
 
 
 @_identity("mclaughlin", Arg("n", "--n", 1, 8))
@@ -206,10 +206,9 @@ def _recurrence_grid(ranges: dict[str, range], seed: int) -> Iterable[tuple]:
                           else list(coeffs)),
                "r": len(coeffs), "n": n})
 def verify_recurrence_det(coeffs: Sequence, n: int):
-    """Three-way check: recurrence iteration, band determinant, tiling weights."""
-    by_tilings = scalar_sum(tiling_weight(tiling, coeffs)
-                            for tiling in enumerate_tilings(n, len(coeffs)))
-    return [eval_recurrence(coeffs, n), det_bareiss(build_C(coeffs, n)), by_tilings]
+    """Three-way check: recurrence iteration, band determinant, tiling weight sum."""
+    return [eval_recurrence(coeffs, n), det_bareiss(build_C(coeffs, n)),
+            tiling_sum(enumerate_tilings(n, len(coeffs)), coeffs)]
 
 
 @_identity("racci", Arg("n", "--n", 1, 10), Arg("r", "--r", 1, 4))

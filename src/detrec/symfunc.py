@@ -260,9 +260,13 @@ def build_E(m: int, n_vars: int) -> SquareMatrix:
     if m < 1:
         raise ValueError("matrix size must be positive")
     k = min(m, max(n_vars, 1))  # at least e_1, whose check rejects n_vars < 1
-    return build_C(_signed_elementary(k, n_vars), m)
+    return build_C(signed_elementary(k, n_vars), m)
 
 
-def _signed_elementary(k: int, n_vars: int) -> list[MultiPoly]:
-    """``e_1, -e_2, e_3, ..., (-1)**(k-1) * e_k``: the recurrence coefficients of ``h``."""
+def signed_elementary(k: int, n_vars: int) -> list[MultiPoly]:
+    """``e_1, -e_2, e_3, ..., (-1)**(k-1) * e_k``: the recurrence coefficients of ``h``.
+
+    The band of ``build_E``, the tile weights of ``combi.pie_linear_sum`` and
+    the cycle weights of Sury's expansion.
+    """
     return [(-1) ** (t - 1) * elementary(t, n_vars) for t in range(1, k + 1)]

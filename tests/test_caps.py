@@ -8,8 +8,8 @@ import pytest
 from detrec.caps import _CAPS
 from detrec.combi import (
     enumerate_circular_tilings,
+    enumerate_cyclic_words,
     enumerate_tilings,
-    iter_cyclic_words,
     pie_cyclic_sum,
     pie_linear_sum,
 )
@@ -27,7 +27,7 @@ CAPPED_CALLS = {
     "enumerate_tilings": ("tilings", 20, lambda n: enumerate_tilings(n, 2)),
     "enumerate_circular_tilings": ("circular_tilings", 20, enumerate_circular_tilings),
     "pie_linear_sum": ("pie_linear", 10, lambda n: pie_linear_sum(n, 2)),
-    "iter_cyclic_words": ("cyclic_words", 20, iter_cyclic_words),
+    "enumerate_cyclic_words": ("cyclic_words", 20, enumerate_cyclic_words),
     "pie_cyclic_sum": ("pie_cyclic", 16, pie_cyclic_sum),
     "racci_multinomial": ("racci_sum", 30, lambda n: racci_multinomial(n, 2)),
 }

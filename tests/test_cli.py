@@ -95,6 +95,21 @@ def test_enumerate_cyclic_words_avoiding(capsys):
     assert items[-1] == {"count": 2, "total_weight": "a^4 + b^4"}
 
 
+def test_enumerate_cyclic_words_streams_the_one_enumerator(capsys, monkeypatch):
+    calls = []
+
+    def spy(n, avoid=None):
+        calls.append((n, avoid))
+        return combi.enumerate_cyclic_words(n, avoid)
+    monkeypatch.setattr(cli, "enumerate_cyclic_words", spy)
+    for argv, call in ((["--n", "6", "--avoid", "bb"], (6, "bb")), (["--n", "3"], (3, None))):
+        calls.clear()
+        code, out, _ = run(capsys, "enumerate", "cyclic-words", *argv)
+        assert code == 0 and calls == [call], argv
+        *words, summary = [json.loads(line) for line in out.splitlines()]
+        assert [w["word"] for w in words] == list(combi.enumerate_cyclic_words(*call))
+
+
 def test_enumerate_lsds_family_F(capsys):
     code, out, _ = run(capsys, "enumerate", "lsds", "--family", "F", "--n", "4")
     assert code == 0
@@ -169,6 +184,19 @@ def test_usage_errors(capsys, monkeypatch):
         assert exc.value.code == 2, argv
     assert capsys.readouterr().err.endswith(
         "error: argument --coeffs: expected comma-separated integers, got '1,x'\n")
+    # an empty field is refused too; only the empty string is the empty list
+    for flag, value, argv in (("--parts", "3,,1", ["compute", "schur", "--vars", "3"]),
+                              ("--coeffs", "1,2,", ["compute", "recurrence", "--n", "3"]),
+                              ("--coeffs", "1,,1", ["enumerate", "tilings", "--n", "3",
+                                                    "--r", "2"])):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, value])
+        assert exc.value.code == 2, value
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {flag}: expected comma-separated integers, got {value!r}\n")
+    assert run(capsys, "compute", "schur", "--parts=", "--vars", "3") == (0, "1\n", "")
+    assert run(capsys, "compute", "recurrence", "--coeffs=", "--n", "3") == (
+        2, "", "error: need at least one coefficient\n")
     code, _, _ = run(capsys, "compute", "schur", "--parts", "1,2", "--vars", "2")
     assert code == 2  # not weakly decreasing
     # a matrix family refuses the flags it does not read before any cap or build

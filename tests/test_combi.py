@@ -5,7 +5,6 @@ from itertools import product
 import pytest
 
 from detrec.combi import (
-    CircularTiling,
     cyclic_avoiding_weight,
     cyclic_word_weight,
     enumerate_circular_tilings,
@@ -13,10 +12,10 @@ from detrec.combi import (
     enumerate_increasing_words,
     enumerate_tilings,
     has_cyclic_occurrence,
-    iter_cyclic_words,
     lsd_excluded_pair,
     pie_cyclic_sum,
     pie_linear_sum,
+    tiling_sum,
     tiling_to_lsd,
     tiling_weight,
     word_weight,
@@ -24,7 +23,7 @@ from detrec.combi import (
 from detrec.detmat import build_C, build_S, det_bareiss
 from detrec.digraph import enumerate_lsds
 from detrec.errors import DimensionTooSmall, TooLarge
-from detrec.poly import MultiPoly
+from detrec.poly import MultiPoly, scalar_sum
 from detrec.recurrence import eval_recurrence, lucas
 from detrec.symfunc import homogeneous
 
@@ -57,6 +56,19 @@ def test_tiling_weight_sum_is_recurrence_value():
     total = sum((tiling_weight(t, c) for t in enumerate_tilings(4, 2)),
                 MultiPoly.zero())
     assert total == c[0] ** 4 + 3 * c[0] ** 2 * c[1] + c[1] ** 2
+
+
+def test_tiling_sum_of_a_subset_is_the_ungrouped_sum():
+    # grouping by sorted parts must not merge in tilings that were not given
+    x = [MultiPoly.var(i) for i in range(3)]
+    for coeffs in (x, [3, -2, 5], [x[0] + 1, -x[1], 2 * x[2]]):
+        for n in range(0, 9):
+            subset = [t for t in enumerate_tilings(n, 3) if t[:1] == (1,)]
+            assert tiling_sum(subset, coeffs) == scalar_sum(
+                tiling_weight(t, coeffs) for t in subset), (n, coeffs)
+    assert tiling_sum([], x) == 0 and type(tiling_sum([], x)) is int
+    with pytest.raises(ValueError):
+        tiling_sum([(1, 3)], [1, 1])
 
 
 def test_tiling_to_lsd_figure_example():
@@ -113,13 +125,14 @@ def test_circular_tilings_counts():
 def test_circular_tilings_cover_the_board():
     for tiling in enumerate_circular_tilings(6):
         covered = []
-        for start, length in tiling.tiles:
+        for start, length in tiling:
             covered.extend((start + k) % 6 for k in range(length))
         assert sorted(covered) == list(range(6))
     # rotations are distinct labeled objects
     tilings = enumerate_circular_tilings(3)
     assert len(set(tilings)) == 4
-    assert CircularTiling(3, ((0, 1), (1, 2))) in tilings
+    assert tilings == [((0, 1), (1, 1), (2, 1)), ((0, 1), (1, 2)),
+                       ((0, 2), (2, 1)), ((1, 1), (2, 2))]
 
 
 def test_circular_tilings_bounds():
@@ -159,8 +172,8 @@ def test_pie_linear_equals_word_filter_grid():
 
 
 def test_cyclic_words():
-    assert len(enumerate_cyclic_words(3)) == 8
-    assert len(enumerate_cyclic_words(4)) == 16
+    assert len(list(enumerate_cyclic_words(3))) == 8
+    assert len(list(enumerate_cyclic_words(4))) == 16
     kept = [w for w in enumerate_cyclic_words(4)
             if not has_cyclic_occurrence(w, "ab")]
     assert kept == ["aaaa", "bbbb"]
@@ -201,20 +214,22 @@ def test_has_cyclic_occurrence_matches_its_definition():
                 (word, pattern)
 
 
-def test_iter_cyclic_words_is_the_list_streamed():
+def test_cyclic_words_stream_every_word_in_order():
     for n in (3, 4, 7, 10):
-        assert list(iter_cyclic_words(n)) == enumerate_cyclic_words(n)
-        assert enumerate_cyclic_words(n) == ["".join(w) for w in product("ab", repeat=n)]
+        words = enumerate_cyclic_words(n)
+        assert not isinstance(words, list)  # lazy
+        every = ["".join(w) for w in product("ab", repeat=n)]
+        assert list(words) == every
         for pattern in ("ab", "bb", "aab", "abaabaab", ""):
-            assert list(iter_cyclic_words(n, pattern)) == [
-                w for w in enumerate_cyclic_words(n) if not has_cyclic_occurrence(w, pattern)]
+            assert list(enumerate_cyclic_words(n, pattern)) == [
+                w for w in every if not has_cyclic_occurrence(w, pattern)]
 
 
-def test_iter_cyclic_words_checks_before_the_first_word():
+def test_cyclic_words_check_before_the_first_word():
     with pytest.raises(DimensionTooSmall):
-        iter_cyclic_words(2)
+        enumerate_cyclic_words(2)
     with pytest.raises(TooLarge):
-        iter_cyclic_words(40)
+        enumerate_cyclic_words(40)
 
 
 def test_cyclic_word_weight():

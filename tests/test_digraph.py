@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from detrec.combi import enumerate_tilings, tiling_weight
+from detrec.combi import enumerate_tilings, tiling_sum, tiling_weight
 
 from detrec.detmat import (
     SquareMatrix,
@@ -157,8 +157,10 @@ def test_cycle_type_sum_is_the_tiling_sum(n, band):
     for weights in ([rng.randint(-5, 5) for _ in range(band)], x,
                     [rng.randint(-3, 3) * x[rng.randrange(band)] + rng.randint(-3, 3)
                      for _ in range(band)]):
-        by_tilings = scalar_sum(tiling_weight(t, weights) for t in enumerate_tilings(n, band))
+        tilings = enumerate_tilings(n, band)
+        by_tilings = scalar_sum(tiling_weight(t, weights) for t in tilings)
         assert scalar_str(cycle_type_sum(n, weights)) == scalar_str(by_tilings), weights
+        assert scalar_str(tiling_sum(tilings, weights)) == scalar_str(by_tilings), weights
 
 
 def test_enumeration_cap():
