@@ -22,6 +22,7 @@ from .poly import (
     QuadExt,
     exact_divide,
     poly_str,
+    power_sum,
     scalar_str,
     scalar_sum,
     substitute,

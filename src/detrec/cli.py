@@ -7,7 +7,8 @@ JSON object per item followed by a summary line, handing stdout
 JSON per check.  ``SUBJECTS`` names each command's subjects and the flags
 each one reads, and the parser takes exactly those, so a flag a subject does
 not read is a usage error; the ``verify`` rows come from the registry
-``identities.IDENTITIES``.
+``identities.IDENTITIES``.  Flags go after the subject, and a flag put
+before it is a usage error that names the flag.
 
 Size caps (see ``caps``) are checked before any work or output, by one
 guard per computation that every path running it shares.  ``verify``
@@ -319,18 +320,34 @@ SUBJECTS = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser, which refuses a flag put before the subject by name.
+
+    Left to argparse, ``detrec compute --n 10 fib`` would take ``10`` for
+    the subject and report that as an invalid choice.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        if args and args[0].startswith("-") and args[0] not in ("-h", "--help"):
+            flag = args[0].split("=")[0]
+            self.error(f"{flag} comes before the subject: flags go after it, "
+                       f"as in '{self.prog} SUBJECT {flag} ...'")
+        return super().parse_known_args(args, namespace)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="detrec",
         description="exact determinant identities: compute, enumerate, verify")
-    commands = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for command, handler, help_ in (("compute", _cmd_compute, "compute one value"),
                                     ("enumerate", _cmd_enumerate, "stream combinatorial objects"),
                                     ("verify", _cmd_verify, "verify identities")):
         command_parser = commands.add_parser(command, help=help_)
         command_parser.set_defaults(handler=handler)
-        subjects = command_parser.add_subparsers(dest="subject", required=True)
+        subjects = command_parser.add_subparsers(dest="subject", required=True,
+                                                 parser_class=argparse.ArgumentParser)
         formats = ["json", "csv", "pretty"] if command == "verify" else ["json", "pretty"]
         for subject, flags in SUBJECTS[command].items():
             subject_parser = subjects.add_parser(subject)

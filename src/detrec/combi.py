@@ -12,7 +12,9 @@ Linear tilings, circular tilings and words are plain tuples (``Tiling``,
 ``CircularTiling``, ``Word``) and cyclic words plain strings.  A tile's
 length is checked, and the tiles' weights multiplied, only in
 ``tiling_weight``; ``enumerate_cyclic_words`` is the one cyclic-word
-enumerator, lazy, with an optional pattern to avoid.
+enumerator, lazy, with an optional pattern to avoid.  ``pie_cyclic_sum``
+is one ``poly.power_sum`` over its layers, in the weights ``-a*b`` and
+``a + b``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .caps import check_cap, check_terms
 from .digraph import LinearSubdigraph
 from .errors import DimensionTooSmall
-from .poly import MultiPoly, scalar_sum
+from .poly import MultiPoly, power_sum, scalar_sum
 from .symfunc import signed_elementary
 
 Tiling = tuple[int, ...]
@@ -63,24 +65,32 @@ def enumerate_tilings(n: int, r: int) -> list[Tiling]:
 
 
 def tiling_weight(tiling: Sequence[int], coeffs: Sequence):
-    """Product of ``coeffs[part - 1]`` over the tiles; the empty tiling has weight 1."""
-    weight = 1
+    """Product of ``coeffs[part - 1]`` over the tiles; the empty tiling has weight 1.
+
+    The product starts from the first tile's coefficient, not from 1, so a
+    one-tile weight is its coefficient and costs no ring product.
+    """
+    weight = None
     for part in tiling:
         if not 1 <= part <= len(coeffs):
             raise ValueError(f"tile length {part} outside 1..{len(coeffs)}")
-        weight = weight * coeffs[part - 1]
-    return weight
+        c = coeffs[part - 1]
+        weight = c if weight is None else weight * c
+    return 1 if weight is None else weight
 
 
 def tiling_sum(tilings: Iterable[Sequence[int]], coeffs: Sequence):
     """Weight sum of ``tilings``, one ``tiling_weight`` per multiset of parts.
 
     A tiling's weight depends only on its multiset of parts, so the tilings
-    are counted by their sorted parts and each group costs one ring
-    product.  An empty sum is the int 0.
+    are counted by their sorted parts and each group costs one
+    ``tiling_weight``, times its count when that is not 1.  An empty sum is
+    the int 0.
     """
     groups = Counter(map(tuple, map(sorted, tilings)))
-    return scalar_sum(count * tiling_weight(parts, coeffs) for parts, count in groups.items())
+    return scalar_sum(tiling_weight(parts, coeffs) if count == 1
+                      else count * tiling_weight(parts, coeffs)
+                      for parts, count in groups.items())
 
 
 def tiling_to_lsd(tiling: Sequence[int], coeffs: Sequence) -> LinearSubdigraph:
@@ -232,15 +242,15 @@ def pie_cyclic_sum(n: int) -> MultiPoly:
     carries sign ``(-1)**j``.  Overlapping pairs force contradictory letters
     and contribute nothing, so this is the full inclusion-exclusion over
     occurrences.  A set of ``j`` disjoint markings is a circular tiling with
-    ``j`` 2-tiles, so the layers count the tilings by their 2-tiles.
+    ``j`` 2-tiles, so the layers count the tilings by their 2-tiles, and
+    layer ``j`` is its count times ``(-a*b)**j * (a + b)**(n - 2j)``.
     """
     if n < 3:
         raise DimensionTooSmall(f"cyclic board needs n >= 3, got {n}")
     check_cap("pie_cyclic", n)
     # n cells in t tiles hold n - t 2-tiles
     layers = Counter(n - len(tiling) for tiling in enumerate_circular_tilings(n))
-    return scalar_sum(count * (-_A * _B) ** j * (_A + _B) ** (n - 2 * j)
-                      for j, count in layers.items())
+    return power_sum([-_A * _B, _A + _B], [(count, (j, n - 2 * j)) for j, count in layers.items()])
 
 
 def lsd_excluded_pair(n: int) -> tuple[LinearSubdigraph, LinearSubdigraph]:

@@ -23,20 +23,21 @@ building no LSD.  The hard cap exists because a dense matrix has ``n!``
 linear subdigraphs.  In a banded digraph every cycle is a block of
 consecutive vertices, so its LSDs group by cycle type (``cycle_types``,
 ``count_cycle_type``), and ``cycle_type_sum`` is their weight sum written
-that way: Sury's identity and the r-acci multinomial sum.
+that way: Sury's identity and the r-acci multinomial sum.  It hands the
+types to ``poly.power_sum`` as exponent vectors, so each power of a weight
+is built once per sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from math import factorial, prod
+from math import factorial
 from typing import Mapping, Sequence
 
 from .caps import check_cap
 from .detmat import SquareMatrix
 from .errors import InvalidCycleType
-from .poly import scalar_str, scalar_sum
+from .poly import power_sum, scalar_str
 
 
 @dataclass(frozen=True)
@@ -172,11 +173,19 @@ def cycle_type(lsd: LinearSubdigraph) -> dict[int, int]:
 
 
 def cycle_types(n: int, band: int):
-    """Cycle types ``{t: i_t}`` with ``2 <= t <= band`` that fit in ``n`` vertices, no zeros."""
+    """Cycle types ``{t: i_t}`` with ``2 <= t <= band`` that fit in ``n`` vertices, no zeros.
+
+    In lexicographic order of ``(i_2, i_3, ...)``.  Each length's count
+    ranges only over what the shorter lengths leave, so no count vector
+    that overfills the ``n`` vertices is built.
+    """
     lengths = range(2, min(band, n) + 1)
-    for counts in product(*(range(n // t + 1) for t in lengths)):
-        if sum(t * c for t, c in zip(lengths, counts)) <= n:
-            yield {t: c for t, c in zip(lengths, counts) if c}
+    partial = [((), n)]  # the counts so far, and the vertices they leave
+    for t in lengths:
+        partial = [(counts + (c,), left - t * c)
+                   for counts, left in partial for c in range(left // t + 1)]
+    for counts, _ in partial:
+        yield {t: c for t, c in zip(lengths, counts) if c}
 
 
 def count_cycle_type(n: int, ct: Mapping[int, int], band: int) -> int:
@@ -221,15 +230,18 @@ def cycle_type_sum(n: int, weights: Sequence):
     ``w_1**loops * prod_t w_t**i_t``, with ``w_t = weights[t - 1]``: the
     weight of every LSD of that type when a ``t``-cycle weighs ``w_t``.
     With unit weights it counts the LSDs; with ``(-1)**(t-1) e_t`` it is
-    Sury's expansion of ``h_n``.
+    Sury's expansion of ``h_n``.  The sum is one ``power_sum`` whose
+    exponent vector for a type is ``(loops, i_2, ..., i_band)``.
     """
     band = len(weights)
     terms = []
     for ct in cycle_types(n, band):
-        loops = n - sum(t * c for t, c in ct.items())
-        terms.append(prod((weights[t - 1] ** c for t, c in ct.items()),
-                          start=count_cycle_type(n, ct, band) * weights[0] ** loops))
-    return scalar_sum(terms)
+        exps = [0] * band
+        for t, c in ct.items():
+            exps[t - 1] = c
+        exps[0] = n - sum(t * c for t, c in ct.items())
+        terms.append((count_cycle_type(n, ct, band), exps))
+    return power_sum(weights, terms)
 
 
 def digraph_dot(m: SquareMatrix, highlight: LinearSubdigraph | None = None,

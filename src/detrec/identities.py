@@ -14,7 +14,10 @@ route function returns its routes' exact values (``int``, ``MultiPoly``,
 ``QuadExt``); the verifier serializes each once, with ``scalar_str``.
 Sury's expansion and the r-acci multinomial sum are both
 ``digraph.cycle_type_sum``, and the recurrence's tiling route is
-``combi.tiling_sum``.  ``verify_all`` runs every registered verifier
+``combi.tiling_sum``.  The expansions that are weighted sums of powers
+(Sury's, the McLaughlin and two-variable left sides, and through
+``combi.pie_cyclic_sum`` the cyclic-word layers) are each one
+``poly.power_sum``, which builds each power once per sum.  ``verify_all`` runs every registered verifier
 over its grid and is the repository's primary gate.
 """
 
@@ -40,7 +43,7 @@ from .combi import (
 from .detmat import build_A, build_C, build_F, build_G, build_S, det_bareiss
 from .digraph import cycle_type_sum
 from .errors import DimensionTooSmall, TooLarge
-from .poly import MultiPoly, VarNames, exact_divide, scalar_str, scalar_sum
+from .poly import MultiPoly, VarNames, exact_divide, power_sum, scalar_str
 from .recurrence import (
     binet_fib,
     binet_lucas,
@@ -159,9 +162,10 @@ def verify_mclaughlin(n: int):
     """
     x, y, z = (MultiPoly.var(i) for i in range(3))
     e1, e2, e3 = (elementary(t, 3) for t in (1, 2, 3))
-    lhs = scalar_sum((-1) ** i * comb(i + j, j) * comb(n - i - 2 * j, i + j)
-                     * e1 ** (n - 2 * i - 3 * j) * e2 ** i * e3 ** j
-                     for i in range(n // 2 + 1) for j in range((n - 2 * i) // 3 + 1))
+    lhs = power_sum([e1, e2, e3],
+                    [((-1) ** i * comb(i + j, j) * comb(n - i - 2 * j, i + j),
+                      (n - 2 * i - 3 * j, i, j))
+                     for i in range(n // 2 + 1) for j in range((n - 2 * i) // 3 + 1)])
     numerator = (x * y * (x ** (n + 1) - y ** (n + 1))
                  - x * z * (x ** (n + 1) - z ** (n + 1))
                  + y * z * (y ** (n + 1) - z ** (n + 1)))
@@ -173,8 +177,8 @@ def verify_mclaughlin(n: int):
 def verify_two_var(n: int):
     """Two-variable alternating binomial sum vs ``x**n + x**(n-1) y + ... + y**n``."""
     x, y = MultiPoly.var(0), MultiPoly.var(1)
-    lhs = scalar_sum((-1) ** i * comb(n - i, i) * (x + y) ** (n - 2 * i) * (x * y) ** i
-                     for i in range(n // 2 + 1))
+    lhs = power_sum([x + y, x * y],
+                    [((-1) ** i * comb(n - i, i), (n - 2 * i, i)) for i in range(n // 2 + 1)])
     return [lhs, homogeneous(n, 2)]
 
 

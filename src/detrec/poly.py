@@ -19,10 +19,14 @@ already; every ring operation (``+``, ``-``, unary ``-``, ``*``, ``**``) and
 normalised a second time.
 
 Multiplication and division pack the exponent vectors of their operands
-into single ints for the length of one call (``_Packing``), so that a
-monomial product is an integer addition and graded-lex order is integer
-order.  The packed form never leaves the call: the stored term map always
-has tuple monomials.
+into single ints (``_Packing``), so that a monomial product is an integer
+addition and graded-lex order is integer order.  A packing lasts for one
+product, one division or one ``power_sum`` call, and the packed form never
+leaves it: the stored term map always has tuple monomials.  ``power_sum``
+evaluates a whole sum ``sum(count * prod(w_t ** a_t))`` in one packing:
+each power once, every intermediate product and the running sum packed,
+and only the final sum unpacked.  It and ``MultiPoly.__mul__`` share the
+one packed multiply loop, ``_mul_into``.
 
 The canonical text form lists terms in descending graded-lexicographic order
 (total degree first, then lexicographically with the lowest-indexed variable
@@ -41,8 +45,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from math import gcd, lcm, prod
+from operator import mul
+from typing import Callable, Collection, Iterable, Mapping, Sequence, Union
 
 from .errors import NotDivisible, UnassignedVariable
 
@@ -276,14 +281,8 @@ class MultiPoly:
             return _from_terms({})
         packing = _Packing([*left, *right], self.degree() + other.degree())
         pack = packing.pack
-        right = [(pack(m), c) for m, c in right.items()]
-        out: dict[int, int] = {}
-        get = out.get
-        for ma, ca in left.items():
-            ka = pack(ma)
-            for kb, cb in right:
-                k = ka + kb
-                out[k] = get(k, 0) + ca * cb
+        out = _mul_into({}, zip(map(pack, left), left.values()),
+                        [(pack(m), c) for m, c in right.items()])
         unpack = packing.unpack
         return _from_terms({unpack(k): c for k, c in out.items() if c})
 
@@ -327,6 +326,26 @@ def _from_terms(terms: dict[Monomial, int]) -> MultiPoly:
     p = object.__new__(MultiPoly)
     _set_terms(p, terms)
     return p
+
+
+def _mul_into(out: dict[int, int], left: Iterable[tuple[int, int]],
+              right: Collection[tuple[int, int]]) -> dict[int, int]:
+    """Add the product of two packed polynomials into ``out``, and return ``out``.
+
+    This is the one packed multiply loop: a product of monomials is a sum
+    of keys.  Both factors are packed ``(key, coefficient)`` pairs.
+    ``left`` drives the outer loop and is read once, so it may be an
+    iterator; ``right`` is read once per term of ``left``, so callers pass
+    the shorter factor as ``left`` where they can.  A term that cancels
+    keeps its key with coefficient zero, so the caller drops zeros when it
+    unpacks.
+    """
+    get = out.get
+    for ka, ca in left:
+        for kb, cb in right:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return out
 
 
 def _power(base, k: int, one):
@@ -658,6 +677,58 @@ def scalar_sum(values: Iterable):
     if not polys:
         return rest
     return _from_terms({m: c for m, c in terms.items() if c}) + rest
+
+
+def power_sum(weights: Sequence, terms: Iterable[tuple[int, Sequence[int]]]):
+    """``sum(count * prod(w ** a for w, a in zip(weights, exps)))`` over ``terms``.
+
+    ``terms`` holds ``(count, exps)`` pairs, one non-negative exponent per
+    weight.  The result equals ``scalar_sum`` of the terms built one by one
+    and has its type: an empty sum is the int 0, and with a polynomial
+    weight any other sum is a ``MultiPoly``, the zero one when the terms
+    cancel.  Without a polynomial weight each term is a plain product.
+    With one, the call packs the weights' monomials once, in a
+    ``_Packing`` sized for the largest term degree, and builds each power
+    ``w**a`` it needs once, as ``w**(a-1) * w``.  Each term multiplies its
+    count and factors smallest first, the last product adding straight into
+    the packed running sum, and only that sum is unpacked.  Nothing
+    outlives the call.
+    """
+    terms = list(terms)
+    if not any(isinstance(w, MultiPoly) for w in weights):
+        total = 0
+        for count, exps in terms:
+            total = total + count * prod(map(pow, weights, exps))
+        return total
+    if not terms:
+        return 0
+    polys = [MultiPoly._coerce(w) for w in weights]
+    if None in polys:
+        raise TypeError("power_sum weights must be ints or polynomials")
+    degrees = [w.degree() for w in polys]
+    packing = _Packing([m for w in polys for m in w._terms],
+                       max(sum(map(mul, exps, degrees)) for _, exps in terms))
+    pack = packing.pack
+    powers = []  # powers[t][a]: weights[t]**a, packed
+    for w, top in zip(polys, map(max, zip(*(exps for _, exps in terms)))):
+        table = [[(0, 1)]]
+        if top:
+            base = [(pack(m), c) for m, c in w._terms.items()]
+            while len(table) <= top:
+                table.append(list(_mul_into({}, base, table[-1]).items()))
+        powers.append(table)
+    total: dict[int, int] = {}
+    for count, exps in terms:
+        if not count:
+            continue
+        factors = sorted((table[a] for table, a in zip(powers, exps) if a), key=len)
+        last = factors.pop() if factors else [(0, 1)]
+        product = [(0, count)]
+        for factor in factors:
+            product = _mul_into({}, product, factor).items()
+        _mul_into(total, product, last)
+    unpack = packing.unpack
+    return _from_terms({unpack(k): c for k, c in total.items() if c})
 
 
 def scalar_str(value, names: VarNames = None) -> str:

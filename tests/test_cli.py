@@ -184,6 +184,17 @@ def test_usage_errors(capsys, monkeypatch):
         assert exc.value.code == 2, argv
     assert capsys.readouterr().err.endswith(
         "error: argument --coeffs: expected comma-separated integers, got '1,x'\n")
+    # a flag before the subject is named, whatever the command
+    for argv in (["compute", "--n", "10", "fib"], ["enumerate", "--n=3", "tilings", "--r", "2"],
+                 ["verify", "--format", "csv", "fib", "--n", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        flag = argv[1].split("=")[0]
+        assert out == "" and err.startswith(f"usage: detrec {argv[0]} "), argv
+        assert err.endswith(f"error: {flag} comes before the subject: flags go after it, "
+                            f"as in 'detrec {argv[0]} SUBJECT {flag} ...'\n"), argv
     # an empty field is refused too; only the empty string is the empty list
     for flag, value, argv in (("--parts", "3,,1", ["compute", "schur", "--vars", "3"]),
                               ("--coeffs", "1,2,", ["compute", "recurrence", "--n", "3"]),

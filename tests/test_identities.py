@@ -5,7 +5,9 @@ import json
 import pytest
 
 import detrec.identities as identities
+from detrec import poly
 from detrec.detmat import build_C
+from detrec.digraph import cycle_type_sum
 from detrec.errors import DimensionTooSmall, TooLarge
 from detrec.identities import (
     symbolic_coeffs,
@@ -21,6 +23,7 @@ from detrec.identities import (
     verify_sury,
     verify_two_var,
 )
+from detrec.symfunc import signed_elementary
 
 
 def test_verify_hom_det():
@@ -50,6 +53,30 @@ def test_verify_mclaughlin():
     assert verify_mclaughlin(2).passed
     assert verify_mclaughlin(5).passed
     assert verify_mclaughlin(8).passed
+
+
+def test_expansions_build_each_power_once(monkeypatch):
+    # every packed product is one _mul_into call, and power_sum builds each
+    # w**a once for the whole sum: rebuilding powers per term raises these
+    signed = signed_elementary(4, 4)
+    counts = {"mul": 0, "packing": 0}
+    mul_into, packing = poly._mul_into, poly._Packing
+
+    def counted_mul_into(*args):
+        counts["mul"] += 1
+        return mul_into(*args)
+
+    def counted_packing(*args):
+        counts["packing"] += 1
+        return packing(*args)
+
+    monkeypatch.setattr(poly, "_mul_into", counted_mul_into)
+    monkeypatch.setattr(poly, "_Packing", counted_packing)
+    cycle_type_sum(8, signed)
+    assert counts == {"mul": 47, "packing": 1}
+    counts.update(mul=0, packing=0)
+    assert verify_mclaughlin(8).passed
+    assert counts["mul"] == 36
 
 
 def test_verify_two_var():

@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -17,6 +18,7 @@ from detrec.poly import (
     QuadExt,
     exact_divide,
     poly_str,
+    power_sum,
     scalar_str,
     scalar_sum,
     substitute,
@@ -121,6 +123,37 @@ def test_scalar_sum_equals_adding_one_by_one():
     assert scalar_sum([]) == 0 and type(scalar_sum([])) is int
     assert scalar_sum([X0, -X0]) == MultiPoly.zero()
     assert scalar_sum([PHI, PSI, 1]) == QuadExt(2)
+
+
+def naive_power_sum(weights, terms):
+    return scalar_sum(count * prod(w ** a for w, a in zip(weights, exps)) for count, exps in terms)
+
+
+def test_power_sum_equals_the_naive_sum():
+    rng = random.Random(20261019)
+    kinds = {"ints": lambda: rng.randint(-3, 3),
+             "polys": lambda: random_poly(rng, max_terms=4),
+             "mixed": lambda: rng.choice([rng.randint(-3, 3), random_poly(rng, max_terms=4)])}
+    for kind, draw in kinds.items():
+        for _ in range(40):
+            weights = [draw() for _ in range(rng.randint(1, 3))]
+            terms = [(rng.randint(-4, 4), [rng.randint(0, 3) for _ in weights])
+                     for _ in range(rng.randint(0, 5))]
+            cases = [terms, [],  # empty: the int 0
+                     [(0, exps) for _, exps in terms],  # zero counts
+                     [(count, [0] * len(weights)) for count, _ in terms],  # all-zero exponents
+                     terms + [(-count, exps) for count, exps in terms]]  # cancels completely
+            for case in cases:
+                expected = naive_power_sum(weights, case)
+                total = power_sum(weights, iter(case))
+                assert total == expected and type(total) is type(expected), (kind, weights, case)
+                assert scalar_str(total) == scalar_str(expected)
+    x = [X0 + X1, X0 * X1]
+    assert power_sum(x, []) == 0 and type(power_sum(x, [])) is int
+    cancelled = power_sum(x, [(2, (1, 1)), (-2, (1, 1))])
+    assert cancelled == MultiPoly.zero() and type(cancelled) is MultiPoly
+    assert power_sum([3, X0], [(1, (2, 0))]) == MultiPoly.const(9)
+    assert power_sum([2, 5], [(3, (2, 1)), (1, (0, 0))]) == 61
 
 
 def test_exact_divide_inverts_multiplication():

@@ -70,7 +70,8 @@ def test_racci_multinomial_matches_iteration():
     assert racci_multinomial(5, 3) == 13
     for r in range(1, 5):
         for n in range(0, 11):
-            assert racci_multinomial(n, r) == racci(n, r), (n, r)
+            value = racci_multinomial(n, r)
+            assert value == racci(n, r) and type(value) is int, (n, r)
 
 
 def test_racci_multinomial_cap():
