@@ -179,6 +179,11 @@ def _write_lines(lines: Iterable[str]) -> None:
         write("\n".join(chunk))
 
 
+def _list_text(item_text, items) -> str:
+    """``str(list(items))`` with each item printed as ``item_text`` prints it."""
+    return f"[{', '.join(map(item_text, items))}]"
+
+
 def _cmd_enumerate(args) -> int:
     pretty = args.format == "pretty"
     subject = args.subject
@@ -205,8 +210,9 @@ def _cmd_enumerate(args) -> int:
             return len(items), scalar_str(tiling_sum(items, coeffs), names)
     elif subject == "circular-tilings":
         items = enumerate_circular_tilings(args.n)
-        tiles = ([list(t) for t in tiling] for tiling in items)
-        objects = map(str, tiles) if pretty else (f'{{"tiles": {t}}}' for t in tiles)
+        pair_text = functools.cache(lambda pair: str(list(pair)))  # the tilings share their pairs
+        tiles = (_list_text(pair_text, tiling) for tiling in items)
+        objects = tiles if pretty else (f'{{"tiles": {t}}}' for t in tiles)
 
         def summary():
             return len(items), str(len(items))
@@ -214,9 +220,11 @@ def _cmd_enumerate(args) -> int:
         matrix, names = _family_matrix(args, lsds=True)
         items = enumerate_lsds(matrix)
         weights = [lsd.signed_weight for lsd in items]
+        # the LSDs share their cycles, printed with 1-based vertices
+        cycle_text = functools.cache(lambda cycle: str([v + 1 for v in cycle]))
 
         def lsd_line(lsd, signed) -> str:
-            cycles = [[v + 1 for v in cyc] for cyc in lsd.cycles]
+            cycles = _list_text(cycle_text, lsd.cycles)
             weight = scalar_str(signed, names)
             if pretty:
                 return f"{cycles} {weight}"

@@ -9,18 +9,22 @@ cyclic words avoiding a cyclic ``ab`` account for all but two linear
 subdigraphs of the two-variable circulant-like matrix.
 
 Linear tilings, circular tilings and words are plain tuples (``Tiling``,
-``CircularTiling``, ``Word``) and cyclic words plain strings.  A tile's
-length is checked, and the tiles' weights multiplied, only in
-``tiling_weight``; ``enumerate_cyclic_words`` is the one cyclic-word
-enumerator, lazy, with an optional pattern to avoid.  ``pie_cyclic_sum``
-is one ``poly.power_sum`` over its layers, in the weights ``-a*b`` and
-``a + b``.
+``CircularTiling``, ``Word``) and cyclic words plain strings.  The
+enumerators cost what they return.  Both tilings are built board row by
+board row, each tiling a tile in front of a tiling of a shorter board, and
+the circular ones share their ``(start, length)`` pairs.  A tile's length
+is checked, and the tiles' weights multiplied, only in ``tiling_weight``.
+``enumerate_cyclic_words`` is the one cyclic-word enumerator, lazy, with an
+optional pattern to avoid; it drops a half-word that holds the pattern
+before building any word from it, so its cost follows the words kept.
+``pie_cyclic_sum`` is one ``poly.power_sum`` over its layers, in the
+weights ``-a*b`` and ``a + b``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import accumulate, combinations_with_replacement, filterfalse, product
+from collections import Counter, deque
+from itertools import accumulate, combinations_with_replacement, filterfalse
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .caps import check_cap, check_terms
@@ -49,19 +53,37 @@ def enumerate_tilings(n: int, r: int) -> list[Tiling]:
     if r < 1:
         raise ValueError("maximum tile length must be positive")
     check_cap("tilings", n)
-    out: list[Tiling] = []
+    return _board_tilings([range(1, min(r, n) + 1)] * n)
 
-    def extend(prefix: list[int], remaining: int):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(1, min(r, remaining) + 1):
-            prefix.append(part)
-            extend(prefix, remaining - part)
-            prefix.pop()
 
-    extend([], n)
-    return out
+def _board_tilings(tiles: Sequence[Sequence], tail: tuple = ()) -> list[tuple]:
+    """Tilings of a board of ``len(tiles)`` cells, lexicographic in the tile lengths.
+
+    ``tiles[s][t - 1]`` stands for a ``t``-tile on cell ``s``, and every
+    ``tiles[s]`` lists the same lengths.  A tiling is the tuple of its tiles
+    from cell 0 on, followed by ``tail``.  The tilings of the last ``k``
+    cells are built from those of the last ``k - t`` cells, as
+    ``(tile,) + rest``, keeping only the rows a later row reads.  The whole
+    board's row is the last to read the rows before it, so each of those
+    becomes its block of the result in place, one tuple at a time.
+    """
+    n = len(tiles)
+    if not n:
+        return [tail]
+    rows = deque([[tail]])  # the tilings of the last k - 1, k - 2, ... cells
+    for k in range(1, n):
+        heads = [(tile,) for tile in tiles[n - k]]
+        rows.appendleft([head + rest for head, row in zip(heads, rows) for rest in row])
+        if len(rows) > len(heads):
+            rows.pop()
+    tilings = []
+    for tile in tiles[0][:len(rows)]:
+        row = rows.popleft()
+        head = (tile,)
+        for i, rest in enumerate(row):
+            row[i] = head + rest  # frees ``rest``, which no other row holds
+        tilings += row
+    return tilings
 
 
 def tiling_weight(tiling: Sequence[int], coeffs: Sequence):
@@ -114,16 +136,16 @@ def enumerate_circular_tilings(n: int) -> list[CircularTiling]:
 
     Each tiling is its ``(start, length)`` pairs sorted by start (see
     ``CircularTiling``).  The cells are labeled ``0..n-1``, so rotated
-    tilings are distinct, and the count is the n-th Lucas number.
+    tilings are distinct, and the count is the n-th Lucas number.  There
+    are ``2n`` distinct pairs, one tuple each, which the tilings share.
     """
     if n < 3:
         raise DimensionTooSmall(f"circular board needs n >= 3, got {n}")
     check_cap("circular_tilings", n)
+    pairs = [[(start, 1), (start, 2)] for start in range(n)]  # every tile any tiling uses
     # cell 0 not covered by a wrapping tile: a strip tiling of cells 0..n-1;
     # else a wrapping 2-tile covers cells n-1 and 0, and cells 1..n-2 form a strip
-    return [tuple(zip(accumulate(comp, initial=first), comp)) + wrap
-            for first, length, wrap in ((0, n, ()), (1, n - 2, ((n - 1, 2),)))
-            for comp in enumerate_tilings(length, 2)]
+    return _board_tilings(pairs) + _board_tilings(pairs[1:n - 1], (pairs[n - 1][1],))
 
 
 def enumerate_increasing_words(m: int, n_vars: int) -> list[Word]:
@@ -176,20 +198,44 @@ def enumerate_cyclic_words(n: int, avoid: str | None = None) -> Iterator[str]:
     Equality is positional (the start is pinned), so the words are plain
     strings of length ``n``, yielded in lexicographic order.  With
     ``avoid``, only the words with no cyclic occurrence of that pattern
-    (see ``has_cyclic_occurrence``).  The size and the cap are checked when
+    (see ``has_cyclic_occurrence``); the empty pattern occurs in every
+    word.  The size, the cap and the pattern's letters are checked when
     this is called, before the first word is built.
+
+    Every word is a left half followed by a right half, so one
+    concatenation builds it.  A half that already holds the pattern is
+    dropped as it grows, since no word containing it avoids the pattern,
+    and the cyclic test runs only on the words the kept halves make.  So
+    the cost follows the words kept: ``avoid="ab"`` keeps the halves
+    ``b...ba...a``, about ``n / 2`` a side, and tests about ``n**2 / 4`` of
+    the ``2**n`` words.
     """
     if n < 3:
         raise DimensionTooSmall(f"cyclic words need n >= 3, got {n}")
     check_cap("cyclic_words", n)
-    # every word is a left half followed by a right half, both in
-    # lexicographic order, so one concatenation builds each word
-    left = ["".join(w) for w in product("ab", repeat=n // 2)]
-    right = ["".join(w) for w in product("ab", repeat=n - n // 2)]
+    if avoid is not None:
+        stray = sorted(set(avoid) - set("ab"))
+        if stray:
+            raise ValueError(f"cyclic words are over a and b; the pattern {avoid!r} "
+                             f"also has {', '.join(map(repr, stray))}")
+    left, right = _linear_avoiders(n // 2, avoid), _linear_avoiders(n - n // 2, avoid)
     words = (x + y for x in left for y in right)
     if avoid is None:
         return words
     return filterfalse(_cyclic_occurrence_test(avoid, n), words)
+
+
+def _linear_avoiders(length: int, pattern: str | None) -> list[str]:
+    """Strings of ``length`` over ``{a, b}`` that do not contain ``pattern``, lexicographic.
+
+    Built a letter at a time, dropping each string that ends with the
+    pattern; with no pattern, every string.
+    """
+    words = [""]
+    for _ in range(length):
+        words = [w for v in words for w in (v + "a", v + "b")
+                 if pattern is None or not w.endswith(pattern)]
+    return words
 
 
 def has_cyclic_occurrence(word: str, pattern: str) -> bool:

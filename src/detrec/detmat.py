@@ -148,6 +148,8 @@ def build_S(a, b, n: int) -> SquareMatrix:
 
 def build_A(n: int) -> SquareMatrix:
     """Golden-ratio instance of ``build_S``: half its determinant is a Lucas number."""
+    if n < 3:
+        raise DimensionTooSmall(f"matrix A needs n >= 3, got {n}")
     return build_S(PHI, PSI, n)
 
 

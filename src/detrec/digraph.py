@@ -15,12 +15,13 @@ vertex.  Both the enumeration and the determinant peel off a cycle through
 the lowest uncovered vertex and recurse on the vertices left, which is the
 paper's recurrence.  One walker, ``_cycles``, finds those cycles along the
 actual nonzero edges (successor lists built once per call, vertex sets as
-int bitmasks), so the sparse structured matrices stay fast.
-``enumerate_lsds`` is a depth-first search over it, whose visiting order is
-already the canonical one; ``det_via_lsd`` memoises the signed weight sum
-on the vertex set left, expanding each distinct set once per call and
-building no LSD.  The hard cap exists because a dense matrix has ``n!``
-linear subdigraphs.  In a banded digraph every cycle is a block of
+int bitmasks), so the sparse structured matrices stay fast.  Both memoise
+on the vertex set left, so each distinct set is walked once per call.
+``enumerate_lsds`` keeps the set's cycles that leave a set with an LSD and
+builds each LSD as such a cycle followed by an LSD of the rest, so its
+cost follows the LSDs it lists; ``det_via_lsd`` keeps the set's signed
+weight sum and builds no LSD.  The hard cap exists because a dense matrix
+has ``n!`` linear subdigraphs.  In a banded digraph every cycle is a block of
 consecutive vertices, so its LSDs group by cycle type (``cycle_types``,
 ``count_cycle_type``), and ``cycle_type_sum`` is their weight sum written
 that way: Sury's identity and the r-acci multinomial sum.  It hands the
@@ -58,7 +59,7 @@ class LinearSubdigraph:
 
     @property
     def signed_weight(self):
-        return self.sign * self.weight
+        return -self.weight if self.sign < 0 else self.weight  # a negation, not a ring product
 
 
 def _successors(rows) -> list[list[tuple[int, object]]]:
@@ -104,14 +105,28 @@ def _lowest(mask: int) -> int:
 def enumerate_lsds(m: SquareMatrix) -> list[LinearSubdigraph]:
     """All linear subdigraphs with nonzero weight, each exactly once.
 
-    A depth-first search: the first cycle goes through vertex 0, each next
-    one through the lowest vertex still uncovered, and the cycles through a
-    vertex come in lexicographic order.  So the output is already sorted
-    lexicographically by the canonical cycle representation.
+    The LSDs of a vertex set are, for each cycle through its lowest vertex
+    in ``_cycles`` order, that cycle followed by each LSD of the vertices
+    left; so the output is sorted lexicographically by the canonical cycle
+    representation.  A set's cycles are memoised on the set for the length
+    of one call, so ``_cycles`` walks each distinct set once and the LSDs
+    share the cycle tuples.  A cycle is kept only if the vertices it leaves
+    have an LSD, so every cycle tried ends in an LSD listed.
     """
     n = m.n
     check_cap("lsd", n)
     succ = _successors(m)
+    memo: dict[int, list] = {}  # vertex set -> its kept cycles, as _cycles yields them
+
+    def first_cycles(unused: int) -> list:
+        kept = memo.get(unused)
+        if kept is None:
+            kept = memo[unused] = [
+                (cycle, rest, weight)
+                for cycle, rest, weight in _cycles(succ, _lowest(unused), unused)
+                if not rest or first_cycles(rest)]
+        return kept
+
     found: list[LinearSubdigraph] = []
     cycles: list[tuple[int, ...]] = []
 
@@ -119,7 +134,7 @@ def enumerate_lsds(m: SquareMatrix) -> list[LinearSubdigraph]:
         if not unused:
             found.append(LinearSubdigraph(n, tuple(cycles), weight))
             return
-        for cycle, rest, w in _cycles(succ, _lowest(unused), unused):
+        for cycle, rest, w in first_cycles(unused):
             cycles.append(cycle)
             cover(rest, w if weight is None else weight * w)
             cycles.pop()

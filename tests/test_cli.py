@@ -210,6 +210,15 @@ def test_usage_errors(capsys, monkeypatch):
         2, "", "error: need at least one coefficient\n")
     code, _, _ = run(capsys, "compute", "schur", "--parts", "1,2", "--vars", "2")
     assert code == 2  # not weakly decreasing
+    # a pattern letter no cyclic word has is refused before the first word
+    assert run(capsys, "enumerate", "cyclic-words", "--n", "5", "--avoid", "AB") == (
+        2, "", "error: cyclic words are over a and b; the pattern 'AB' also has 'A', 'B'\n")
+    # a matrix family too small to build is refused by its own name
+    for command in (["enumerate", "lsds", "--family", "A", "--n", "1"],
+                    ["compute", "det", "--family", "A", "--n", "2"],
+                    ["compute", "det", "--family", "S", "--n", "2"]):
+        assert run(capsys, *command) == (
+            2, "", f"error: matrix {command[3]} needs n >= 3, got {command[5]}\n"), command
     # a matrix family refuses the flags it does not read before any cap or build
     def unreachable(*args):
         raise AssertionError("work before the flag check")

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from detrec import combi
 from detrec.combi import (
     cyclic_avoiding_weight,
     cyclic_word_weight,
@@ -215,14 +216,20 @@ def test_has_cyclic_occurrence_matches_its_definition():
 
 
 def test_cyclic_words_stream_every_word_in_order():
-    for n in (3, 4, 7, 10):
+    # the halves that already hold the pattern are dropped: the same words,
+    # in the same order, as filtering all 2**n, for every pattern up to
+    # length 5, some longer than half the word or than the word itself
+    patterns = ["".join(p) for k in range(6) for p in product("ab", repeat=k)]
+    for n in range(3, 13):
         words = enumerate_cyclic_words(n)
-        assert not isinstance(words, list)  # lazy
+        assert iter(words) is words  # lazy
         every = ["".join(w) for w in product("ab", repeat=n)]
         assert list(words) == every
-        for pattern in ("ab", "bb", "aab", "abaabaab", ""):
-            assert list(enumerate_cyclic_words(n, pattern)) == [
-                w for w in every if not has_cyclic_occurrence(w, pattern)]
+        for pattern in patterns:
+            words = enumerate_cyclic_words(n, pattern)
+            assert iter(words) is words, pattern
+            assert list(words) == [w for w in every if not has_cyclic_occurrence(w, pattern)], (
+                n, pattern)
 
 
 def test_cyclic_words_check_before_the_first_word():
@@ -230,6 +237,40 @@ def test_cyclic_words_check_before_the_first_word():
         enumerate_cyclic_words(2)
     with pytest.raises(TooLarge):
         enumerate_cyclic_words(40)
+    # a letter no cyclic word has is refused, not read as a pattern no word holds
+    for pattern, stray in (("AB", "'A', 'B'"), ("abc", "'c'"), ("a b", "' '")):
+        with pytest.raises(ValueError) as exc:
+            enumerate_cyclic_words(5, pattern)
+        assert str(exc.value) == (
+            f"cyclic words are over a and b; the pattern {pattern!r} also has {stray}")
+    assert list(enumerate_cyclic_words(5, "")) == []  # the empty pattern occurs in every word
+
+
+def test_cyclic_words_avoiding_ab_test_a_quadratic_number_of_words(monkeypatch):
+    # the cyclic test runs on the words the kept halves make, n / 2 + 1 a
+    # side for ab, not on all 2**n words
+    tested = []
+    make_test = combi._cyclic_occurrence_test
+
+    def counting_test(pattern, length):
+        test = make_test(pattern, length)
+
+        def counted(word):
+            tested.append(word)
+            return test(word)
+        return counted
+    monkeypatch.setattr(combi, "_cyclic_occurrence_test", counting_test)
+    n = 20
+    assert list(enumerate_cyclic_words(n, "ab")) == ["a" * n, "b" * n]
+    assert 0 < len(tested) <= n * n
+
+
+def test_circular_tilings_share_their_pairs():
+    # each of the 2n (start, length) pairs is one object, however many tilings hold it
+    for n in (3, 4, 9, 16):
+        tilings = enumerate_circular_tilings(n)
+        pairs = {id(pair): pair for tiling in tilings for pair in tiling}
+        assert sorted(pairs.values()) == [(s, t) for s in range(n) for t in (1, 2)], n
 
 
 def test_cyclic_word_weight():

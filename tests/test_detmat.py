@@ -137,9 +137,10 @@ def test_det_S_numeric():
 
 
 def test_build_S_rejects_small_n():
-    with pytest.raises(DimensionTooSmall):
+    # each family names itself
+    with pytest.raises(DimensionTooSmall, match=r"^matrix S needs n >= 3, got 2$"):
         build_S(A, B, 2)
-    with pytest.raises(DimensionTooSmall):
+    with pytest.raises(DimensionTooSmall, match=r"^matrix A needs n >= 3, got 2$"):
         build_A(2)
 
 

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from detrec import digraph
 from detrec.combi import enumerate_tilings, tiling_sum, tiling_weight
 
 from detrec.detmat import (
@@ -25,6 +26,7 @@ from detrec.digraph import (
     enumerate_lsds,
 )
 from detrec.errors import InvalidCycleType, TooLarge
+from detrec.identities import symbolic_coeffs
 from detrec.poly import MultiPoly, scalar_str, scalar_sum
 from detrec.recurrence import racci
 from detrec.symfunc import build_E, homogeneous
@@ -168,6 +170,39 @@ def test_enumeration_cap():
         enumerate_lsds(identity_matrix(13))
     with pytest.raises(TooLarge):
         det_via_lsd(identity_matrix(13))
+
+
+def test_enumeration_walks_each_vertex_set_once(monkeypatch):
+    # a vertex set's cycles are memoised on it for one call, so _cycles
+    # walks each set reached once; a banded matrix's cycles are blocks of
+    # consecutive vertices, so the sets reached are the n suffixes
+    walked = []
+    cycles = digraph._cycles
+
+    def spy(succ, start, unused):
+        walked.append(unused)
+        return cycles(succ, start, unused)
+    monkeypatch.setattr(digraph, "_cycles", spy)
+    n = 11
+    assert len(enumerate_lsds(build_C(symbolic_coeffs(4), n))) == racci(n, 4)
+    assert len(walked) == len(set(walked)) == n
+    assert set(walked) == {(1 << n) - (1 << k) for k in range(n)}
+    enumerate_lsds(build_C(symbolic_coeffs(4), n))
+    assert len(walked) == 2 * n  # no table outlives the call
+
+
+def test_enumeration_extends_no_path_that_ends_in_no_lsd(counted_ints):
+    # the last vertex has no edge, so no LSD exists: listing them costs only
+    # the ring products of the cycle walks, the same as det_via_lsd's
+    Counted, count = counted_ints
+    n = 6
+    m = SquareMatrix([[Counted(int(i < n - 1 and j < n - 1)) for j in range(n)]
+                      for i in range(n)])
+    assert det_via_lsd(m) == 0
+    walks, count[0] = count[0], 0
+    assert walks > 0
+    assert enumerate_lsds(m) == []
+    assert count[0] == walks
 
 
 def test_enumeration_is_deterministic_and_canonical():
