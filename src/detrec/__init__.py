@@ -41,7 +41,6 @@ from .detmat import (
 from .digraph import (
     LinearSubdigraph,
     count_cycle_type,
-    cycle_type,
     det_via_lsd,
     digraph_dot,
     enumerate_lsds,

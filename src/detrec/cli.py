@@ -37,8 +37,8 @@ from collections import Counter
 from itertools import islice, repeat
 from typing import Iterable
 
-from .caps import (MAX_RECURRENCE_WORK, check_cap, check_cells, check_det_E, check_det_S,
-                   check_digits, check_iteration, check_lsds_E, check_recurrence)
+from .caps import (MAX_DIGITS, MAX_RECURRENCE_WORK, check_cap, check_cells, check_det_E,
+                   check_det_S, check_digits, check_iteration, check_lsds_E, check_recurrence)
 from .combi import (
     cyclic_word_weight,
     enumerate_circular_tilings,
@@ -58,11 +58,15 @@ from .symfunc import build_E, elementary, homogeneous, schur
 
 
 def _int_list(text: str) -> list[int]:
+    parts = text.split(",") if text else []
     try:
-        return [int(part) for part in text.split(",")] if text else []
+        return [int(part) for part in parts]
     except ValueError:
+        # int() refuses a field of over MAX_DIGITS digits as it refuses "x"
+        too_long = max(map(len, parts)) > MAX_DIGITS
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}") from None
+            f"expected comma-separated integers of at most {MAX_DIGITS} digits" if too_long
+            else f"expected comma-separated integers, got {text!r}") from None
 
 
 def _need(args, flag: str):
@@ -219,20 +223,19 @@ def _cmd_enumerate(args) -> int:
     elif subject == "lsds":
         matrix, names = _family_matrix(args, lsds=True)
         items = enumerate_lsds(matrix)
-        weights = [lsd.signed_weight for lsd in items]
         # the LSDs share their cycles, printed with 1-based vertices
         cycle_text = functools.cache(lambda cycle: str([v + 1 for v in cycle]))
 
-        def lsd_line(lsd, signed) -> str:
+        def lsd_line(lsd) -> str:
             cycles = _list_text(cycle_text, lsd.cycles)
-            weight = scalar_str(signed, names)
+            weight = scalar_str(lsd.signed_weight, names)
             if pretty:
                 return f"{cycles} {weight}"
             return f'{{"cycles": {cycles}, "signed_weight": {json.dumps(weight)}}}'
-        objects = map(lsd_line, items, weights)
+        objects = map(lsd_line, items)
 
         def summary():
-            return len(items), scalar_str(scalar_sum(weights), names)
+            return len(items), scalar_str(scalar_sum(lsd.signed_weight for lsd in items), names)
     elif subject == "words":
         items = enumerate_increasing_words(args.n, args.vars)
         if pretty:

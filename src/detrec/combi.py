@@ -10,10 +10,13 @@ subdigraphs of the two-variable circulant-like matrix.
 
 Linear tilings, circular tilings and words are plain tuples (``Tiling``,
 ``CircularTiling``, ``Word``) and cyclic words plain strings.  The
-enumerators cost what they return.  Both tilings are built board row by
-board row, each tiling a tile in front of a tiling of a shorter board, and
-the circular ones share their ``(start, length)`` pairs.  A tile's length
-is checked, and the tiles' weights multiplied, only in ``tiling_weight``.
+enumerators cost what they return.  Each tiling, linear or circular, is
+one join of a head, the tiles over the board's first half, and a tiling
+of the cells after it, built row by row from the board's end; so only the
+result is board-sized, and the circular ones share their ``(start,
+length)`` pairs.  A tile's length is checked, and the tiles' weights
+multiplied, only in ``tiling_weight``, which is also the signed weight of
+a tiling's linear subdigraph (``tiling_to_lsd``).
 ``enumerate_cyclic_words`` is the one cyclic-word enumerator, lazy, with an
 optional pattern to avoid; it drops a half-word that holds the pattern
 before building any word from it, so its cost follows the words kept.
@@ -23,7 +26,7 @@ weights ``-a*b`` and ``a + b``.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from itertools import accumulate, combinations_with_replacement, filterfalse
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -59,31 +62,31 @@ def enumerate_tilings(n: int, r: int) -> list[Tiling]:
 def _board_tilings(tiles: Sequence[Sequence], tail: tuple = ()) -> list[tuple]:
     """Tilings of a board of ``len(tiles)`` cells, lexicographic in the tile lengths.
 
-    ``tiles[s][t - 1]`` stands for a ``t``-tile on cell ``s``, and every
-    ``tiles[s]`` lists the same lengths.  A tiling is the tuple of its tiles
-    from cell 0 on, followed by ``tail``.  The tilings of the last ``k``
-    cells are built from those of the last ``k - t`` cells, as
-    ``(tile,) + rest``, keeping only the rows a later row reads.  The whole
-    board's row is the last to read the rows before it, so each of those
-    becomes its block of the result in place, one tuple at a time.
+    ``tiles[s][t - 1]`` stands for a ``t``-tile on cell ``s``.  A tiling is
+    the tuple of its tiles from cell 0 on, followed by ``tail``.  Each
+    tiling is one join, ``head + rest``: ``head`` is the tiles up to the
+    first tile that reaches past the board's first half, and ``rest`` a
+    tiling of the cells after it.  The heads are grown a tile at a time in
+    lexicographic order, and no head is a prefix of another, so joining
+    each to the rests of its length in order keeps the order.  The rests
+    are built row by row from the end of the board, the tilings of the
+    last ``k`` cells as ``(tile,) + rest`` of the rows before.  Heads and
+    rows cover half the board each, so only the result is ever
+    board-sized.
     """
     n = len(tiles)
-    if not n:
-        return [tail]
-    rows = deque([[tail]])  # the tilings of the last k - 1, k - 2, ... cells
-    for k in range(1, n):
-        heads = [(tile,) for tile in tiles[n - k]]
-        rows.appendleft([head + rest for head, row in zip(heads, rows) for rest in row])
-        if len(rows) > len(heads):
-            rows.pop()
-    tilings = []
-    for tile in tiles[0][:len(rows)]:
-        row = rows.popleft()
-        head = (tile,)
-        for i, rest in enumerate(row):
-            row[i] = head + rest  # frees ``rest``, which no other row holds
-        tilings += row
-    return tilings
+    half = (n + 1) // 2
+    rows = [[tail]]  # rows[k]: the tilings of the last k cells
+    for k in range(1, n - half + 1):
+        rows.append([(tile,) + rest for tile, row in zip(tiles[n - k], reversed(rows))
+                     for rest in row])
+    heads = [((), 0)]  # a head and the cells it covers, lexicographic
+    while any(cells < half for _, cells in heads):
+        heads = [grown for head, cells in heads
+                 for grown in ([(head, cells)] if cells >= half else
+                               [(head + (tile,), cells + t)
+                                for t, tile in enumerate(tiles[cells][:n - cells], 1)])]
+    return [head + rest for head, cells in heads for rest in rows[n - cells]]
 
 
 def tiling_weight(tiling: Sequence[int], coeffs: Sequence):
@@ -120,15 +123,14 @@ def tiling_to_lsd(tiling: Sequence[int], coeffs: Sequence) -> LinearSubdigraph:
 
     A tile of length ``i`` covering cells ``k..k+i-1`` becomes the cycle
     ``k -> k+i-1 -> k+i-2 -> ... -> k`` of the digraph of the banded
-    recurrence matrix built from ``coeffs``; 1-tiles become loops.  The raw
-    cycle weight is the band entry ``(-1)**(i+1) * c_i``, so the LSD's raw
-    weight is ``(-1)**(n - len(tiling))`` times the tiling weight and its
-    signed weight equals the tiling weight.
+    recurrence matrix built from ``coeffs``; 1-tiles become loops.  The
+    cycle's raw weight is the band entry ``(-1)**(i+1) * c_i``, so its
+    signed weight is ``c_i`` and the LSD's signed weight is the tiling
+    weight.
     """
-    n = sum(tiling)
     cycles = tuple((cell,) + tuple(range(cell + part - 1, cell, -1))
                    for cell, part in zip(accumulate(tiling, initial=0), tiling))
-    return LinearSubdigraph(n, cycles, (-1) ** (n - len(tiling)) * tiling_weight(tiling, coeffs))
+    return LinearSubdigraph(cycles, tiling_weight(tiling, coeffs))
 
 
 def enumerate_circular_tilings(n: int) -> list[CircularTiling]:
@@ -303,14 +305,10 @@ def lsd_excluded_pair(n: int) -> tuple[LinearSubdigraph, LinearSubdigraph]:
     """The two spanning n-cycles of the two-variable circulant-like digraph.
 
     These are the only linear subdigraphs left out of the cyclic-word
-    correspondence; their signed weights are ``a**n`` and ``b**n`` (raw
-    weights ``(-1)**(n+1) * a**n`` and ``(-1)**(n+1) * b**n``).
+    correspondence; their signed weights are ``a**n`` and ``b**n``.
     """
     if n < 3:
         raise DimensionTooSmall(f"matrix S needs n >= 3, got {n}")
-    raw_sign = 1 if n % 2 == 1 else -1
     ascending = tuple(range(n))
     descending = (0,) + tuple(range(n - 1, 0, -1))
-    l1 = LinearSubdigraph(n, (ascending,), raw_sign * _A ** n)
-    l2 = LinearSubdigraph(n, (descending,), raw_sign * _B ** n)
-    return l1, l2
+    return LinearSubdigraph((ascending,), _A ** n), LinearSubdigraph((descending,), _B ** n)

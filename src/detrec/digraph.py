@@ -7,7 +7,11 @@ entry, listed by ``_successors``.  So every function here takes the
 collection of pairwise vertex-disjoint directed cycles; loops count as
 cycles of length 1.  Summing ``(-1)**(n - c(L)) * w(L)`` over all LSDs
 gives the determinant, which is the expansion everything in this library
-is checked against.
+is checked against.  That sign is the product of ``(-1)**(|C| - 1)`` over
+the cycles, so the layer keeps one convention: a cycle's weight is its
+signed weight, applied once where ``_cycles`` closes the cycle, and an
+LSD's weight is the product of its cycles' (``LinearSubdigraph`` holds
+only the cycles and that signed weight).
 
 Cycles are kept canonical: each cycle is rotated so its smallest vertex
 comes first, and the cycles of an LSD are listed by increasing smallest
@@ -15,18 +19,18 @@ vertex.  Both the enumeration and the determinant peel off a cycle through
 the lowest uncovered vertex and recurse on the vertices left, which is the
 paper's recurrence.  One walker, ``_cycles``, finds those cycles along the
 actual nonzero edges (successor lists built once per call, vertex sets as
-int bitmasks), so the sparse structured matrices stay fast.  Both memoise
-on the vertex set left, so each distinct set is walked once per call.
-``enumerate_lsds`` keeps the set's cycles that leave a set with an LSD and
-builds each LSD as such a cycle followed by an LSD of the rest, so its
-cost follows the LSDs it lists; ``det_via_lsd`` keeps the set's signed
-weight sum and builds no LSD.  The hard cap exists because a dense matrix
-has ``n!`` linear subdigraphs.  In a banded digraph every cycle is a block of
-consecutive vertices, so its LSDs group by cycle type (``cycle_types``,
-``count_cycle_type``), and ``cycle_type_sum`` is their weight sum written
-that way: Sury's identity and the r-acci multinomial sum.  It hands the
-types to ``poly.power_sum`` as exponent vectors, so each power of a weight
-is built once per sum.
+int bitmasks), so the sparse structured matrices stay fast.  Both routes
+read one table, ``_first_cycles``: per call, each distinct vertex set's
+cycles whose rest has an LSD, walked once.  ``enumerate_lsds`` builds each
+LSD as such a cycle followed by an LSD of the rest, so its cost follows
+the LSDs it lists; ``det_via_lsd`` sums each set's signed weights in one
+pass over the table and builds no LSD.  The hard cap exists because a
+dense matrix has ``n!`` linear subdigraphs.  In a banded digraph every
+cycle is a block of consecutive vertices, so its LSDs group by cycle type
+(``cycle_types``, ``count_cycle_type``), and ``cycle_type_sum`` is their
+weight sum written that way: Sury's identity and the r-acci multinomial
+sum.  It hands the types to ``poly.power_sum`` as exponent vectors, so
+each power of a weight is built once per sum.
 """
 
 from __future__ import annotations
@@ -43,23 +47,15 @@ from .poly import power_sum, scalar_str
 
 @dataclass(frozen=True)
 class LinearSubdigraph:
-    """Spanning vertex-disjoint cycle collection with its raw weight."""
+    """Spanning vertex-disjoint cycle collection with its signed weight.
 
-    n: int
+    The signed weight is the product of the cycles' signed weights
+    (``_cycles``), which is ``(-1)**(n - c) * w`` for ``c`` cycles of raw
+    weight product ``w``: the LSD's term of the determinant.
+    """
+
     cycles: tuple[tuple[int, ...], ...]
-    weight: object
-
-    @property
-    def cycle_count(self) -> int:
-        return len(self.cycles)
-
-    @property
-    def sign(self) -> int:
-        return -1 if (self.n - len(self.cycles)) % 2 else 1
-
-    @property
-    def signed_weight(self):
-        return -self.weight if self.sign < 0 else self.weight  # a negation, not a ring product
+    signed_weight: object
 
 
 def _successors(rows) -> list[list[tuple[int, object]]]:
@@ -67,24 +63,29 @@ def _successors(rows) -> list[list[tuple[int, object]]]:
     return [[(j, w) for j, w in enumerate(row) if w] for row in rows]
 
 
-def _cycles(succ, start: int, unused: int):
-    """The cycles through ``start`` inside the vertex set ``unused``.
+def _cycles(succ, unused: int):
+    """The cycles through the lowest vertex of the vertex set ``unused``.
 
-    ``unused`` is a bitmask whose lowest vertex is ``start``, so a walk from
-    ``start`` is already in canonical rotation.  Yields
-    ``(cycle, rest, weight)``: the cycle's vertices, the bitmask of
-    ``unused`` without them, and the cycle's weight.  Cycles come in
-    lexicographic order: a walk closes before it is extended, and it is
-    extended by increasing vertex.  A walk only records its edge weights;
-    they are multiplied once it closes, so dead ends cost no ring products.
+    ``unused`` is a bitmask, and a walk from its lowest vertex is already
+    in canonical rotation.  Yields
+    ``(cycle, rest, signed weight)``: the cycle's vertices, the bitmask of
+    ``unused`` without them, and ``(-1)**(|C| - 1)`` times the product of
+    its edge weights, the only place the expansion's sign is applied.
+    Cycles come in lexicographic order: a walk closes before it is
+    extended, and it is extended by increasing vertex.  A walk only records
+    its edge weights; they are multiplied once it closes, so dead ends cost
+    no ring products.  The sign is a negation of the closing edge's weight,
+    not a product; on the band matrices that edge is an integer 1.
     """
+    start = (unused & -unused).bit_length() - 1
     path = [start]
     weights = []
 
     def walk(tip: int, avail: int):
         for nxt, w in succ[tip]:
             if nxt == start:
-                weight = w
+                # an even cycle records an odd number of other edges
+                weight = -w if len(weights) % 2 else w
                 for x in weights:
                     weight = x * weight
                 yield tuple(path), avail, weight
@@ -98,48 +99,56 @@ def _cycles(succ, start: int, unused: int):
     return walk(start, unused ^ (1 << start))
 
 
-def _lowest(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
+def _first_cycles(m: SquareMatrix) -> dict[int, list]:
+    """The table both LSD routes read: each vertex set's first cycles, for one call.
+
+    Checks the ``lsd`` cap, then walks ``_cycles`` from the full vertex
+    set down.  The table maps each vertex set (a bitmask) reached to the
+    ``(cycle, rest, signed weight)`` entries of the cycles through its
+    lowest vertex whose ``rest`` has an LSD, or is empty.  Each distinct
+    set is walked once, and a set is listed after every set its entries
+    leave, so a pass over the table in order meets each ``rest`` first.
+    """
+    check_cap("lsd", m.n)
+    succ = _successors(m)
+    table: dict[int, list] = {}
+
+    def kept(unused: int) -> list:
+        entries = table.get(unused)
+        if entries is None:
+            entries = table[unused] = [
+                entry for entry in _cycles(succ, unused)
+                if not entry[1] or kept(entry[1])]
+        return entries
+
+    kept((1 << m.n) - 1)
+    return table
 
 
 def enumerate_lsds(m: SquareMatrix) -> list[LinearSubdigraph]:
     """All linear subdigraphs with nonzero weight, each exactly once.
 
-    The LSDs of a vertex set are, for each cycle through its lowest vertex
-    in ``_cycles`` order, that cycle followed by each LSD of the vertices
-    left; so the output is sorted lexicographically by the canonical cycle
-    representation.  A set's cycles are memoised on the set for the length
-    of one call, so ``_cycles`` walks each distinct set once and the LSDs
-    share the cycle tuples.  A cycle is kept only if the vertices it leaves
-    have an LSD, so every cycle tried ends in an LSD listed.
+    The LSDs of a vertex set are, for each of its entries in the
+    ``_first_cycles`` table, in ``_cycles`` order, that cycle followed by
+    each LSD of the vertices left; so the output is sorted
+    lexicographically by the canonical cycle representation, and the LSDs
+    share the cycle tuples.  Every cycle in the table ends in an LSD
+    listed, and an LSD's signed weight is the product of its cycles'.
     """
-    n = m.n
-    check_cap("lsd", n)
-    succ = _successors(m)
-    memo: dict[int, list] = {}  # vertex set -> its kept cycles, as _cycles yields them
-
-    def first_cycles(unused: int) -> list:
-        kept = memo.get(unused)
-        if kept is None:
-            kept = memo[unused] = [
-                (cycle, rest, weight)
-                for cycle, rest, weight in _cycles(succ, _lowest(unused), unused)
-                if not rest or first_cycles(rest)]
-        return kept
-
+    table = _first_cycles(m)
     found: list[LinearSubdigraph] = []
     cycles: list[tuple[int, ...]] = []
 
     def cover(unused: int, weight) -> None:
         if not unused:
-            found.append(LinearSubdigraph(n, tuple(cycles), weight))
+            found.append(LinearSubdigraph(tuple(cycles), weight))
             return
-        for cycle, rest, w in first_cycles(unused):
+        for cycle, rest, w in table[unused]:
             cycles.append(cycle)
             cover(rest, w if weight is None else weight * w)
             cycles.pop()
 
-    cover((1 << n) - 1, None)
+    cover((1 << m.n) - 1, None)
     return found
 
 
@@ -150,41 +159,22 @@ def det_via_lsd(m: SquareMatrix):
     ``f(U)`` the signed weight sum over the linear subdigraphs of the
     vertex set ``U``,
 
-        f(U) = sum over cycles C through min(U) of (-1)**(|C|-1) * w(C) * f(U - C),
+        f(U) = sum over the first cycles C of U of sw(C) * f(U - C),
 
-    and ``f(empty) = 1``.  ``f`` is memoised on ``U`` for the length of one
-    call, so each distinct vertex set is expanded once; no linear
-    subdigraph is built.
+    where ``sw(C) = (-1)**(|C|-1) * w(C)`` is the cycle's signed weight,
+    and ``f(empty) = 1``.  One pass over the ``_first_cycles`` table, which
+    lists each set after the sets its cycles leave, computes ``f`` of each
+    distinct vertex set once; no linear subdigraph is built.
     """
-    n = m.n
-    check_cap("lsd", n)
-    succ = _successors(m)
-    memo = {0: 1}
-
-    def f(unused: int):
-        total = memo.get(unused)
-        if total is not None:
-            return total
+    sums = {0: 1}
+    for unused, entries in _first_cycles(m).items():
         total = 0
-        for cycle, rest, weight in _cycles(succ, _lowest(unused), unused):
-            sub = f(rest)
-            if not sub:
-                continue
-            term = weight * sub if rest else weight
-            total = total - term if len(cycle) % 2 == 0 else total + term
-        memo[unused] = total
-        return total
-
-    return f((1 << n) - 1)
-
-
-def cycle_type(lsd: LinearSubdigraph) -> dict[int, int]:
-    """Counts of cycle lengths >= 2 (loops are implied by the vertex count)."""
-    counts: dict[int, int] = {}
-    for cyc in lsd.cycles:
-        if len(cyc) >= 2:
-            counts[len(cyc)] = counts.get(len(cyc), 0) + 1
-    return counts
+        for _, rest, weight in entries:
+            sub = sums[rest]
+            if sub:  # a sum that cancels to zero costs no product
+                total = total + (weight * sub if rest else weight)
+        sums[unused] = total
+    return sums[(1 << m.n) - 1]
 
 
 def cycle_types(n: int, band: int):

@@ -210,7 +210,11 @@ def _recurrence_grid(ranges: dict[str, range], seed: int) -> Iterable[tuple]:
                           else list(coeffs)),
                "r": len(coeffs), "n": n})
 def verify_recurrence_det(coeffs: Sequence, n: int):
-    """Three-way check: recurrence iteration, band determinant, tiling weight sum."""
+    """Three-way check: recurrence iteration, band determinant, tiling weight sum.
+
+    The iteration comes first: it holds integer coefficients to the digit
+    and step caps (``caps.check_iteration``) before any route runs.
+    """
     return [eval_recurrence(coeffs, n), det_bareiss(build_C(coeffs, n)),
             tiling_sum(enumerate_tilings(n, len(coeffs)), coeffs)]
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .caps import check_cap
+from .caps import check_cap, check_iteration
 from .digraph import cycle_type_sum
 from .poly import PHI, PSI, SQRT5, QuadExt
 
@@ -20,12 +20,16 @@ def eval_recurrence(coeffs: Sequence, n: int):
     """Value ``u_n`` of ``u_m = c_1 u_{m-1} + ... + c_r u_{m-r}``.
 
     ``u_0 = 1`` and ``u_j = 0`` for ``j < 0``; coefficients may be any exact
-    scalar, including polynomials.
+    scalar, including polynomials.  With integer coefficients the value and
+    its iteration are held to ``caps.check_iteration`` before the first
+    step, so every path that iterates them shares that guard.
     """
     if n < 0:
         raise ValueError("index must be non-negative")
     if not coeffs:
         raise ValueError("need at least one coefficient")
+    if all(isinstance(c, int) for c in coeffs):
+        check_iteration(n, coeffs)
     values = [1]
     for m in range(1, n + 1):
         acc = 0

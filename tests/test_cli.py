@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from detrec import cli, combi, symfunc
+from detrec import cli, combi, identities, symfunc
 from detrec.caps import MAX_RECURRENCE_STEPS, MAX_RECURRENCE_WORK, check_recurrence
 from detrec.cli import main
 from detrec.combi import cyclic_word_weight, tiling_weight, word_weight
@@ -544,6 +544,28 @@ def test_integer_values_are_held_to_the_digit_cap(capsys):
         assert run(capsys, "compute", *argv)[0] == 3, argv
     # a loose bound: 2,-1 gives u_n = n + 1, and |c| sums to 3
     assert run(capsys, "compute", "recurrence", "--coeffs", "2,-1", "--n", "500")[1] == "501\n"
+
+
+def test_verify_recurrence_det_is_held_to_the_digit_cap(capsys, monkeypatch):
+    # compute and verify share the iteration's guard, so verify refuses a
+    # value of over 4300 digits with exit 3 before any route runs
+    def unreachable(*args):
+        raise AssertionError("a route ran")
+    for name in ("build_C", "det_bareiss", "enumerate_tilings", "tiling_sum"):
+        monkeypatch.setattr(identities, name, unreachable)
+    nines = "9" * 1000
+    for command in ("compute recurrence", "verify recurrence-det"):
+        code, out, err = run(capsys, *command.split(), "--coeffs", f"{nines},{nines}",
+                             "--n", "10")
+        assert (code, out, err) == (3, "", "error: value: more than 4300 digits\n"), command
+    # a field of over 4300 digits is refused by the parser, which names the limit
+    for argv in (["compute", "recurrence", "--n", "1"], ["verify", "recurrence-det", "--n", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--coeffs", "1," + "9" * 4301])
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().err.endswith(
+            "error: argument --coeffs: expected comma-separated integers "
+            "of at most 4300 digits\n"), argv
 
 
 def test_integer_iteration_is_held_to_the_step_cap(capsys, monkeypatch):

@@ -112,7 +112,7 @@ def test_bijection_total_injective_weight_preserving():
             lsds = enumerate_lsds(build_C(coeffs, n))
             assert set(images) == {l.cycles for l in lsds}  # total image
             for lsd in lsds:
-                assert images[lsd.cycles].weight == lsd.weight
+                assert images[lsd.cycles].signed_weight == lsd.signed_weight
 
 
 def test_circular_tilings_counts():
@@ -305,8 +305,8 @@ def test_excluded_pair_are_lsds_of_the_matrix():
     for n in (3, 4, 5):
         lsds = {l.cycles: l for l in enumerate_lsds(build_S(A, B, n))}
         l1, l2 = lsd_excluded_pair(n)
-        assert lsds[l1.cycles].weight == l1.weight
-        assert lsds[l2.cycles].weight == l2.weight
+        assert lsds[l1.cycles].signed_weight == l1.signed_weight
+        assert lsds[l2.cycles].signed_weight == l2.signed_weight
 
 
 def test_determinant_decomposition_via_cyclic_pie():

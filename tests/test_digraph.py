@@ -1,6 +1,7 @@
 """Linear-subdigraph enumeration and the determinant expansion."""
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -19,7 +20,6 @@ from detrec.detmat import (
 )
 from detrec.digraph import (
     count_cycle_type,
-    cycle_type,
     cycle_type_sum,
     det_via_lsd,
     digraph_dot,
@@ -45,19 +45,17 @@ def test_identity_has_single_all_loop_lsd():
     assert len(lsds) == 1
     (lsd,) = lsds
     assert lsd.cycles == ((0,), (1,), (2,))
-    assert lsd.weight == 1
-    assert lsd.cycle_count == 3
-    assert lsd.sign == 1
+    assert lsd.signed_weight == 1
 
 
 def test_full_two_by_two_has_two_lsds():
     a, b, c, d = 2, 3, 5, 7
     lsds = enumerate_lsds(SquareMatrix([[a, b], [c, d]]))
-    assert [(l.cycles, l.weight) for l in lsds] == [
+    # the 2-cycle's raw weight b * c carries the sign of an even cycle
+    assert [(l.cycles, l.signed_weight) for l in lsds] == [
         (((0,), (1,)), a * d),
-        (((0, 1),), b * c),
+        (((0, 1),), -b * c),
     ]
-    assert [l.sign for l in lsds] == [1, -1]
 
 
 def test_lsds_of_fibonacci_matrix():
@@ -104,13 +102,20 @@ def test_det_via_lsd_matches_on_structured_families():
 
 
 def test_sign_is_product_over_cycles():
-    for matrix in (build_G(6, 3), build_S(MultiPoly.var(0), MultiPoly.var(1), 5)):
-        for lsd in enumerate_lsds(matrix):
-            per_cycle = 1
+    # the signed weight is the raw entries' product times (-1)**(|C|-1) per cycle
+    rng = random.Random(7)
+    for matrix in (build_G(6, 3), build_S(MultiPoly.var(0), MultiPoly.var(1), 5),
+                   random_matrix(rng, 5)):
+        lsds = enumerate_lsds(matrix)
+        assert any(len(cyc) % 2 == 0 for lsd in lsds for cyc in lsd.cycles)
+        for lsd in lsds:
+            expected = 1
             for cyc in lsd.cycles:
+                for k, v in enumerate(cyc):
+                    expected = expected * matrix[v][cyc[(k + 1) % len(cyc)]]
                 if len(cyc) % 2 == 0:
-                    per_cycle = -per_cycle
-            assert lsd.sign == per_cycle
+                    expected = -expected
+            assert lsd.signed_weight == expected
 
 
 def test_lsd_count_of_banded_unit_matrix_is_racci():
@@ -125,7 +130,9 @@ def test_banded_census_matches_multinomial():
         for n in range(1, 9):
             census = {}
             for lsd in enumerate_lsds(build_G(n, k)):
-                key = tuple(sorted(cycle_type(lsd).items()))
+                # counts of cycle lengths >= 2; loops are implied by n
+                lengths = Counter(len(cyc) for cyc in lsd.cycles if len(cyc) >= 2)
+                key = tuple(sorted(lengths.items()))
                 census[key] = census.get(key, 0) + 1
             for key, count in census.items():
                 assert count == count_cycle_type(n, dict(key), k), (n, k, key)
@@ -174,21 +181,29 @@ def test_enumeration_cap():
 
 def test_enumeration_walks_each_vertex_set_once(monkeypatch):
     # a vertex set's cycles are memoised on it for one call, so _cycles
-    # walks each set reached once; a banded matrix's cycles are blocks of
-    # consecutive vertices, so the sets reached are the n suffixes
+    # walks each set reached once, for either LSD route; a banded matrix's
+    # cycles are blocks of consecutive vertices, so the sets reached are
+    # the n suffixes
     walked = []
     cycles = digraph._cycles
 
-    def spy(succ, start, unused):
+    def spy(succ, unused):
         walked.append(unused)
-        return cycles(succ, start, unused)
+        return cycles(succ, unused)
     monkeypatch.setattr(digraph, "_cycles", spy)
     n = 11
-    assert len(enumerate_lsds(build_C(symbolic_coeffs(4), n))) == racci(n, 4)
+    suffixes = {(1 << n) - (1 << k) for k in range(n)}
+    m = build_C(symbolic_coeffs(4), n)
+    assert len(enumerate_lsds(m)) == racci(n, 4)
     assert len(walked) == len(set(walked)) == n
-    assert set(walked) == {(1 << n) - (1 << k) for k in range(n)}
-    enumerate_lsds(build_C(symbolic_coeffs(4), n))
-    assert len(walked) == 2 * n  # no table outlives the call
+    assert set(walked) == suffixes
+    walked.clear()
+    assert det_via_lsd(m) == det_bareiss(m)
+    assert len(walked) == len(set(walked)) == n
+    assert set(walked) == suffixes
+    enumerate_lsds(m)
+    det_via_lsd(m)
+    assert len(walked) == 3 * n  # no table outlives the call
 
 
 def test_enumeration_extends_no_path_that_ends_in_no_lsd(counted_ints):

@@ -108,3 +108,12 @@ def test_negative_indices_rejected():
         racci(-1, 2)
     with pytest.raises(ValueError):
         eval_recurrence([1], -1)
+
+
+def test_integer_recurrence_is_held_to_the_iteration_caps():
+    # integer coefficients are checked before the first step
+    with pytest.raises(TooLarge, match="more than 4300 digits"):
+        eval_recurrence([10 ** 1000, 10 ** 1000], 10)
+    with pytest.raises(TooLarge, match="iteration steps exceed"):
+        eval_recurrence([1], 10 ** 8)
+    assert eval_recurrence([10 ** 1000], 4) == 10 ** 4000

@@ -1,0 +1,79 @@
+"""Summarise perfbench end-to-end records of a parent and a change into one file.
+
+    python3 tools/bench_summary.py --out BENCH_16.json \\
+        --parent runs/parent/*.json --change runs/change/*.json
+
+Each file named is a record that ``perfbench/run.py --trace 0`` wrote to
+``perfbench/out/<workload>-seed<n>-trace0.json``, copied aside after its
+run, since the next run of the same workload and seed overwrites it.  The
+records are grouped by workload.  On each side a workload's records must
+share one git SHA and one seed, and the two sides must hold as many
+records each: the pairs.  The summary gives, per workload and side, the
+SHA, the seed, the pair count, the ops that failed, and each end-to-end
+metric's median and quartiles over the side's runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+
+def _side(records: list[dict]) -> dict:
+    """The SHA, failed ops and per-metric median and quartiles of one side's records."""
+    sha = {r["git_sha"] for r in records}
+    if len(sha) != 1:
+        raise ValueError(f"{records[0]['workload']}: records of one side name SHAs {sorted(sha)}")
+    metrics = {}
+    for name, unit in records[0]["units"].items():
+        q1, median, q3 = statistics.quantiles([r["metrics"][name] for r in records],
+                                              n=4, method="inclusive")
+        metrics[name] = {"unit": unit, "median": median, "q1": q1, "q3": q3}
+    return {"sha": sha.pop(), "failed": sum(r["failed"] for r in records), "metrics": metrics}
+
+
+def summarise(parent: list[dict], change: list[dict]) -> dict:
+    """The summary of the records of both sides, by workload."""
+    by_workload: dict[str, dict[str, list[dict]]] = {}
+    for label, records in (("parent", parent), ("change", change)):
+        for record in records:
+            if record.get("trace") != 0:
+                raise ValueError(f"{record['workload']}: a traced record holds no "
+                                 "end-to-end metrics")
+            sides = by_workload.setdefault(record["workload"], {"parent": [], "change": []})
+            sides[label].append(record)
+    workloads = {}
+    for workload, sides in sorted(by_workload.items()):
+        pairs = len(sides["parent"])
+        if pairs != len(sides["change"]) or pairs < 2:
+            raise ValueError(f"{workload}: {pairs} parent and {len(sides['change'])} change "
+                             "records; need as many of each, at least 2")
+        seeds = {r["seed"] for r in sides["parent"] + sides["change"]}
+        if len(seeds) != 1:
+            raise ValueError(f"{workload}: records of seeds {sorted(seeds)}")
+        workloads[workload] = {"seed": seeds.pop(), "pairs": pairs,
+                               **{label: _side(records) for label, records in sides.items()}}
+    return {"workloads": workloads}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--parent", type=Path, nargs="+", required=True)
+    parser.add_argument("--change", type=Path, nargs="+", required=True)
+    args = parser.parse_args(argv)
+    try:
+        summary = summarise(*([json.loads(path.read_text()) for path in paths]
+                              for paths in (args.parent, args.change)))
+    except (OSError, KeyError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    args.out.write_text(json.dumps(summary, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
