@@ -70,8 +70,11 @@ def _int_list(text: str) -> list[int]:
 
 
 def _need(args, flag: str):
-    """The value of ``flag``, which only some of its subject's families or forms read."""
-    value = getattr(args, flag[2:])
+    """The value of ``flag``, which only some of its subject's families or forms read.
+
+    ``flag`` may name alternatives, as in ``"--coeffs or --r"``: the value
+    read is the last one's, once the others are found absent."""
+    value = getattr(args, flag.rpartition("--")[2])
     if value is None:
         raise ValueError(f"{flag} is required here")
     return value
@@ -83,14 +86,14 @@ def _coeffs(args, n: int | None = None):
     Given ``n``, only the coefficients a size-``n`` result reads are kept."""
     if args.coeffs is not None:
         return args.coeffs if n is None else args.coeffs[:max(n, 1)], None
-    r = _need(args, "--r")
+    r = _need(args, "--coeffs or --r")
     return symbolic_coeffs(r if n is None else min(r, max(n, 1))), coeff_name
 
 
 def _recurrence_coeffs(args, n: int, work: int = MAX_RECURRENCE_WORK):
     """``_coeffs(args, n)`` after ``u_n``'s caps: ``work`` if symbolic, else ``check_iteration``."""
     if args.coeffs is None:
-        check_recurrence(n, _need(args, "--r"), work)
+        check_recurrence(n, _need(args, "--coeffs or --r"), work)
     coeffs, names = _coeffs(args, n)
     if names is None:
         check_iteration(n, coeffs)
@@ -281,7 +284,7 @@ def _cmd_verify(args) -> int:
         # coefficient list's value is its length, --r when symbolic
         entry = IDENTITIES[args.subject]
         flags = {a.name: (len(args.coeffs) if args.coeffs is not None
-                          else _need(args, "--r")) if a.flag == "--coeffs"
+                          else _need(args, "--coeffs or --r")) if a.flag == "--coeffs"
                  else getattr(args, a.flag[2:]) for a in entry.args}
         entry.check(flags)
         reports = [entry.verify(*(_coeffs(args)[0] if a.flag == "--coeffs" else flags[a.name]

@@ -59,22 +59,15 @@ _EMPTY: Monomial = ()
 
 def _normalize_mono(pairs: Iterable[tuple[int, int]]) -> Monomial:
     """Canonical monomial: sorted by variable, repeats merged, zero exponents dropped."""
-    kept = []
+    merged: dict[int, int] = {}
     for v, e in pairs:
         if type(v) is not int or v < 0:
             raise ValueError(f"variable index {v!r} is not a non-negative int")
         if type(e) is not int or e < 0:
             raise ValueError(f"exponent {e!r} for variable {v} is not a non-negative int")
         if e:
-            kept.append((v, e))
-    kept.sort()
-    for i in range(1, len(kept)):
-        if kept[i - 1][0] == kept[i][0]:
-            merged: dict[int, int] = {}
-            for v, e in kept:
-                merged[v] = merged.get(v, 0) + e
-            return tuple(merged.items())
-    return tuple(kept)
+            merged[v] = merged.get(v, 0) + e
+    return tuple(sorted(merged.items()))
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -272,13 +265,11 @@ class MultiPoly:
         left, right = self._terms, other._terms
         if len(left) > len(right):
             left, right = right, left
-        if len(left) == 1:
-            # a term times a polynomial: no two products collide, so packing
-            # (which pays off through collisions) would cost more than it saves
-            (ma, ca), = left.items()
-            return _from_terms({_mono_mul(ma, mb): ca * cb for mb, cb in right.items()})
-        if not left:
-            return _from_terms({})
+        if len(left) < 2:
+            # at most one term times a polynomial: no two products collide, so
+            # packing (which pays off through collisions) would cost more than it saves
+            return _from_terms({_mono_mul(ma, mb): ca * cb
+                                for ma, ca in left.items() for mb, cb in right.items()})
         packing = _Packing([*left, *right], self.degree() + other.degree())
         pack = packing.pack
         out = _mul_into({}, zip(map(pack, left), left.values()),
@@ -362,14 +353,6 @@ def _power(base, k: int, one):
 VarNames = Union[Sequence[str], Callable[[int], str], None]
 
 
-def _name_of(names: VarNames, index: int) -> str:
-    if names is None:
-        return f"x{index}"
-    if callable(names):
-        return names(index)
-    return names[index]
-
-
 # Past this many bits a packed key costs more to build than a tuple of the
 # monomial's factors costs to compare (h_1 in 2000 variables, 4000 bits, is
 # about even with Python 3.11 on a 2-core VM), and its memory grows with
@@ -395,6 +378,8 @@ def poly_str(p: MultiPoly, names: VarNames = None) -> str:
         narrow = packing.bits * len(packing.variables) <= _MAX_KEY_BITS
         key = packing.pack if narrow else _graded_lex_key
         ordered = sorted(ordered, key=lambda kv: key(kv[0]), reverse=True)
+    name_of = (lambda v: f"x{v}") if names is None else (
+        names if callable(names) else names.__getitem__)
     pieces: list[str] = []
     for i, (mono, coef) in enumerate(ordered):
         mag = abs(coef)
@@ -402,7 +387,7 @@ def poly_str(p: MultiPoly, names: VarNames = None) -> str:
         if mag != 1 or not mono:
             factors.append(str(mag))
         for v, e in mono:
-            name = _name_of(names, v)
+            name = name_of(v)
             factors.append(name if e == 1 else f"{name}^{e}")
         body = "*".join(factors)
         if i == 0:
@@ -598,7 +583,8 @@ class QuadExt:
 
     def __str__(self) -> str:
         if not self._b:
-            return str(self.rational)
+            # a and den are coprime here: the reduced fraction's text, built without one
+            return str(self._a) if self._den == 1 else f"{self._a}/{self._den}"
         tail = f"{abs(self.radical)}*sqrt(5)"
         if self._b < 0:
             return f"{self.rational} - {tail}"
@@ -741,8 +727,4 @@ def scalar_str(value, names: VarNames = None) -> str:
     """
     if isinstance(value, MultiPoly):
         return poly_str(value, names)
-    if isinstance(value, QuadExt):
-        if not value._b and value._den == 1:
-            return str(value._a)
-        return str(value)
     return str(value)

@@ -51,16 +51,13 @@ def fibonacci(n: int) -> int:
 
 
 def lucas(n: int) -> int:
-    """Lucas numbers with seeds ``l_0 = 2, l_1 = 1, l_2 = 3``."""
+    """Lucas numbers with seeds ``l_0 = 2, l_1 = 1``."""
     if n < 0:
         raise ValueError("index must be non-negative")
-    seeds = [2, 1, 3]
-    if n < 3:
-        return seeds[n]
-    a, b = seeds[1], seeds[2]
-    for _ in range(n - 2):
+    a, b = 2, 1
+    for _ in range(n):
         a, b = b, a + b
-    return b
+    return a
 
 
 def racci(n: int, r: int) -> int:

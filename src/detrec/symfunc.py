@@ -113,13 +113,7 @@ def alternant(lam: Sequence[int], n_vars: int) -> MultiPoly:
     rows = []
     for i in range(n_vars):
         exp = parts[i] + (n_vars - 1 - i)
-        row = []
-        for j in range(n_vars):
-            if exp == 0:
-                row.append(MultiPoly.one())
-            else:
-                row.append(MultiPoly({((j, exp),): 1}))
-        rows.append(row)
+        rows.append([MultiPoly({((j, exp),): 1}) for j in range(n_vars)])
     return det_cofactor(SquareMatrix(rows))
 
 

@@ -235,6 +235,28 @@ def test_usage_errors(capsys, monkeypatch):
             assert f"error: family {family[0]} does not read --" in err, family
 
 
+REFUSALS = [
+    # a flag only some families or forms read is named when missing; a
+    # coefficient list may come from either flag
+    ("compute det --family E --n 3", 2, "", "error: --vars is required here\n"),
+    ("enumerate lsds --family G --n 4", 2, "", "error: --r is required here\n"),
+    *((argv, 2, "", "error: --coeffs or --r is required here\n")
+      for argv in ("compute recurrence --n 3", "compute det --family C --n 3",
+                   "enumerate lsds --family C --n 3", "verify recurrence-det --n 3")),
+    # the caps pass what the builders refuse, or what cannot grow
+    ("enumerate lsds --family E --n 3 --vars 1", 0,
+     '{"cycles": [[1], [2], [3]], "signed_weight": "x0^3"}\n'
+     '{"count": 1, "total_weight": "x0^3"}\n', ""),
+    ("compute recurrence --r 0 --n 3", 2, "", "error: need at least one coefficient\n"),
+    ("compute det --family E --n 3 --vars 0", 2, "", "error: need at least one variable\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", REFUSALS, ids=[r[0] for r in REFUSALS])
+def test_refusals_name_what_is_missing(capsys, argv, code, out, err):
+    assert run(capsys, *argv.split()) == (code, out, err)
+
+
 ENUMERATE_ARGVS = [
     ["tilings", "--n", "6", "--r", "3"],
     ["tilings", "--n", "6", "--r", "3", "--coeffs", "2,-1,5"],

@@ -257,6 +257,31 @@ def test_scalar_str_unifies_types():
     assert scalar_str(X0 - X1) == "x0 - x1"
 
 
+def test_scalar_str_of_a_rational_quad_is_its_str():
+    for value, text in ((QuadExt(5), "5"), (QuadExt(Fraction(1, 2)), "1/2")):
+        assert scalar_str(value) == str(value) == text
+
+
+def test_poly_str_reads_names_as_none_a_callable_or_a_sequence():
+    p = 3 * X0 ** 2 * X1 - X1
+    assert poly_str(p) == poly_str(p, None) == "3*x0^2*x1 - x1"
+    assert poly_str(p, lambda v: f"c{v + 1}") == "3*c1^2*c2 - c2"
+    assert poly_str(p, ("a", "b")) == "3*a^2*b - b"
+
+
+def test_quad_reflected_division():
+    assert 1 / PHI == -PSI
+    assert Fraction(1, 2) / SQRT5 == QuadExt(0, Fraction(1, 10))
+    with pytest.raises(TypeError):
+        "1" / PHI
+
+
+@pytest.mark.parametrize("weight", [QuadExt(2), Fraction(1, 2), 2.0])
+def test_power_sum_refuses_a_weight_neither_int_nor_polynomial(weight):
+    with pytest.raises(TypeError, match="ints or polynomials"):
+        power_sum([X0, weight], [(1, (1, 1))])
+
+
 def test_poly_equality_and_hash_are_canonical():
     p = MultiPoly({((0, 2),): 1, ((0, 1), (1, 1)): 2})
     q = (X0 + X1) ** 2 - X1 ** 2
@@ -277,6 +302,7 @@ def test_constructor_merges_repeated_variables():
     p = MultiPoly({((0, 1), (0, 2)): 1})
     assert p == X0 ** 3
     assert poly_str(p) == "x0^3"
+    assert MultiPoly({((1, 2), (0, 1), (1, 1), (2, 0)): 1}).terms == {((0, 1), (1, 3)): 1}
 
 
 def test_constructor_sums_keys_that_normalise_alike():
