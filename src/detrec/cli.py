@@ -3,8 +3,10 @@
 Values print in their canonical text serialization (integers are plain JSON
 numbers, polynomials the graded-lex term string).  ``enumerate`` streams one
 JSON object per item followed by a summary line, handing stdout
-``CHUNK_LINES`` lines per write; ``verify`` emits one verification report in
-JSON per check.  ``SUBJECTS`` names each command's subjects and the flags
+``CHUNK_LINES`` lines per write and the summary with the last write.  It
+counts the objects by the key their weight depends on as it writes them,
+so it keeps no list of its own, and the total weight costs one weight per
+key.  ``verify`` emits one verification report in JSON per check.  ``SUBJECTS`` names each command's subjects and the flags
 each one reads, and the parser takes exactly those, so a flag a subject does
 not read is a usage error; the ``verify`` rows come from the registry
 ``identities.IDENTITIES``.  Flags go after the subject, and a flag put
@@ -35,24 +37,25 @@ import os
 import sys
 from collections import Counter
 from itertools import islice, repeat
-from typing import Iterable
 
 from .caps import (MAX_DIGITS, MAX_RECURRENCE_WORK, check_cap, check_cells, check_det_E,
                    check_det_S, check_digits, check_iteration, check_lsds_E, check_recurrence)
 from .combi import (
+    counted_sum,
     cyclic_word_weight,
     enumerate_circular_tilings,
     enumerate_cyclic_words,
     enumerate_increasing_words,
     enumerate_tilings,
-    tiling_sum,
+    tiling_parts,
+    tiling_weight,
     word_weight,
 )
 from .detmat import build_A, build_C, build_F, build_G, build_S, det_bareiss
 from .digraph import enumerate_lsds
 from .errors import NotDivisible, TooLarge
 from .identities import IDENTITIES, coeff_name, symbolic_coeffs, verify_all
-from .poly import MultiPoly, scalar_str, scalar_sum
+from .poly import MultiPoly, scalar_str
 from .recurrence import eval_recurrence, fibonacci, lucas, racci
 from .symfunc import build_E, elementary, homogeneous, schur
 
@@ -177,55 +180,45 @@ def _cmd_compute(args) -> int:
 CHUNK_LINES = 512
 
 
-def _write_lines(lines: Iterable[str]) -> None:
-    """Write ``lines`` to stdout, each followed by a newline, in chunks."""
-    write = sys.stdout.write
-    lines = iter(lines)
-    while chunk := list(islice(lines, CHUNK_LINES)):
-        chunk.append("")  # the newline after the chunk's last line
-        write("\n".join(chunk))
-
-
 def _list_text(item_text, items) -> str:
     """``str(list(items))`` with each item printed as ``item_text`` prints it."""
     return f"[{', '.join(map(item_text, items))}]"
 
 
+def _int_list_texts(chunk):
+    """``str(list(item))`` of each item: the repr of a list of ints is its ``json.dumps``."""
+    return map(str, map(list, chunk))
+
+
 def _cmd_enumerate(args) -> int:
     pretty = args.format == "pretty"
     subject = args.subject
-    # Each branch sets ``objects``, an iterable of output lines, and
-    # ``summary``, called once ``objects`` is exhausted, which returns the
-    # object count and the canonical total weight.  Tilings and cyclic words
-    # sum their weights per group of objects that share one weight, one
-    # ring product per group (``tiling_sum`` for tilings), and every total
-    # is one ``scalar_sum``.  The repr of a list of ints is its
-    # ``json.dumps``, and a word over {a, b} needs no JSON escaping.
+    names = None
+    # Each branch sets ``objects``, the objects in order; ``texts``, which
+    # maps a chunk of objects to their texts, each a pretty line as it
+    # stands and a JSON line between ``before`` and ``after``; ``keys``,
+    # which maps a chunk to the keys their weights depend on; and
+    # ``weight``, the weight of one key.  The objects are counted by key as
+    # they are written, and the total weight is one ``counted_sum`` over
+    # the keys.
     if subject == "tilings":
         n, r = args.n, args.r
-        items = enumerate_tilings(n, r)  # its cap comes before any coefficient is built
+        objects = enumerate_tilings(n, r)  # its cap comes before any coefficient is built
         coeffs, names = _recurrence_coeffs(args, n)  # the total weight is u_n
         if min(n, r) > len(coeffs):
             # the first tiling with a part past the coefficients, found up front
             raise ValueError(f"tile length {len(coeffs) + 1} outside 1..{len(coeffs)}")
-        if pretty:
-            objects = (str(list(t)) for t in items)
-        else:
-            objects = (f'{{"parts": {list(t)}}}' for t in items)
-
-        def summary():
-            return len(items), scalar_str(tiling_sum(items, coeffs), names)
+        texts, before, after = _int_list_texts, '{"parts": ', "}"
+        keys, weight = tiling_parts, functools.partial(tiling_weight, coeffs=coeffs)
     elif subject == "circular-tilings":
-        items = enumerate_circular_tilings(args.n)
+        objects = enumerate_circular_tilings(args.n)
         pair_text = functools.cache(lambda pair: str(list(pair)))  # the tilings share their pairs
-        tiles = (_list_text(pair_text, tiling) for tiling in items)
-        objects = tiles if pretty else (f'{{"tiles": {t}}}' for t in tiles)
-
-        def summary():
-            return len(items), str(len(items))
+        texts = lambda chunk: (_list_text(pair_text, tiling) for tiling in chunk)
+        before, after = '{"tiles": ', "}"
+        keys, weight = (lambda chunk: repeat(1, len(chunk))), (lambda one: one)
     elif subject == "lsds":
         matrix, names = _family_matrix(args, lsds=True)
-        items = enumerate_lsds(matrix)
+        objects = enumerate_lsds(matrix)
         # the LSDs share their cycles, printed with 1-based vertices
         cycle_text = functools.cache(lambda cycle: str([v + 1 for v in cycle]))
 
@@ -235,44 +228,35 @@ def _cmd_enumerate(args) -> int:
             if pretty:
                 return f"{cycles} {weight}"
             return f'{{"cycles": {cycles}, "signed_weight": {json.dumps(weight)}}}'
-        objects = map(lsd_line, items)
-
-        def summary():
-            return len(items), scalar_str(scalar_sum(lsd.signed_weight for lsd in items), names)
+        texts, before, after = (lambda chunk: map(lsd_line, chunk)), "", ""  # a text is its line
+        keys = lambda chunk: (lsd.signed_weight for lsd in chunk)
+        weight = lambda signed_weight: signed_weight
     elif subject == "words":
-        items = enumerate_increasing_words(args.n, args.vars)
-        if pretty:
-            objects = (str(list(w)) for w in items)
-        else:
-            objects = (f'{{"letters": {list(w)}}}' for w in items)
-
-        def summary():
-            return len(items), scalar_str(scalar_sum(map(word_weight, items)))
+        objects = enumerate_increasing_words(args.n, args.vars)
+        texts, before, after = _int_list_texts, '{"letters": ', "}"
+        keys, weight = (lambda chunk: chunk), word_weight
     else:  # cyclic-words
-        n = args.n
-        words = enumerate_cyclic_words(n, args.avoid)
-        a_counts = Counter()
+        n, names = args.n, ("a", "b")
+        objects = enumerate_cyclic_words(n, args.avoid)
+        # a word over {a, b} needs no JSON escaping
+        texts, before, after = (lambda chunk: chunk), '{"word": "', '"}'
+        keys = lambda chunk: (word.count("a") for word in chunk)
+        weight = lambda k: cyclic_word_weight("a" * k + "b" * (n - k))
 
-        def counted():
-            for word in words:
-                a_counts[word.count("a")] += 1
-                yield word
-        objects = counted() if pretty else (f'{{"word": "{w}"}}' for w in counted())
-
-        def summary():
-            # a word's weight depends only on its number of a's
-            total = scalar_sum(count * cyclic_word_weight("a" * k + "b" * (n - k))
-                               for k, count in a_counts.items())
-            return a_counts.total(), scalar_str(total, ("a", "b"))
-
-    def lines():
-        yield from objects
-        count, total = summary()
-        if pretty:
-            yield f"count={count} total_weight={total}"
-        else:
-            yield json.dumps({"count": count, "total_weight": total})
-    _write_lines(lines())
+    objects = iter(objects)
+    counts = Counter()
+    last = False
+    while not last:
+        chunk = list(islice(objects, CHUNK_LINES))
+        last = len(chunk) < CHUNK_LINES
+        counts.update(keys(chunk))
+        lines = [*texts(chunk)] if pretty else [before + text + after for text in texts(chunk)]
+        if last:  # the summary goes with the last write
+            count, total = counts.total(), scalar_str(counted_sum(counts, weight), names)
+            lines.append(f"count={count} total_weight={total}" if pretty
+                         else json.dumps({"count": count, "total_weight": total}))
+        lines.append("")  # a newline after the last line
+        sys.stdout.write("\n".join(lines))
     return 0
 
 

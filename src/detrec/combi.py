@@ -10,13 +10,18 @@ subdigraphs of the two-variable circulant-like matrix.
 
 Linear tilings, circular tilings and words are plain tuples (``Tiling``,
 ``CircularTiling``, ``Word``) and cyclic words plain strings.  The
-enumerators cost what they return.  Each tiling, linear or circular, is
-one join of a head, the tiles over the board's first half, and a tiling
-of the cells after it, built row by row from the board's end; so only the
-result is board-sized, and the circular ones share their ``(start,
-length)`` pairs.  A tile's length is checked, and the tiles' weights
-multiplied, only in ``tiling_weight``, which is also the signed weight of
-a tiling's linear subdigraph (``tiling_to_lsd``).
+enumerators cost what they return.  Linear tilings, increasing words and
+cyclic words are yielded lazily, their arguments and caps checked when the
+enumerator is called; circular tilings come as a list.  Each tiling,
+linear or circular, is one join of a head, the tiles over the board's
+first half, and a tiling of the cells after it, built row by row from the
+board's end; so only the result is board-sized, and the circular ones
+share their ``(start, length)`` pairs.  A tile's length is checked, and
+the tiles' weights multiplied, only in ``tiling_weight``, which is also
+the signed weight of a tiling's linear subdigraph (``tiling_to_lsd``).
+A tiling's weight depends only on its ``tiling_parts``, and
+``counted_sum`` is the one sum of weights over objects counted by such a
+key, which ``tiling_sum`` and the ``enumerate`` command share.
 ``enumerate_cyclic_words`` is the one cyclic-word enumerator, lazy, with an
 optional pattern to avoid; it drops a half-word that holds the pattern
 before building any word from it, so its cost follows the words kept.
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import accumulate, combinations_with_replacement, filterfalse
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .caps import check_cap, check_terms
 from .digraph import LinearSubdigraph
@@ -46,10 +51,11 @@ _A = MultiPoly.var(0)
 _B = MultiPoly.var(1)
 
 
-def enumerate_tilings(n: int, r: int) -> list[Tiling]:
-    """Compositions of ``n`` with parts in ``1..r``, lexicographic order.
+def enumerate_tilings(n: int, r: int) -> Iterator[Tiling]:
+    """Compositions of ``n`` with parts in ``1..r``, lexicographic order, lazily.
 
-    ``n = 0`` yields the single empty tiling.
+    ``n = 0`` yields the single empty tiling.  The arguments and the cap are
+    checked when this is called, before the first tiling is built.
     """
     if n < 0:
         raise ValueError("board length must be non-negative")
@@ -59,7 +65,7 @@ def enumerate_tilings(n: int, r: int) -> list[Tiling]:
     return _board_tilings([range(1, min(r, n) + 1)] * n)
 
 
-def _board_tilings(tiles: Sequence[Sequence], tail: tuple = ()) -> list[tuple]:
+def _board_tilings(tiles: Sequence[Sequence], tail: tuple = ()) -> Iterator[tuple]:
     """Tilings of a board of ``len(tiles)`` cells, lexicographic in the tile lengths.
 
     ``tiles[s][t - 1]`` stands for a ``t``-tile on cell ``s``.  A tiling is
@@ -71,8 +77,8 @@ def _board_tilings(tiles: Sequence[Sequence], tail: tuple = ()) -> list[tuple]:
     each to the rests of its length in order keeps the order.  The rests
     are built row by row from the end of the board, the tilings of the
     last ``k`` cells as ``(tile,) + rest`` of the rows before.  Heads and
-    rows cover half the board each, so only the result is ever
-    board-sized.
+    rows cover half the board each, and the joins are yielded as they are
+    made, so no more than one tiling at a time is board-sized.
     """
     n = len(tiles)
     half = (n + 1) // 2
@@ -86,7 +92,7 @@ def _board_tilings(tiles: Sequence[Sequence], tail: tuple = ()) -> list[tuple]:
                  for grown in ([(head, cells)] if cells >= half else
                                [(head + (tile,), cells + t)
                                 for t, tile in enumerate(tiles[cells][:n - cells], 1)])]
-    return [head + rest for head, cells in heads for rest in rows[n - cells]]
+    return (head + rest for head, cells in heads for rest in rows[n - cells])
 
 
 def tiling_weight(tiling: Sequence[int], coeffs: Sequence):
@@ -104,18 +110,28 @@ def tiling_weight(tiling: Sequence[int], coeffs: Sequence):
     return 1 if weight is None else weight
 
 
+def tiling_parts(tilings: Iterable[Sequence[int]]) -> Iterator[Tiling]:
+    """The sorted parts of each tiling: its multiset of parts, which alone fixes its weight."""
+    return map(tuple, map(sorted, tilings))
+
+
+def counted_sum(counts: Mapping, weight: Callable):
+    """``scalar_sum`` of ``count * weight(key)`` over ``counts``' keys and counts.
+
+    Each key costs one ``weight``, times its count when that is not 1.  An
+    empty sum is the int 0.
+    """
+    return scalar_sum(weight(key) if count == 1 else count * weight(key)
+                      for key, count in counts.items())
+
+
 def tiling_sum(tilings: Iterable[Sequence[int]], coeffs: Sequence):
     """Weight sum of ``tilings``, one ``tiling_weight`` per multiset of parts.
 
-    A tiling's weight depends only on its multiset of parts, so the tilings
-    are counted by their sorted parts and each group costs one
-    ``tiling_weight``, times its count when that is not 1.  An empty sum is
-    the int 0.
+    The tilings are counted by their ``tiling_parts`` and summed by
+    ``counted_sum``.  An empty sum is the int 0.
     """
-    groups = Counter(map(tuple, map(sorted, tilings)))
-    return scalar_sum(tiling_weight(parts, coeffs) if count == 1
-                      else count * tiling_weight(parts, coeffs)
-                      for parts, count in groups.items())
+    return counted_sum(Counter(tiling_parts(tilings)), lambda parts: tiling_weight(parts, coeffs))
 
 
 def tiling_to_lsd(tiling: Sequence[int], coeffs: Sequence) -> LinearSubdigraph:
@@ -147,24 +163,25 @@ def enumerate_circular_tilings(n: int) -> list[CircularTiling]:
     pairs = [[(start, 1), (start, 2)] for start in range(n)]  # every tile any tiling uses
     # cell 0 not covered by a wrapping tile: a strip tiling of cells 0..n-1;
     # else a wrapping 2-tile covers cells n-1 and 0, and cells 1..n-2 form a strip
-    return _board_tilings(pairs) + _board_tilings(pairs[1:n - 1], (pairs[n - 1][1],))
+    return [*_board_tilings(pairs), *_board_tilings(pairs[1:n - 1], (pairs[n - 1][1],))]
 
 
-def enumerate_increasing_words(m: int, n_vars: int) -> list[Word]:
-    """Weakly increasing words of length ``m`` over letters ``1..n_vars``.
+def enumerate_increasing_words(m: int, n_vars: int) -> Iterator[Word]:
+    """Weakly increasing words of length ``m`` over letters ``1..n_vars``, lazily.
 
     These are exactly the words avoiding every descent (a larger letter
     immediately before a smaller one); their weights sum to the complete
     homogeneous polynomial ``h_m``, one word per term, so their count is
     held to ``caps.MAX_TERMS`` as ``h_m``'s terms are, and their letters,
-    ``m`` a word, in all to ``caps.MAX_FACTORS``.
+    ``m`` a word, in all to ``caps.MAX_FACTORS``.  The arguments and the
+    caps are checked when this is called, before the first word is built.
     """
     if m < 0:
         raise ValueError("word length must be non-negative")
     if n_vars < 1:
         raise ValueError("need at least one letter")
     check_terms("words", m + n_vars - 1, m, m)
-    return [tuple(w) for w in combinations_with_replacement(range(1, n_vars + 1), m)]
+    return combinations_with_replacement(range(1, n_vars + 1), m)
 
 
 def word_weight(word: Iterable[int]) -> MultiPoly:

@@ -183,7 +183,8 @@ def det_cofactor(m: SquareMatrix):
     makes a dense ``n x n`` matrix cost fewer than ``n * 2**(n-1)`` ring
     products instead of about ``(e-1) * n!``.  Terms are still summed over
     the columns of the minor's first row, left to right, with alternating
-    signs, and a 1x1 matrix returns its entry itself.
+    signs, skipping each term whose entry or minor is zero, and a 1x1 matrix
+    returns its entry itself.
     """
     n = m.n
     if n > COFACTOR_MAX_N:
@@ -207,8 +208,8 @@ def det_cofactor(m: SquareMatrix):
             bit = rest & -rest
             rest ^= bit
             entry = row[bit.bit_length() - 1]
-            if entry:
-                term = entry * minor(cols ^ bit)
+            if entry and (sub := minor(cols ^ bit)):  # a zero factor adds nothing
+                term = entry * sub
                 total = total + term if sign > 0 else total - term
             sign = -sign
         memo[cols] = total

@@ -8,6 +8,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -416,6 +417,24 @@ def test_enumerate_writes_in_chunks(monkeypatch):
     lines = stdout.getvalue().count("\n")
     assert lines > 3 * cli.CHUNK_LINES
     assert stdout.writes <= math.ceil(lines / cli.CHUNK_LINES) + 1
+
+
+class _NullStdout(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+def test_enumerate_counts_and_sums_as_it_streams(monkeypatch):
+    # the 2**15 tilings are written, counted and summed a chunk at a time:
+    # keeping them all to count and sum them afterwards peaked at 4.2 MB
+    monkeypatch.setattr(sys, "stdout", _NullStdout())
+    tracemalloc.start()
+    try:
+        assert main(["enumerate", "tilings", "--n", "16", "--r", "16"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # a valid value of each flag, 1 where it takes an integer

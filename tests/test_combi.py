@@ -32,10 +32,10 @@ A, B = MultiPoly.var(0), MultiPoly.var(1)
 
 
 def test_enumerate_tilings_examples():
-    assert enumerate_tilings(4, 2) == [
+    assert list(enumerate_tilings(4, 2)) == [
         (1, 1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 2)]
-    assert enumerate_tilings(0, 3) == [()]
-    assert enumerate_tilings(3, 3) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
+    assert list(enumerate_tilings(0, 3)) == [()]
+    assert list(enumerate_tilings(3, 3)) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
 
 
 def test_enumerate_tilings_cap():
@@ -90,7 +90,7 @@ def test_tiling_to_lsd_all_loops():
 
 def test_bijection_on_fibonacci_board():
     coeffs = [MultiPoly.var(0), MultiPoly.var(1)]
-    tilings = enumerate_tilings(4, 2)
+    tilings = list(enumerate_tilings(4, 2))
     images = [tiling_to_lsd(t, coeffs) for t in tilings]
     lsds = enumerate_lsds(build_C(coeffs, 4))
     assert sorted(l.cycles for l in images) == [l.cycles for l in lsds]
@@ -144,8 +144,8 @@ def test_circular_tilings_bounds():
 
 
 def test_increasing_words():
-    assert enumerate_increasing_words(2, 2) == [(1, 1), (1, 2), (2, 2)]
-    assert enumerate_increasing_words(0, 3) == [()]
+    assert list(enumerate_increasing_words(2, 2)) == [(1, 1), (1, 2), (2, 2)]
+    assert list(enumerate_increasing_words(0, 3)) == [()]
     total = sum((word_weight(w) for w in enumerate_increasing_words(5, 3)),
                 MultiPoly.zero())
     assert total == homogeneous(5, 3)

@@ -166,7 +166,7 @@ def test_cycle_type_sum_is_the_tiling_sum(n, band):
     for weights in ([rng.randint(-5, 5) for _ in range(band)], x,
                     [rng.randint(-3, 3) * x[rng.randrange(band)] + rng.randint(-3, 3)
                      for _ in range(band)]):
-        tilings = enumerate_tilings(n, band)
+        tilings = list(enumerate_tilings(n, band))
         by_tilings = scalar_sum(tiling_weight(t, weights) for t in tilings)
         assert scalar_str(cycle_type_sum(n, weights)) == scalar_str(by_tilings), weights
         assert scalar_str(tiling_sum(tilings, weights)) == scalar_str(by_tilings), weights

@@ -1,4 +1,5 @@
-"""Pinned stdout of `compute det` and `enumerate lsds` on every matrix family."""
+"""Pinned stdout of `compute det` and `enumerate lsds` on every matrix family, and of
+the other `enumerate` subjects."""
 
 import hashlib
 
@@ -17,9 +18,24 @@ FAMILIES = {
     "A": ["--family=A", "--n=6"],
 }
 
-# sha256 of the stdout of `detrec <command> <family flags> --format <fmt>`,
+# the flags of each other enumerated subject's pinned cases: the 512 cyclic
+# words of n = 9 fill exactly one chunk of output lines (``cli.CHUNK_LINES``),
+# so their summary is written on its own, and the larger cases run past one
+ENUMERATIONS = {
+    ("enumerate tilings", "symbolic"): ["--n=7", "--r=3"],
+    ("enumerate tilings", "integer"): ["--n=12", "--r=3", "--coeffs=2,-1,3"],
+    ("enumerate circular-tilings", "n14"): ["--n=14"],
+    ("enumerate words", "n7-vars6"): ["--n=7", "--vars=6"],
+    ("enumerate cyclic-words", "all"): ["--n=9"],
+    ("enumerate cyclic-words", "avoid-abb"): ["--n=7", "--avoid=abb"],
+}
+CASES = {**{(command, family): flags for command in ("compute det", "enumerate lsds")
+            for family, flags in FAMILIES.items()}, **ENUMERATIONS}
+
+# sha256 of the stdout of `detrec <command> <flags> --format <fmt>`,
 # recorded before E became C of the signed e_t and the LSD routes took the
-# matrix itself
+# matrix itself, and for ENUMERATIONS before `enumerate` counted and summed
+# its objects as it streamed them
 GOLDEN_SHA256 = {
     ("compute det", "E-vars-ge-n", "json"): "ed90b26ccbc5fabc2494913d33d4e5c9977d353d96f42c8d294dccecea2cbed0",
     ("compute det", "E-vars-ge-n", "pretty"): "d82259ca6c8010cbef2676d4f2d75e7a9d945f19b841e198b7a90f13af113949",
@@ -53,17 +69,28 @@ GOLDEN_SHA256 = {
     ("enumerate lsds", "S", "pretty"): "77a40189f694a11376295fc1f9802cb7bd6656d5a4c1bb591590d8e305a5bac7",
     ("enumerate lsds", "A", "json"): "3b55b5cf70f2da2e85800739421aa510e7843727a5989ba4a81eaed9a6b97773",
     ("enumerate lsds", "A", "pretty"): "bc4c5b17780cd7ca8eb95600001c49b17163dfca78f3f0d9d0b7d0ad2f20a753",
+    ("enumerate tilings", "symbolic", "json"): "ef8fffdc20373e9115099c349ff76563d801bdb78dae83c95258181661965d24",
+    ("enumerate tilings", "symbolic", "pretty"): "f026883efb2507499c3883b1f812461b5b4dd1ebac5b13eb870b4bd5ef374ab3",
+    ("enumerate tilings", "integer", "json"): "61f9af7c6318b3609a4e13388bfad3cb32caac37f43a8169db96b833f4135721",
+    ("enumerate tilings", "integer", "pretty"): "44415d41379f4df0858662bb4556c7fdf3710ebea2db602ae743d2c1e55d1eb8",
+    ("enumerate circular-tilings", "n14", "json"): "b4c00127990d63ad43c1c06c9c7e073665cb932a0b3aa50a90a0fae662f87a7b",
+    ("enumerate circular-tilings", "n14", "pretty"): "17e8f4e2669838bcb0f52f0689c0cd79ea82df2fe2f045fcc8a6c0b2a4d36484",
+    ("enumerate words", "n7-vars6", "json"): "96fe389a6155f6d0228cb292574230be4ea799572b7299d2b023766bb6f30e46",
+    ("enumerate words", "n7-vars6", "pretty"): "212266b719b3888ca9a56047113b2f1669a86c9322b4b657189f3249674b91c2",
+    ("enumerate cyclic-words", "all", "json"): "c725642d2854ba2f84ea146b0dffeb07d45d7a7d9052351cc1df68f300d80319",
+    ("enumerate cyclic-words", "all", "pretty"): "e40e330e52b88265d96b94bee736bbc1c6a678b14a09fe44e913924e6447663a",
+    ("enumerate cyclic-words", "avoid-abb", "json"): "9cae6b4b2f632cdacd93216c8c54e3a87a6c3e123d6510410bb778620a279239",
+    ("enumerate cyclic-words", "avoid-abb", "pretty"): "9c3b8409141fb564653f06d488761851b831cf7950938205c566d76ab3edccb1",
 }
 
 
 def test_every_family_is_pinned_in_both_formats():
-    assert set(GOLDEN_SHA256) == {(command, family, fmt)
-                                  for command in ("compute det", "enumerate lsds")
-                                  for family in FAMILIES for fmt in ("json", "pretty")}
+    assert set(GOLDEN_SHA256) == {(command, family, fmt) for command, family in CASES
+                                  for fmt in ("json", "pretty")}
 
 
 @pytest.mark.parametrize("command, family, fmt", sorted(GOLDEN_SHA256))
 def test_matrix_output_is_unchanged(capsys, command, family, fmt):
-    assert main([*command.split(), *FAMILIES[family], f"--format={fmt}"]) == 0
+    assert main([*command.split(), *CASES[(command, family)], f"--format={fmt}"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == GOLDEN_SHA256[(command, family, fmt)]
