@@ -12,7 +12,11 @@ expansion (the small reference oracle) and fraction-free Bareiss elimination
 (the scalable exact route).  Both are written once against plain ring
 operators, so integer, polynomial and quadratic-field matrices all work;
 Bareiss divides through ``_exact_div``, one rule for ints, polynomials and
-field elements.
+field elements.  On a matrix of size 3 or more with a polynomial entry of
+two or more terms (``SquareMatrix._multiterm``) each route,
+``digraph.det_via_lsd`` too, runs that ring code on the entries packed in
+one packing (``_run_packed``) and unpacks only the determinant; every other
+matrix runs on its entries as they are.
 Cofactor expansion memoises each minor on its column set for the length of
 one call, so it expands ``2**n`` minors at most rather than ``n!`` paths.
 
@@ -30,13 +34,20 @@ from typing import Iterable, Sequence
 
 from .caps import COFACTOR_MAX_N
 from .errors import DimensionTooSmall, ExactDivisionFailure, NotDivisible, TooLarge
-from .poly import PHI, PSI, MultiPoly, exact_divide, scalar_str
+from .poly import PHI, PSI, MultiPoly, _pack_rows, _Packed, exact_divide, scalar_str
 
 
 class SquareMatrix:
-    """Immutable square matrix over any exact scalar type."""
+    """Immutable square matrix over any exact scalar type.
 
-    __slots__ = ("_rows",)
+    ``_multiterm`` records whether some entry is a polynomial of two or
+    more terms, which decides how the determinant routes run (see
+    ``_run_packed``).  It is found once, when the matrix is built: the
+    constructor scans the entries, and the builders below, through
+    ``_square``, read it off the few values they place.
+    """
+
+    __slots__ = ("_rows", "_multiterm")
 
     def __init__(self, rows: Iterable[Iterable]):
         frozen = tuple(tuple(row) for row in rows)
@@ -46,7 +57,7 @@ class SquareMatrix:
         for row in frozen:
             if len(row) != n:
                 raise ValueError("matrix must be square")
-        object.__setattr__(self, "_rows", frozen)
+        _init(self, frozen, _has_multiterm(x for row in frozen for x in row))
 
     def __setattr__(self, name, value):
         raise AttributeError("SquareMatrix is immutable")
@@ -85,6 +96,26 @@ class SquareMatrix:
         return f"SquareMatrix({self.n}x{self.n})"
 
 
+def _init(m: SquareMatrix, rows: tuple[tuple, ...], multiterm: bool) -> None:
+    object.__setattr__(m, "_rows", rows)
+    object.__setattr__(m, "_multiterm", multiterm)
+
+
+def _square(rows: list[list], values: Iterable) -> SquareMatrix:
+    """Trusted constructor: square ``rows`` whose entries are ints or ``values`` up to sign."""
+    m = object.__new__(SquareMatrix)
+    _init(m, tuple(map(tuple, rows)), _has_multiterm(values))
+    return m
+
+
+def _has_multiterm(values: Iterable) -> bool:
+    """Whether some value is a polynomial of two or more terms."""
+    for x in values:
+        if type(x) is MultiPoly and len(x._terms) > 1:
+            return True
+    return False
+
+
 def build_C(coeffs: Sequence, n: int) -> SquareMatrix:
     """Banded matrix whose determinant solves the order-r recurrence.
 
@@ -108,7 +139,7 @@ def build_C(coeffs: Sequence, n: int) -> SquareMatrix:
             row[i - 1] = 1
         row[i:i + r] = band[:n - i]
         rows.append(row)
-    return SquareMatrix(rows)
+    return _square(rows, band)
 
 
 def build_G(n: int, r: int) -> SquareMatrix:
@@ -134,8 +165,9 @@ def build_S(a, b, n: int) -> SquareMatrix:
         raise DimensionTooSmall(f"matrix S needs n >= 3, got {n}")
     neg = n % 2 == 0
     rows = [[0] * n for _ in range(n)]
+    diagonal = a + b
     for i in range(n):
-        rows[i][i] = a + b
+        rows[i][i] = diagonal
     rows[0][1] = -a if neg else a
     rows[1][0] = -b if neg else b
     for i in range(1, n - 1):
@@ -143,7 +175,7 @@ def build_S(a, b, n: int) -> SquareMatrix:
         rows[i + 1][i] = b
     rows[0][n - 1] = b
     rows[n - 1][0] = a
-    return SquareMatrix(rows)
+    return _square(rows, (diagonal, a, b))
 
 
 def build_A(n: int) -> SquareMatrix:
@@ -158,20 +190,42 @@ def _exact_div(num, den):
 
     Ints (and int subclasses) divide by ``divmod`` with the remainder
     checked; polynomials, with an int operand promoted, by ``exact_divide``;
-    every other scalar here is a field element (``QuadExt``, ``Fraction``),
-    where ``/`` is exact.
+    every other scalar here is a field element (``QuadExt``, ``Fraction``)
+    or a packed polynomial (``poly._Packed``), where ``/`` is exact.  A
+    polynomial quotient that does not exist raises ``ExactDivisionFailure``
+    with ``NotDivisible``'s text.
     """
     if isinstance(num, int) and isinstance(den, int):
         q, rem = divmod(num, den)
         if rem:
             raise ExactDivisionFailure(f"{num} not divisible by {den}")
         return q
-    if isinstance(num, MultiPoly) or isinstance(den, MultiPoly):
-        try:
+    try:
+        if isinstance(num, MultiPoly) or isinstance(den, MultiPoly):
             return exact_divide(MultiPoly._coerce(num), MultiPoly._coerce(den))
-        except NotDivisible as exc:
-            raise ExactDivisionFailure(str(exc)) from exc
-    return num / den
+        return num / den
+    except NotDivisible as exc:
+        raise ExactDivisionFailure(str(exc)) from exc
+
+
+def _run_packed(route, m: SquareMatrix, minors: int):
+    """``route(rows)`` on the rows of ``m``: the determinant, by one packing when it pays.
+
+    When ``m._multiterm``, the polynomial entries are packed once, in one
+    packing whose bound covers a product of ``minors`` minors
+    (``poly._pack_rows``), the route's ring code runs on them, and only
+    the determinant it returns is unpacked: no product or quotient inside
+    builds a packing of its own.  Otherwise the route runs on the entries
+    as they are, so ints, field elements and one-term polynomials pay
+    nothing for it; a one-term product has no colliding terms for a
+    packing to merge.  Nor does a matrix of size 1 or 2: each product its
+    determinant takes is of two entries and feeds no other product, so a
+    packing per product packs and unpacks no more than one for the matrix.
+    """
+    if not m._multiterm or m.n < 3:
+        return route(m._rows)
+    det = route(_pack_rows(m._rows, minors))
+    return det.unpack() if type(det) is _Packed else det
 
 
 def det_cofactor(m: SquareMatrix):
@@ -184,12 +238,16 @@ def det_cofactor(m: SquareMatrix):
     products instead of about ``(e-1) * n!``.  Terms are still summed over
     the columns of the minor's first row, left to right, with alternating
     signs, skipping each term whose entry or minor is zero, and a 1x1 matrix
-    returns its entry itself.
+    returns its entry itself.  Every product is an entry times a minor of
+    the rows below it, so a packing sized for one minor holds it.
     """
-    n = m.n
-    if n > COFACTOR_MAX_N:
+    if m.n > COFACTOR_MAX_N:
         raise TooLarge(f"cofactor expansion capped at n <= {COFACTOR_MAX_N}")
-    rows = m._rows
+    return _run_packed(_cofactor, m, 1)
+
+
+def _cofactor(rows):
+    n = len(rows)
     last = rows[n - 1]
     memo = {}
 
@@ -241,9 +299,15 @@ def det_bareiss(m: SquareMatrix):
     row is nonzero.  Elimination keeps a band (without row swaps), so a
     matrix with ``w`` nonzero diagonals costs O(n*w^2) ring operations in
     all instead of O(n^3); ``S`` and ``A`` fill in only their last row.
+    Every numerator is a difference of products of two minors, so a
+    packing sized for two minors holds it.
     """
-    n = m.n
-    a = [list(row) for row in m]
+    return _run_packed(_bareiss, m, 2)
+
+
+def _bareiss(rows):
+    n = len(rows)
+    a = [list(row) for row in rows]
     sign = 1
     # pivots[s] is the pivot of step s - 1 (pivots[0] = 1), and row i holds
     # its entries as of step since[i]: scaled by pivots[k] / pivots[since[i]]

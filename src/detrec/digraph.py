@@ -11,7 +11,9 @@ is checked against.  That sign is the product of ``(-1)**(|C| - 1)`` over
 the cycles, so the layer keeps one convention: a cycle's weight is its
 signed weight, applied once where ``_cycles`` closes the cycle, and an
 LSD's weight is the product of its cycles' (``LinearSubdigraph`` holds
-only the cycles and that signed weight).
+only the cycles and that signed weight).  The sign is a choice between an
+edge's weight and its negation, which ``_first_cycles`` computes once per
+call, beside the successor lists, for each edge that can close a cycle.
 
 Cycles are kept canonical: each cycle is rotated so its smallest vertex
 comes first, and the cycles of an LSD are listed by increasing smallest
@@ -24,8 +26,12 @@ read one table, ``_first_cycles``: per call, each distinct vertex set's
 cycles whose rest has an LSD, walked once.  ``enumerate_lsds`` builds each
 LSD as such a cycle followed by an LSD of the rest, so its cost follows
 the LSDs it lists; ``det_via_lsd`` sums each set's signed weights in one
-pass over the table and builds no LSD.  The hard cap exists because a
-dense matrix has ``n!`` linear subdigraphs.  In a banded digraph every
+pass over the table and builds no LSD.  It runs on the matrix's entries
+packed in one packing when the matrix has size 3 or more and some entry is
+a polynomial of two or more terms (``detmat._run_packed``): every product
+it forms is of edges out of distinct vertices, so a packing sized for one
+minor holds it.  The hard cap exists because a dense matrix has ``n!``
+linear subdigraphs.  In a banded digraph every
 cycle is a block of consecutive vertices, so its LSDs group by cycle type
 (``cycle_types``, ``count_cycle_type``), and ``cycle_type_sum`` is their
 weight sum written that way: Sury's identity and the r-acci multinomial
@@ -40,7 +46,7 @@ from math import factorial
 from typing import Mapping, Sequence
 
 from .caps import check_cap
-from .detmat import SquareMatrix
+from .detmat import SquareMatrix, _run_packed
 from .errors import InvalidCycleType
 from .poly import power_sum, scalar_str
 
@@ -63,7 +69,7 @@ def _successors(rows) -> list[list[tuple[int, object]]]:
     return [[(j, w) for j, w in enumerate(row) if w] for row in rows]
 
 
-def _cycles(succ, unused: int):
+def _cycles(succ, negated, unused: int):
     """The cycles through the lowest vertex of the vertex set ``unused``.
 
     ``unused`` is a bitmask, and a walk from its lowest vertex is already
@@ -74,8 +80,10 @@ def _cycles(succ, unused: int):
     Cycles come in lexicographic order: a walk closes before it is
     extended, and it is extended by increasing vertex.  A walk only records
     its edge weights; they are multiplied once it closes, so dead ends cost
-    no ring products.  The sign is a negation of the closing edge's weight,
-    not a product; on the band matrices that edge is an integer 1.
+    no ring products.  The sign costs no ring operation: an even cycle
+    takes its closing edge ``i -> start`` negated from
+    ``negated[i][start]`` (see ``_first_cycles``); on the band matrices
+    that edge is an integer 1.
     """
     start = (unused & -unused).bit_length() - 1
     path = [start]
@@ -85,7 +93,7 @@ def _cycles(succ, unused: int):
         for nxt, w in succ[tip]:
             if nxt == start:
                 # an even cycle records an odd number of other edges
-                weight = -w if len(weights) % 2 else w
+                weight = negated[tip][start] if len(weights) % 2 else w
                 for x in weights:
                     weight = x * weight
                 yield tuple(path), avail, weight
@@ -99,29 +107,31 @@ def _cycles(succ, unused: int):
     return walk(start, unused ^ (1 << start))
 
 
-def _first_cycles(m: SquareMatrix) -> dict[int, list]:
+def _first_cycles(rows) -> dict[int, list]:
     """The table both LSD routes read: each vertex set's first cycles, for one call.
 
-    Checks the ``lsd`` cap, then walks ``_cycles`` from the full vertex
-    set down.  The table maps each vertex set (a bitmask) reached to the
+    Walks ``_cycles`` on the digraph of the matrix ``rows`` from the full
+    vertex set down.  The table maps each vertex set (a bitmask) reached to the
     ``(cycle, rest, signed weight)`` entries of the cycles through its
     lowest vertex whose ``rest`` has an LSD, or is empty.  Each distinct
     set is walked once, and a set is listed after every set its entries
     leave, so a pass over the table in order meets each ``rest`` first.
+    Only an edge back to a lower vertex can close a cycle of two or more
+    vertices, so each such edge is negated here, once for the whole call.
     """
-    check_cap("lsd", m.n)
-    succ = _successors(m)
+    succ = _successors(rows)
+    negated = [{j: -w for j, w in edges if j < i} for i, edges in enumerate(succ)]
     table: dict[int, list] = {}
 
     def kept(unused: int) -> list:
         entries = table.get(unused)
         if entries is None:
             entries = table[unused] = [
-                entry for entry in _cycles(succ, unused)
+                entry for entry in _cycles(succ, negated, unused)
                 if not entry[1] or kept(entry[1])]
         return entries
 
-    kept((1 << m.n) - 1)
+    kept((1 << len(rows)) - 1)
     return table
 
 
@@ -135,7 +145,8 @@ def enumerate_lsds(m: SquareMatrix) -> list[LinearSubdigraph]:
     share the cycle tuples.  Every cycle in the table ends in an LSD
     listed, and an LSD's signed weight is the product of its cycles'.
     """
-    table = _first_cycles(m)
+    check_cap("lsd", m.n)
+    table = _first_cycles(m._rows)
     found: list[LinearSubdigraph] = []
     cycles: list[tuple[int, ...]] = []
 
@@ -166,15 +177,20 @@ def det_via_lsd(m: SquareMatrix):
     lists each set after the sets its cycles leave, computes ``f`` of each
     distinct vertex set once; no linear subdigraph is built.
     """
+    check_cap("lsd", m.n)
+    return _run_packed(_lsd_sum, m, 1)
+
+
+def _lsd_sum(rows):
     sums = {0: 1}
-    for unused, entries in _first_cycles(m).items():
+    for unused, entries in _first_cycles(rows).items():
         total = 0
         for _, rest, weight in entries:
             sub = sums[rest]
             if sub:  # a sum that cancels to zero costs no product
                 total = total + (weight * sub if rest else weight)
         sums[unused] = total
-    return sums[(1 << m.n) - 1]
+    return sums[(1 << len(rows)) - 1]
 
 
 def cycle_types(n: int, band: int):

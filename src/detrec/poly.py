@@ -21,12 +21,18 @@ normalised a second time.
 Multiplication and division pack the exponent vectors of their operands
 into single ints (``_Packing``), so that a monomial product is an integer
 addition and graded-lex order is integer order.  A packing lasts for one
-product, one division or one ``power_sum`` call, and the packed form never
-leaves it: the stored term map always has tuple monomials.  ``power_sum``
-evaluates a whole sum ``sum(count * prod(w_t ** a_t))`` in one packing:
-each power once, every intermediate product and the running sum packed,
-and only the final sum unpacked.  It and ``MultiPoly.__mul__`` share the
-one packed multiply loop, ``_mul_into``.
+product, one division, one ``power_sum`` call or one determinant route
+call, and the packed form never leaves it: the stored term map always has
+tuple monomials.  ``power_sum`` evaluates a whole sum
+``sum(count * prod(w_t ** a_t))`` in one packing: each power once, every
+intermediate product and the running sum packed, and only the final sum
+unpacked.  A determinant route does the same through ``_pack_rows``,
+which packs a matrix's polynomial entries into ``_Packed`` elements of one
+packing, sized by a degree bound on the minors the route forms; the route
+runs its ring code on them and unpacks only the determinant.  There is one
+packed multiply loop, ``_mul_into``, and one packed division loop,
+``_divide``, which ``exact_divide`` calls between packing its operands and
+unpacking the quotient.
 
 The canonical text form lists terms in descending graded-lexicographic order
 (total degree first, then lexicographically with the lowest-indexed variable
@@ -109,15 +115,15 @@ class _Packing:
     as the borrow guard in ``divide``.
     """
 
-    __slots__ = ("variables", "bits", "shift", "guard")
+    __slots__ = ("variables", "bits", "shift", "top", "guard")
 
     def __init__(self, monos, bound: int):
-        self.variables = sorted({v for m in monos for v, _ in m})
+        self.variables = variables = sorted({v for m in monos for v, _ in m})
         self.bits = bits = bound.bit_length() + 1
-        n = len(self.variables)
-        self.shift = {v: bits * (n - 1 - i) for i, v in enumerate(self.variables)}
+        self.top = top = bits * len(variables)  # the total degree's field
+        self.shift = dict(zip(variables, range(top - bits, -1, -bits)))
         # the top bit of each of the n + 1 fields
-        self.guard = (1 << (bits - 1)) * ((1 << bits * (n + 1)) - 1) // ((1 << bits) - 1)
+        self.guard = (1 << (bits - 1)) * ((1 << top + bits) - 1) // ((1 << bits) - 1)
 
     def pack(self, m: Monomial) -> int:
         shift = self.shift
@@ -125,7 +131,7 @@ class _Packing:
         for v, e in m:
             key += e << shift[v]
             degree += e
-        return key + (degree << (self.bits * len(self.variables)))
+        return key + (degree << self.top)
 
     def unpack(self, key: int) -> Monomial:
         bits = self.bits
@@ -222,17 +228,7 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        big, small = self._terms, other._terms
-        if len(big) < len(small):
-            big, small = small, big
-        out = dict(big)
-        for mono, coef in small.items():
-            coef += out.get(mono, 0)
-            if coef:
-                out[mono] = coef
-            else:
-                del out[mono]
-        return _from_terms(out)
+        return _from_terms(_add_terms(self._terms, other._terms))
 
     __radd__ = __add__
 
@@ -243,14 +239,7 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._terms)
-        for mono, coef in other._terms.items():
-            coef = out.get(mono, 0) - coef
-            if coef:
-                out[mono] = coef
-            else:
-                del out[mono]
-        return _from_terms(out)
+        return _from_terms(_sub_terms(self._terms, other._terms))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -317,6 +306,35 @@ def _from_terms(terms: dict[Monomial, int]) -> MultiPoly:
     p = object.__new__(MultiPoly)
     _set_terms(p, terms)
     return p
+
+
+def _add_terms(left: dict, right: dict) -> dict:
+    """The term map of a sum: ``right``'s terms merged into a copy of ``left``'s.
+
+    Shared by ``MultiPoly`` and ``_Packed``; the longer map is the one copied.
+    """
+    if len(left) < len(right):
+        left, right = right, left
+    out = dict(left)
+    for mono, coef in right.items():
+        coef += out.get(mono, 0)
+        if coef:
+            out[mono] = coef
+        else:
+            del out[mono]
+    return out
+
+
+def _sub_terms(left: dict, right: dict) -> dict:
+    """The term map of ``left - right``, for ``MultiPoly`` and ``_Packed`` alike."""
+    out = dict(left)
+    for mono, coef in right.items():
+        coef = out.get(mono, 0) - coef
+        if coef:
+            out[mono] = coef
+        else:
+            del out[mono]
+    return out
 
 
 def _mul_into(out: dict[int, int], left: Iterable[tuple[int, int]],
@@ -400,32 +418,44 @@ def poly_str(p: MultiPoly, names: VarNames = None) -> str:
 def exact_divide(num: MultiPoly, den: MultiPoly) -> MultiPoly:
     """Quotient ``q`` with ``q * den == num``, exact over the integers.
 
-    Division tracks a single quotient by repeatedly cancelling graded-lex
-    leading terms.  Raises ``NotDivisible`` as soon as a leading monomial or
-    integer coefficient fails to divide, which happens exactly when no
-    integer-coefficient quotient exists.
+    Packs both operands in one ``_Packing``, divides them with ``_divide``
+    and unpacks the quotient.  Raises ``NotDivisible`` as soon as a leading
+    monomial or integer coefficient fails to divide, which happens exactly
+    when no integer-coefficient quotient exists.  No term the division
+    forms exceeds the degree of ``num``, which the packing is sized for.
+    """
+    packing = _Packing([*num._terms, *den._terms], max(num.degree(), den.degree()))
+    pack, unpack = packing.pack, packing.unpack
+    quotient = _divide(packing, {pack(m): c for m, c in num._terms.items()},
+                       {pack(m): c for m, c in den._terms.items()})
+    return _from_terms({unpack(k): c for k, c in quotient.items()})
 
-    The remainder is one mutable dict keyed by packed monomials, beside a
-    heap of its keys, so each step pops the leading term instead of
-    scanning the remainder for it.  Each step subtracts ``c*mono*den`` from
-    the dict term by term.  A term that cancels keeps its key, with
+
+def _divide(packing: _Packing, num: dict[int, int], den: dict[int, int]) -> dict[int, int]:
+    """Packed quotient of two packed polynomials: the one packed division loop.
+
+    Division tracks a single quotient by repeatedly cancelling graded-lex
+    leading terms, and raises ``NotDivisible``, naming the tuple
+    monomials, as soon as a leading monomial or coefficient fails to
+    divide.  The remainder is one mutable dict keyed by packed monomials,
+    beside a heap of its keys, so each step pops the leading term instead
+    of scanning the remainder for it.  Each step subtracts ``c*mono*den``
+    from the dict term by term.  A term that cancels keeps its key, with
     coefficient zero, until the heap reaches it and skips it (lazy
     deletion), so every key enters the heap once.  Every term a step adds
-    is below the current leading term, so a popped key never comes back.
-    No term exceeds the degree of ``num``, which the packing is sized for.
+    is below the current leading term, so a popped key never comes back,
+    and no term exceeds the degree of ``num``.
     """
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
-    packing = _Packing([*num._terms, *den._terms], max(num.degree(), den.degree()))
-    pack, divide = packing.pack, packing.divide
-    den_terms = {pack(m): c for m, c in den._terms.items()}
-    den_key = max(den_terms)
-    den_coef = den_terms.pop(den_key)
-    den_tail = list(den_terms.items())
-    remainder = {pack(m): c for m, c in num._terms.items()}
+    divide = packing.divide
+    den_key = max(den)
+    den_coef = den[den_key]
+    den_tail = [(k, c) for k, c in den.items() if k != den_key]
+    remainder = dict(num)
     heap = [-k for k in remainder]
     heapify(heap)
-    quotient: dict[Monomial, int] = {}
+    quotient: dict[int, int] = {}
     while heap:
         rem_key = -heappop(heap)
         rem_coef = remainder.pop(rem_key)
@@ -438,7 +468,7 @@ def exact_divide(num: MultiPoly, den: MultiPoly) -> MultiPoly:
         c, leftover = divmod(rem_coef, den_coef)
         if leftover:
             raise NotDivisible(f"coefficient {rem_coef} not divisible by {den_coef}")
-        quotient[packing.unpack(key)] = c
+        quotient[key] = c
         for tail_key, tail_coef in den_tail:
             k = key + tail_key
             old = remainder.get(k)
@@ -447,7 +477,127 @@ def exact_divide(num: MultiPoly, den: MultiPoly) -> MultiPoly:
                 heappush(heap, -k)
             else:
                 remainder[k] = old - c * tail_coef
-    return _from_terms(quotient)
+    return quotient
+
+
+class _Packed:
+    """A polynomial whose monomials are keys of a packing shared by one computation.
+
+    ``terms`` maps packed keys to nonzero int coefficients.  The ring
+    operations (``+``, ``-``, unary ``-``, ``*`` and exact ``/``) take
+    another element of the same packing or an int, whose key is 0, and
+    return an element of that packing, so a computation on them packs
+    nothing and unpacks nothing until ``unpack``.  The packing's bound must
+    cover the degree of every product the computation forms (see
+    ``_pack_rows``).  ``/`` is ``_divide`` and raises ``NotDivisible`` when
+    the quotient does not exist.
+    """
+
+    __slots__ = ("terms", "packing")
+
+    def __init__(self, terms: dict[int, int], packing: _Packing):
+        self.terms = terms
+        self.packing = packing
+
+    def unpack(self) -> MultiPoly:
+        unpack = self.packing.unpack
+        return _from_terms({unpack(k): c for k, c in self.terms.items()})
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __add__(self, other):
+        other = _packed_terms(other)
+        if other is None:
+            return NotImplemented
+        return _Packed(_add_terms(self.terms, other), self.packing)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Packed({k: -c for k, c in self.terms.items()}, self.packing)
+
+    def __sub__(self, other):
+        other = _packed_terms(other)
+        if other is None:
+            return NotImplemented
+        return _Packed(_sub_terms(self.terms, other), self.packing)
+
+    def __rsub__(self, other):
+        other = _packed_terms(other)
+        if other is None:
+            return NotImplemented
+        return _Packed(_sub_terms(other, self.terms), self.packing)
+
+    def __mul__(self, other):
+        if type(other) is not _Packed:
+            if not isinstance(other, int):
+                return NotImplemented
+            return _Packed({k: c * other for k, c in self.terms.items()} if other else {},
+                           self.packing)
+        left, right = self.terms, other.terms
+        if len(left) > len(right):
+            left, right = right, left
+        if len(left) < 2:
+            # one term times a polynomial: no two products collide or cancel
+            product = {ka + kb: ca * cb for ka, ca in left.items() for kb, cb in right.items()}
+        else:
+            product = {k: c for k, c in _mul_into({}, left.items(), right.items()).items() if c}
+        return _Packed(product, self.packing)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _packed_terms(other)
+        if other is None:
+            return NotImplemented
+        return _Packed(_divide(self.packing, self.terms, other), self.packing)
+
+    def __rtruediv__(self, other):
+        other = _packed_terms(other)
+        if other is None:
+            return NotImplemented
+        return _Packed(_divide(self.packing, other, self.terms), self.packing)
+
+
+def _packed_terms(value) -> dict[int, int] | None:
+    """The packed terms of a ``_Packed`` or an int, or ``None`` for anything else."""
+    if type(value) is _Packed:
+        return value.terms
+    if isinstance(value, int):
+        return {0: int(value)} if value else {}
+    return None
+
+
+def _pack_rows(rows: Sequence[Sequence], minors: int) -> list[list]:
+    """The matrix ``rows`` with each polynomial entry a ``_Packed`` of one packing.
+
+    Int entries stay as they are.  The packing's bound is ``minors`` times
+    ``sum_i max_j deg a_ij``, the row maxima summed: a ``k x k`` minor
+    takes its entries from ``k`` distinct rows, so that sum bounds the
+    degree of every minor, and the bound covers every product of
+    ``minors`` minors.  An entry object that fills several cells, as a
+    band coefficient does, is packed once.
+    """
+    degrees: dict[int, int] = {}  # id -> degree of each distinct polynomial entry
+    polys = []
+    bound = 0
+    for row in rows:
+        top = 0
+        for x in row:
+            if type(x) is MultiPoly:
+                degree = degrees.get(id(x))
+                if degree is None:
+                    degree = degrees[id(x)] = x.degree()
+                    polys.append(x)
+                if degree > top:
+                    top = degree
+        bound += top
+    packing = _Packing([m for p in polys for m in p._terms], minors * bound)
+    pack = packing.pack
+    packed = {id(p): _Packed({pack(m): c for m, c in p._terms.items()}, packing)
+              for p in polys}
+    return [[packed[id(x)] if type(x) is MultiPoly else x for x in row] for row in rows]
 
 
 class QuadExt:

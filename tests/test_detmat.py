@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from detrec import detmat, poly
 from detrec.detmat import (
     SquareMatrix,
     build_A,
@@ -16,8 +17,9 @@ from detrec.detmat import (
     _exact_div,
     det_cofactor,
 )
+from detrec.digraph import det_via_lsd
 from detrec.errors import DimensionTooSmall, ExactDivisionFailure, TooLarge
-from detrec.poly import PHI, PSI, MultiPoly, QuadExt, poly_str
+from detrec.poly import PHI, PSI, MultiPoly, QuadExt, _pack_rows, poly_str
 from detrec.recurrence import eval_recurrence, fibonacci, lucas, racci
 from detrec.symfunc import build_E, homogeneous
 
@@ -219,6 +221,75 @@ def test_exact_div_rungs(counted_ints):
     for num, den in ((7, 2), (Counted(7), Counted(2)), (A, B), (A + 1, 2)):
         with pytest.raises(ExactDivisionFailure):
             _exact_div(num, den)
+    # packed polynomials of one packing divide by "/", with the same contract
+    [[difference, total, a, doubled]] = _pack_rows([[A * A - B * B, A + B, A, 2 * A]], 1)
+    assert _exact_div(difference, total).unpack() == A - B
+    assert _exact_div(doubled, 2).unpack() == A
+    assert _exact_div(6, _exact_div(doubled, a)).unpack() == 3
+    with pytest.raises(ExactDivisionFailure, match=r"^\(\(1, 1\),\) not divisible by \(\(0, 1\),\)$"):
+        _exact_div(a, total)  # A = 1*(A + B) - B, and x0 does not divide x1
+    with pytest.raises(ExactDivisionFailure, match="^coefficient 1 not divisible by 2$"):
+        _exact_div(a, 2)
+
+
+ROUTES = (det_bareiss, det_cofactor, det_via_lsd)
+
+
+def test_routes_pack_a_polynomial_matrix_once(monkeypatch):
+    # with a two-term entry, each route builds one packing for the whole
+    # determinant and unpacks only the determinant's terms
+    counts = {"packing": 0, "unpack": 0}
+
+    class CountedPacking(poly._Packing):
+        __slots__ = ()
+
+        def __init__(self, monos, bound):
+            counts["packing"] += 1
+            super().__init__(monos, bound)
+
+        def unpack(self, key):
+            counts["unpack"] += 1
+            return super().unpack(key)
+
+    mixed = SquareMatrix([[0, A + 1, B], [A ** 3, 0, 2], [1, B - A, A * B]])  # swaps rows
+    matrices = [build_E(6, 4), build_S(A, -2 * B, 8), build_E(3, 2), mixed]
+    monkeypatch.setattr(poly, "_Packing", CountedPacking)
+    for m in matrices:
+        for route in ROUTES:
+            counts.update(packing=0, unpack=0)
+            det = route(m)
+            assert counts == {"packing": 1, "unpack": len(det.terms)}, (m, route.__name__)
+
+
+def test_routes_pack_nothing_without_a_two_term_entry(monkeypatch):
+    # ints, field elements and one-term polynomials run as they are: no
+    # packing of the matrix, and with a one-term factor in every product
+    # the cofactor and LSD routes build no packing at all; nor is a matrix
+    # of size 1 or 2 packed, whose products feed no other product
+    packings = [0]
+    packing = poly._Packing
+
+    def counted_packing(*args):
+        packings[0] += 1
+        return packing(*args)
+
+    def unreachable(*args):
+        raise AssertionError("packed a matrix")
+    one_term = [build_C([A, -2 * B, A * B], 6), SquareMatrix([[A ** 2, B ** 2], [A, B]])]
+    plain = [build_G(8, 3), build_A(8), build_F(1), SquareMatrix([[Fraction(1, 2)]])]
+    monkeypatch.setattr(detmat, "_pack_rows", unreachable)
+    monkeypatch.setattr(poly, "_Packing", counted_packing)
+    for m in plain + one_term + [SquareMatrix([[A + B]]), build_E(2, 3)]:
+        assert not m._multiterm or m.n < 3
+        assert det_bareiss(m) == det_cofactor(m) == det_via_lsd(m)
+    packings[0] = 0
+    for m in plain + one_term:
+        det_cofactor(m)
+        det_via_lsd(m)
+    assert packings[0] == 0
+    for m in plain:
+        det_bareiss(m)
+    assert packings[0] == 0
 
 
 def test_matrices_are_immutable():

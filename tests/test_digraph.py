@@ -118,6 +118,29 @@ def test_sign_is_product_over_cycles():
             assert lsd.signed_weight == expected
 
 
+def test_each_closing_edge_is_negated_once_per_call():
+    # an even cycle's sign is its closing edge's negation, computed once per
+    # call beside the edge list, however many vertex sets' walks close a
+    # cycle with that edge: here every entry below the diagonal, once
+    negated = Counter()
+
+    class Edge(int):
+        def __neg__(self):
+            negated[int(self)] += 1
+            return -int(self)
+
+    n = 6
+    distinct = random.Random(3).sample(range(1, 1000), n * n)
+    values = [distinct[i * n:(i + 1) * n] for i in range(n)]
+    m = SquareMatrix([[Edge(v) for v in row] for row in values])
+    lower = Counter(values[i][j] for i in range(n) for j in range(i))
+    for route in (det_via_lsd, enumerate_lsds):
+        negated.clear()
+        route(m)
+        assert negated == lower
+    assert det_via_lsd(m) == det_bareiss(SquareMatrix(values))
+
+
 def test_lsd_count_of_banded_unit_matrix_is_racci():
     for r in range(1, 5):
         for n in range(1, 11):
@@ -187,9 +210,9 @@ def test_enumeration_walks_each_vertex_set_once(monkeypatch):
     walked = []
     cycles = digraph._cycles
 
-    def spy(succ, unused):
+    def spy(succ, negated, unused):
         walked.append(unused)
-        return cycles(succ, unused)
+        return cycles(succ, negated, unused)
     monkeypatch.setattr(digraph, "_cycles", spy)
     n = 11
     suffixes = {(1 << n) - (1 << k) for k in range(n)}

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from detrec import symfunc
+from detrec import poly, symfunc
 from detrec.caps import COFACTOR_MAX_N, MAX_SCHUR_WORK, MAX_TERMS, check_terms
 from detrec.detmat import SquareMatrix, det_bareiss
 from detrec.errors import TooLarge
@@ -194,16 +194,22 @@ def test_schur_work_bound_matches_its_formula(monkeypatch):
 
 
 def test_schur_work_model_bounds_the_products(monkeypatch):
-    # the model never counts fewer monomial products than the expansion makes
+    # the model never counts fewer monomial products than the expansion makes,
+    # on unpacked entries or, for a matrix with a two-term entry, packed ones
     count = [0]
     counting = [False]
-    multiply = MultiPoly.__mul__
+    multiply, multiply_packed = MultiPoly.__mul__, poly._Packed.__mul__
     det_cofactor = symfunc.det_cofactor
 
     def counted(self, other):
         if counting[0] and isinstance(other, MultiPoly):
             count[0] += len(self.terms) * len(other.terms)
         return multiply(self, other)
+
+    def counted_packed(self, other):
+        if counting[0] and type(other) is poly._Packed:
+            count[0] += len(self.terms) * len(other.terms)
+        return multiply_packed(self, other)
 
     def expand(matrix):
         counting[0] = True
@@ -212,13 +218,17 @@ def test_schur_work_model_bounds_the_products(monkeypatch):
         finally:
             counting[0] = False
     monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    monkeypatch.setattr(poly._Packed, "__mul__", counted_packed)
     monkeypatch.setattr(symfunc, "det_cofactor", expand)
     shapes = [(lam, n_vars) for lam, n_vars in SMALL_SHAPES if lam and len(lam) < n_vars]
     shapes += [((4, 3, 2, 1), 6), ((5, 3, 2, 1), 7), ((3, 2, 1), 8), ((9, 2), 3), ((6, 3, 1), 5)]
+    total = 0
     for lam, n_vars in shapes:
         count[0] = 0
         schur(lam, n_vars)
         assert count[0] <= _jacobi_trudi_work(lam, n_vars), (lam, n_vars)
+        total += count[0]
+    assert total  # the spies saw the expansions' products
 
 
 @pytest.mark.parametrize("lam, n_vars", [
