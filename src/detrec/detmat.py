@@ -273,7 +273,11 @@ def _cofactor(rows):
         memo[cols] = total
         return total
 
-    return minor((1 << n) - 1)
+    det = minor((1 << n) - 1)
+    # minor calls itself, a reference cycle through its closure that would
+    # hold every memoised minor until the next garbage collection
+    del minor
+    return det
 
 
 def det_bareiss(m: SquareMatrix):

@@ -132,6 +132,9 @@ def _first_cycles(rows) -> dict[int, list]:
         return entries
 
     kept((1 << len(rows)) - 1)
+    # kept calls itself, a reference cycle through its closure that would
+    # hold the table until the next garbage collection; this breaks it
+    del kept
     return table
 
 
@@ -160,6 +163,7 @@ def enumerate_lsds(m: SquareMatrix) -> list[LinearSubdigraph]:
             cycles.pop()
 
     cover((1 << m.n) - 1, None)
+    del cover  # break the recursive closure's cycle, as in _first_cycles
     return found
 
 

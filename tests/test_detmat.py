@@ -1,5 +1,6 @@
 """Structured matrix constructors and exact determinants."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -183,6 +184,19 @@ def test_det_cofactor_multiplies_no_zero_minor(counted_ints):
     assert count[0] == 31
     symbolic = build_C([MultiPoly.var(i) for i in range(3)], 8)
     assert poly_str(det_cofactor(symbolic)) == poly_str(det_bareiss(symbolic))
+
+
+def test_det_cofactor_leaves_no_garbage_cycle():
+    # the recursive expansion's memo of minors is freed when the call
+    # returns, not held in a reference cycle until a garbage collection
+    gc.collect()
+    gc.disable()
+    try:
+        for m in (build_E(6, 4), build_C([A, B, A * B], 8), build_G(8, 3)):
+            det_cofactor(m)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_det_bareiss_matches_cofactor_randomized():
