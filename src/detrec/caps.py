@@ -177,10 +177,15 @@ def check_det_E(n: int, n_vars: int) -> None:
     ``h_m = sum_t (-1)**(t-1) * e_t * h_(m-t)``.  Step ``k`` multiplies the
     pivot ``h_k`` by each ``e_t``, ``t <= min(n_vars, n - k)``, of the next
     row: ``comb(k + n_vars - 1, n_vars - 1) * comb(n_vars, t)`` monomial
-    products, whose terms, at most the ``comb(k + t + n_vars - 1, n_vars - 1)``
-    monomials of degree ``k + t``, are each unpacked over ``n_vars``
-    variables.  That work, summed, is held to ``MAX_RECURRENCE_WORK``; the
-    sum stops once past it.
+    products, whose terms are at most the ``comb(k + t + n_vars - 1,
+    n_vars - 1)`` monomials of degree ``k + t``.  The model charges
+    ``n_vars`` for each of those terms too, the cost of unpacking them over
+    ``n_vars`` variables.  That charge is an over-count: an ``E`` of size 3
+    or more with ``n_vars >= 2`` runs in one packing
+    (``detmat._run_packed``) and unpacks only ``h_n``, and with
+    ``n_vars == 1`` every product is of one-term polynomials and packs
+    nothing.  The work, summed, is held to ``MAX_RECURRENCE_WORK``; the sum
+    stops once past it.
     """
     check_terms("det", n + n_vars - 1, n)
     if n_vars < 1:

@@ -62,6 +62,10 @@ class SquareMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("SquareMatrix is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not by setting slots
+        return SquareMatrix, (self._rows,)
+
     @property
     def n(self) -> int:
         return len(self._rows)

@@ -86,25 +86,30 @@ def _cycles(succ, negated, unused: int):
     that edge is an integer 1.
     """
     start = (unused & -unused).bit_length() - 1
-    path = [start]
-    weights = []
+    return _walk(succ, negated, [start], [], start, unused ^ (1 << start))
 
-    def walk(tip: int, avail: int):
-        for nxt, w in succ[tip]:
-            if nxt == start:
-                # an even cycle records an odd number of other edges
-                weight = negated[tip][start] if len(weights) % 2 else w
-                for x in weights:
-                    weight = x * weight
-                yield tuple(path), avail, weight
-            elif avail >> nxt & 1:
-                path.append(nxt)
-                weights.append(w)
-                yield from walk(nxt, avail ^ (1 << nxt))
-                path.pop()
-                weights.pop()
 
-    return walk(start, unused ^ (1 << start))
+def _walk(succ, negated, path, weights, tip: int, avail: int):
+    """``_cycles``' walk: the cycles that extend ``path``, whose edges weigh ``weights``.
+
+    ``tip`` is the path's last vertex and ``avail`` the bitmask of the
+    vertices it may go on to.  A module function, not a closure, so its
+    recursion holds no reference cycle.
+    """
+    start = path[0]
+    for nxt, w in succ[tip]:
+        if nxt == start:
+            # an even cycle records an odd number of other edges
+            weight = negated[tip][start] if len(weights) % 2 else w
+            for x in weights:
+                weight = x * weight
+            yield tuple(path), avail, weight
+        elif avail >> nxt & 1:
+            path.append(nxt)
+            weights.append(w)
+            yield from _walk(succ, negated, path, weights, nxt, avail ^ (1 << nxt))
+            path.pop()
+            weights.pop()
 
 
 def _first_cycles(rows) -> dict[int, list]:

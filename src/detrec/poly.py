@@ -18,21 +18,26 @@ already; every ring operation (``+``, ``-``, unary ``-``, ``*``, ``**``) and
 ``exact_divide`` builds its result through it, so canonical terms are never
 normalised a second time.
 
-Multiplication and division pack the exponent vectors of their operands
+There is one polynomial ring over two key types.  ``MultiPoly`` keys its
+terms by tuple monomials; ``_Packed`` keys them by exponent vectors packed
 into single ints (``_Packing``), so that a monomial product is an integer
-addition and graded-lex order is integer order.  A packing lasts for one
-product, one division, one ``power_sum`` call or one determinant route
-call, and the packed form never leaves it: the stored term map always has
-tuple monomials.  ``power_sum`` evaluates a whole sum
+addition and graded-lex order is integer order.  Their shared base
+``_Ring`` holds ``+``, ``-``, unary ``-``, truth and the int coercion (an
+int is the constant, of key ``()`` or ``0``); each type adds its own ``*``,
+and ``_Packed`` the exact ``/``.  A packing lasts for one computation and
+the packed form never leaves it: ``_pack`` is the one way in, packing
+several polynomials into one packing sized by a degree bound, and
+``_Packed.unpack`` the one way out, so the stored term map of a
+``MultiPoly`` always has tuple monomials.  A multi-term product is
+``(a * b).unpack()`` of its packed factors and ``exact_divide`` is
+``(a / b).unpack()``.  ``power_sum`` evaluates a whole sum
 ``sum(count * prod(w_t ** a_t))`` in one packing: each power once, every
 intermediate product and the running sum packed, and only the final sum
 unpacked.  A determinant route does the same through ``_pack_rows``,
-which packs a matrix's polynomial entries into ``_Packed`` elements of one
-packing, sized by a degree bound on the minors the route forms; the route
-runs its ring code on them and unpacks only the determinant.  There is one
-packed multiply loop, ``_mul_into``, and one packed division loop,
-``_divide``, which ``exact_divide`` calls between packing its operands and
-unpacking the quotient.
+which packs a matrix's polynomial entries, sized by a degree bound on the
+minors the route forms; the route runs its ring code on them and unpacks
+only the determinant.  There is one packed multiply loop, ``_mul_into``,
+and one packed division loop, ``_divide``.
 
 The canonical text form lists terms in descending graded-lexicographic order
 (total degree first, then lexicographically with the lowest-indexed variable
@@ -152,10 +157,68 @@ class _Packing:
         return d ^ self.guard if d & self.guard == self.guard else None
 
 
-class MultiPoly:
+class _Ring:
+    """The ring operations of one polynomial ring, shared by its two key types.
+
+    ``MultiPoly`` keys its terms by tuple monomials, ``_Packed`` by the
+    keys of one ``_Packing``.  Each stores a canonical term map (key ->
+    nonzero int) in ``_terms``, names the key of the constant monomial
+    ``_ONE`` and builds an element of its own type from a canonical term
+    map with ``_new``.  An int operand is the constant of key ``_ONE``.
+    """
+
+    __slots__ = ()
+
+    def _terms_of(self, other) -> dict | None:
+        """The term map of ``other`` as this type keys it, or ``None`` if it is no ring element."""
+        if type(other) is type(self):
+            return other._terms
+        if isinstance(other, int):
+            return {self._ONE: int(other)} if other else {}
+        return None
+
+    def __add__(self, other):
+        right = self._terms_of(other)
+        if right is None:
+            return NotImplemented
+        left = self._terms
+        if len(left) < len(right):
+            left, right = right, left
+        out = dict(left)  # the longer map is the one copied
+        for key, coef in right.items():
+            coef += out.get(key, 0)
+            if coef:
+                out[key] = coef
+            else:
+                del out[key]
+        return self._new(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new({key: -coef for key, coef in self._terms.items()})
+
+    def __sub__(self, other):
+        right = self._terms_of(other)
+        if right is None:
+            return NotImplemented
+        return self._new(_sub_terms(self._terms, right))
+
+    def __rsub__(self, other):
+        left = self._terms_of(other)
+        if left is None:
+            return NotImplemented
+        return self._new(_sub_terms(left, self._terms))
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+
+class MultiPoly(_Ring):
     """Immutable sparse polynomial with integer coefficients."""
 
     __slots__ = ("_terms",)
+    _ONE = _EMPTY
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
         canonical: dict[Monomial, int] = {}
@@ -214,7 +277,14 @@ class MultiPoly:
                 top = degree
         return top
 
-    # -- ring operations ---------------------------------------------------
+    # -- ring operations (``+``, ``-`` and unary ``-`` are ``_Ring``'s) ------
+
+    @staticmethod
+    def _new(terms: dict[Monomial, int]) -> "MultiPoly":
+        """Trusted constructor: stores ``terms`` as is, which must be canonical."""
+        p = object.__new__(MultiPoly)
+        _set_terms(p, terms)
+        return p
 
     @staticmethod
     def _coerce(other) -> "MultiPoly | None":
@@ -224,34 +294,16 @@ class MultiPoly:
             return _from_terms({_EMPTY: int(other)} if other else {})
         return None
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return _from_terms(_add_terms(self._terms, other._terms))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _from_terms({m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return _from_terms(_sub_terms(self._terms, other._terms))
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+    # bound here too: MultiPoly's own namespace lists every operator it has,
+    # which is where perfbench's tracer looks them up
+    __add__ = __radd__ = _Ring.__add__
+    __sub__, __rsub__, __neg__ = _Ring.__sub__, _Ring.__rsub__, _Ring.__neg__
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        right = self._terms_of(other)
+        if right is None:
             return NotImplemented
-        left, right = self._terms, other._terms
+        left = self._terms
         if len(left) > len(right):
             left, right = right, left
         if len(left) < 2:
@@ -259,12 +311,8 @@ class MultiPoly:
             # packing (which pays off through collisions) would cost more than it saves
             return _from_terms({_mono_mul(ma, mb): ca * cb
                                 for ma, ca in left.items() for mb, cb in right.items()})
-        packing = _Packing([*left, *right], self.degree() + other.degree())
-        pack = packing.pack
-        out = _mul_into({}, zip(map(pack, left), left.values()),
-                        [(pack(m), c) for m, c in right.items()])
-        unpack = packing.unpack
-        return _from_terms({unpack(k): c for k, c in out.items() if c})
+        a, b = _pack((self, other), self.degree() + other.degree())
+        return (a * b).unpack()
 
     __rmul__ = __mul__
 
@@ -275,14 +323,11 @@ class MultiPoly:
             raise ValueError("polynomial powers must be non-negative")
         return _power(self, k, MultiPoly.one())
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
+        other = self._terms_of(other)
         if other is None:
             return NotImplemented
-        return self._terms == other._terms
+        return self._terms == other
 
     def __hash__(self) -> int:
         terms = self._terms
@@ -299,34 +344,11 @@ class MultiPoly:
 
 
 _set_terms = MultiPoly._terms.__set__
-
-
-def _from_terms(terms: dict[Monomial, int]) -> MultiPoly:
-    """Trusted constructor: stores ``terms`` as is, which must be canonical."""
-    p = object.__new__(MultiPoly)
-    _set_terms(p, terms)
-    return p
-
-
-def _add_terms(left: dict, right: dict) -> dict:
-    """The term map of a sum: ``right``'s terms merged into a copy of ``left``'s.
-
-    Shared by ``MultiPoly`` and ``_Packed``; the longer map is the one copied.
-    """
-    if len(left) < len(right):
-        left, right = right, left
-    out = dict(left)
-    for mono, coef in right.items():
-        coef += out.get(mono, 0)
-        if coef:
-            out[mono] = coef
-        else:
-            del out[mono]
-    return out
+_from_terms = MultiPoly._new
 
 
 def _sub_terms(left: dict, right: dict) -> dict:
-    """The term map of ``left - right``, for ``MultiPoly`` and ``_Packed`` alike."""
+    """The term map of ``left - right``, for either key type."""
     out = dict(left)
     for mono, coef in right.items():
         coef = out.get(mono, 0) - coef
@@ -346,8 +368,7 @@ def _mul_into(out: dict[int, int], left: Iterable[tuple[int, int]],
     ``left`` drives the outer loop and is read once, so it may be an
     iterator; ``right`` is read once per term of ``left``, so callers pass
     the shorter factor as ``left`` where they can.  A term that cancels
-    keeps its key with coefficient zero, so the caller drops zeros when it
-    unpacks.
+    keeps its key with coefficient zero, so the caller drops the zeros.
     """
     get = out.get
     for ka, ca in left:
@@ -418,17 +439,15 @@ def poly_str(p: MultiPoly, names: VarNames = None) -> str:
 def exact_divide(num: MultiPoly, den: MultiPoly) -> MultiPoly:
     """Quotient ``q`` with ``q * den == num``, exact over the integers.
 
-    Packs both operands in one ``_Packing``, divides them with ``_divide``
-    and unpacks the quotient.  Raises ``NotDivisible`` as soon as a leading
-    monomial or integer coefficient fails to divide, which happens exactly
-    when no integer-coefficient quotient exists.  No term the division
-    forms exceeds the degree of ``num``, which the packing is sized for.
+    Packs both operands in one packing (``_pack``), divides them with
+    ``_Packed``'s ``/`` and unpacks the quotient.  Raises ``NotDivisible``
+    as soon as a leading monomial or integer coefficient fails to divide,
+    which happens exactly when no integer-coefficient quotient exists.  No
+    term the division forms exceeds the degree of ``num``, which the
+    packing is sized for.
     """
-    packing = _Packing([*num._terms, *den._terms], max(num.degree(), den.degree()))
-    pack, unpack = packing.pack, packing.unpack
-    quotient = _divide(packing, {pack(m): c for m, c in num._terms.items()},
-                       {pack(m): c for m, c in den._terms.items()})
-    return _from_terms({unpack(k): c for k, c in quotient.items()})
+    a, b = _pack((num, den), max(num.degree(), den.degree()))
+    return (a / b).unpack()
 
 
 def _divide(packing: _Packing, num: dict[int, int], den: dict[int, int]) -> dict[int, int]:
@@ -480,93 +499,73 @@ def _divide(packing: _Packing, num: dict[int, int], den: dict[int, int]) -> dict
     return quotient
 
 
-class _Packed:
+class _Packed(_Ring):
     """A polynomial whose monomials are keys of a packing shared by one computation.
 
-    ``terms`` maps packed keys to nonzero int coefficients.  The ring
+    ``_terms`` maps packed keys to nonzero int coefficients.  The ring
     operations (``+``, ``-``, unary ``-``, ``*`` and exact ``/``) take
     another element of the same packing or an int, whose key is 0, and
     return an element of that packing, so a computation on them packs
-    nothing and unpacks nothing until ``unpack``.  The packing's bound must
-    cover the degree of every product the computation forms (see
-    ``_pack_rows``).  ``/`` is ``_divide`` and raises ``NotDivisible`` when
-    the quotient does not exist.
+    nothing and unpacks nothing until ``unpack``, the one way back to a
+    ``MultiPoly``.  The packing's bound must cover the degree of every
+    product the computation forms (see ``_pack``).  ``/`` is ``_divide``
+    and raises ``NotDivisible`` when the quotient does not exist.
     """
 
-    __slots__ = ("terms", "packing")
+    __slots__ = ("_terms", "packing")
+    _ONE = 0
 
     def __init__(self, terms: dict[int, int], packing: _Packing):
-        self.terms = terms
+        self._terms = terms
         self.packing = packing
+
+    def _new(self, terms: dict[int, int]) -> "_Packed":
+        return _Packed(terms, self.packing)
 
     def unpack(self) -> MultiPoly:
         unpack = self.packing.unpack
-        return _from_terms({unpack(k): c for k, c in self.terms.items()})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other):
-        other = _packed_terms(other)
-        if other is None:
-            return NotImplemented
-        return _Packed(_add_terms(self.terms, other), self.packing)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _Packed({k: -c for k, c in self.terms.items()}, self.packing)
-
-    def __sub__(self, other):
-        other = _packed_terms(other)
-        if other is None:
-            return NotImplemented
-        return _Packed(_sub_terms(self.terms, other), self.packing)
-
-    def __rsub__(self, other):
-        other = _packed_terms(other)
-        if other is None:
-            return NotImplemented
-        return _Packed(_sub_terms(other, self.terms), self.packing)
+        return _from_terms({unpack(k): c for k, c in self._terms.items()})
 
     def __mul__(self, other):
-        if type(other) is not _Packed:
-            if not isinstance(other, int):
-                return NotImplemented
-            return _Packed({k: c * other for k, c in self.terms.items()} if other else {},
-                           self.packing)
-        left, right = self.terms, other.terms
+        right = self._terms_of(other)
+        if right is None:
+            return NotImplemented
+        left = self._terms
         if len(left) > len(right):
             left, right = right, left
         if len(left) < 2:
-            # one term times a polynomial: no two products collide or cancel
+            # at most one term times a polynomial: no two products collide or cancel
             product = {ka + kb: ca * cb for ka, ca in left.items() for kb, cb in right.items()}
         else:
-            product = {k: c for k, c in _mul_into({}, left.items(), right.items()).items() if c}
-        return _Packed(product, self.packing)
+            product = _mul_into({}, left.items(), right.items())
+            if 0 in product.values():  # drop the terms that cancelled
+                product = {k: c for k, c in product.items() if c}
+        return self._new(product)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _packed_terms(other)
-        if other is None:
+        den = self._terms_of(other)
+        if den is None:
             return NotImplemented
-        return _Packed(_divide(self.packing, self.terms, other), self.packing)
+        return self._new(_divide(self.packing, self._terms, den))
 
     def __rtruediv__(self, other):
-        other = _packed_terms(other)
-        if other is None:
+        num = self._terms_of(other)
+        if num is None:
             return NotImplemented
-        return _Packed(_divide(self.packing, other, self.terms), self.packing)
+        return self._new(_divide(self.packing, num, self._terms))
 
 
-def _packed_terms(value) -> dict[int, int] | None:
-    """The packed terms of a ``_Packed`` or an int, or ``None`` for anything else."""
-    if type(value) is _Packed:
-        return value.terms
-    if isinstance(value, int):
-        return {0: int(value)} if value else {}
-    return None
+def _pack(polys: Sequence[MultiPoly], bound: int) -> list[_Packed]:
+    """``polys`` as ``_Packed`` elements of one new packing, whose bound is ``bound``.
+
+    The one way into the packed form: ``bound`` must cover the total
+    degree of every monomial the computation on them forms.
+    """
+    packing = _Packing([m for p in polys for m in p._terms], bound)
+    pack = packing.pack
+    return [_Packed({pack(m): c for m, c in p._terms.items()}, packing) for p in polys]
 
 
 def _pack_rows(rows: Sequence[Sequence], minors: int) -> list[list]:
@@ -576,8 +575,9 @@ def _pack_rows(rows: Sequence[Sequence], minors: int) -> list[list]:
     ``sum_i max_j deg a_ij``, the row maxima summed: a ``k x k`` minor
     takes its entries from ``k`` distinct rows, so that sum bounds the
     degree of every minor, and the bound covers every product of
-    ``minors`` minors.  An entry object that fills several cells, as a
-    band coefficient does, is packed once.
+    ``minors`` minors.  The distinct entries go through ``_pack``
+    together: an entry object that fills several cells, as a band
+    coefficient does, is packed once.
     """
     degrees: dict[int, int] = {}  # id -> degree of each distinct polynomial entry
     polys = []
@@ -593,10 +593,7 @@ def _pack_rows(rows: Sequence[Sequence], minors: int) -> list[list]:
                 if degree > top:
                     top = degree
         bound += top
-    packing = _Packing([m for p in polys for m in p._terms], minors * bound)
-    pack = packing.pack
-    packed = {id(p): _Packed({pack(m): c for m, c in p._terms.items()}, packing)
-              for p in polys}
+    packed = dict(zip(degrees, _pack(polys, minors * bound)))  # the ids are in polys' order
     return [[packed[id(x)] if type(x) is MultiPoly else x for x in row] for row in rows]
 
 
@@ -823,8 +820,8 @@ def power_sum(weights: Sequence, terms: Iterable[tuple[int, Sequence[int]]]):
     and has its type: an empty sum is the int 0, and with a polynomial
     weight any other sum is a ``MultiPoly``, the zero one when the terms
     cancel.  Without a polynomial weight each term is a plain product.
-    With one, the call packs the weights' monomials once, in a
-    ``_Packing`` sized for the largest term degree, and builds each power
+    With one, the call packs the weights once, with ``_pack`` in one
+    packing sized for the largest term degree, and builds each power
     ``w**a`` it needs once, as ``w**(a-1) * w``.  Each term multiplies its
     count and factors smallest first, the last product adding straight into
     the packed running sum, and only that sum is unpacked.  Nothing
@@ -842,14 +839,12 @@ def power_sum(weights: Sequence, terms: Iterable[tuple[int, Sequence[int]]]):
     if None in polys:
         raise TypeError("power_sum weights must be ints or polynomials")
     degrees = [w.degree() for w in polys]
-    packing = _Packing([m for w in polys for m in w._terms],
-                       max(sum(map(mul, exps, degrees)) for _, exps in terms))
-    pack = packing.pack
+    packed = _pack(polys, max(sum(map(mul, exps, degrees)) for _, exps in terms))
     powers = []  # powers[t][a]: weights[t]**a, packed
-    for w, top in zip(polys, map(max, zip(*(exps for _, exps in terms)))):
+    for w, top in zip(packed, map(max, zip(*(exps for _, exps in terms)))):
         table = [[(0, 1)]]
         if top:
-            base = [(pack(m), c) for m, c in w._terms.items()]
+            base = list(w._terms.items())
             while len(table) <= top:
                 table.append(list(_mul_into({}, base, table[-1]).items()))
         powers.append(table)
@@ -863,8 +858,7 @@ def power_sum(weights: Sequence, terms: Iterable[tuple[int, Sequence[int]]]):
         for factor in factors:
             product = _mul_into({}, product, factor).items()
         _mul_into(total, product, last)
-    unpack = packing.unpack
-    return _from_terms({unpack(k): c for k, c in total.items() if c})
+    return packed[0]._new({k: c for k, c in total.items() if c}).unpack()
 
 
 def scalar_str(value, names: VarNames = None) -> str:

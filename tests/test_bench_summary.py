@@ -12,10 +12,13 @@ bench_summary = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_summary)
 
 
-def record(workload, sha, ops_per_s, seed=17, failed=0, trace=0):
+BETTER = {"ops_per_s": "higher", "peak_rss_mb": "lower"}
+
+
+def record(workload, sha, ops_per_s, seed=17, failed=0, trace=0, rss=20.0):
     return {"workload": workload, "seed": seed, "trace": trace, "git_sha": sha,
             "failed": failed, "units": {"ops_per_s": "1/s", "peak_rss_mb": "MB"},
-            "metrics": {"ops_per_s": ops_per_s, "peak_rss_mb": 20.0}}
+            "metrics": {"ops_per_s": ops_per_s, "peak_rss_mb": rss}}
 
 
 def test_summary_gives_each_side_its_median_and_quartiles(tmp_path):
@@ -37,6 +40,27 @@ def test_summary_gives_each_side_its_median_and_quartiles(tmp_path):
     assert sweep["change"]["sha"] == "bbb" and sweep["change"]["failed"] == 5
     assert sweep["change"]["metrics"]["ops_per_s"]["median"] == 13
     assert sweep["change"]["metrics"]["peak_rss_mb"]["q3"] == 20.0
+    # pair i is the i-th record named on each side; equal RSS ties every pair
+    assert sweep["change_wins"] == {"ops_per_s": 1, "peak_rss_mb": 0}
+
+
+def test_summary_counts_the_pairs_the_change_won():
+    # the directions are BENCHMARK.json's: more ops per second, less memory
+    directions = bench_summary.directions(json.loads(bench_summary.BENCHMARK.read_text()))
+    assert {name: directions[name] for name in BETTER} == BETTER
+    parent = [record("numeric-det", "a", ops, rss=rss)
+              for ops, rss in ((100, 20.0), (100, 21.0), (100, 22.0), (100, 23.0))]
+    change = [record("numeric-det", "b", ops, rss=rss)
+              for ops, rss in ((101, 19.0), (99, 21.0), (100, 22.5), (150, 20.0))]
+    summary = bench_summary.summarise(parent, change, directions)
+    assert summary["workloads"]["numeric-det"]["change_wins"] == {"ops_per_s": 2,
+                                                                  "peak_rss_mb": 2}
+    # and the other way round: the parent's wins, the ties counting for neither
+    summary = bench_summary.summarise(change, parent, directions)
+    assert summary["workloads"]["numeric-det"]["change_wins"] == {"ops_per_s": 1,
+                                                                  "peak_rss_mb": 1}
+    with pytest.raises(ValueError, match="peak_rss_mb: no better direction"):
+        bench_summary.summarise(parent, change, {"ops_per_s": "higher"})
 
 
 @pytest.mark.parametrize("parent, change, message", [
@@ -50,4 +74,4 @@ def test_summary_gives_each_side_its_median_and_quartiles(tmp_path):
 ])
 def test_summary_refuses_records_that_do_not_pair(parent, change, message):
     with pytest.raises(ValueError, match=message.replace("[", r"\[")):
-        bench_summary.summarise(parent, change)
+        bench_summary.summarise(parent, change, BETTER)

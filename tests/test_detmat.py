@@ -1,6 +1,8 @@
 """Structured matrix constructors and exact determinants."""
 
+import copy
 import gc
+import pickle
 import random
 from fractions import Fraction
 
@@ -312,3 +314,16 @@ def test_matrices_are_immutable():
         m[0][0] = 9
     with pytest.raises(AttributeError):
         m._rows = ()
+
+
+def test_matrices_copy_and_pickle_through_the_constructor():
+    # a round trip keeps the rows, the packing decision and the determinant
+    for m in (build_F(3), build_E(3, 2), build_S(A, B, 5), build_A(4),
+              SquareMatrix([[Fraction(1, 2), 3], [1, 2]]),
+              SquareMatrix([[A, 1, 0], [B, A + B, 1], [1, 0, A * B]])):
+        for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert type(twin) is SquareMatrix
+            assert twin._rows == m._rows and twin._multiterm == m._multiterm
+            for route in ROUTES:
+                assert route(twin) == route(m)
+    assert build_E(3, 2)._multiterm and not build_F(3)._multiterm

@@ -1,5 +1,6 @@
 """Linear-subdigraph enumeration and the determinant expansion."""
 
+import gc
 import random
 from collections import Counter
 from itertools import product
@@ -227,6 +228,21 @@ def test_enumeration_walks_each_vertex_set_once(monkeypatch):
     enumerate_lsds(m)
     det_via_lsd(m)
     assert len(walked) == 3 * n  # no table outlives the call
+
+
+def test_lsd_routes_leave_no_garbage_cycle():
+    # the cycle walks, the table and the enumeration's recursion are freed
+    # when the call returns, not held in a reference cycle until a garbage
+    # collection
+    gc.collect()
+    gc.disable()
+    try:
+        for m in (build_G(10, 3), build_C(symbolic_coeffs(3), 8), build_F(9)):
+            for route in (det_via_lsd, enumerate_lsds):
+                route(m)
+                assert gc.collect() == 0, route.__name__
+    finally:
+        gc.enable()
 
 
 def test_enumeration_extends_no_path_that_ends_in_no_lsd(counted_ints):

@@ -156,6 +156,71 @@ def test_power_sum_equals_the_naive_sum():
     assert power_sum([2, 5], [(3, (2, 1)), (1, (0, 0))]) == 61
 
 
+@pytest.fixture
+def packings(monkeypatch):
+    """Counts of the ``_Packing``s built and of the keys they unpack."""
+    counts = {"packing": 0, "unpack": 0}
+
+    class CountedPacking(poly._Packing):
+        __slots__ = ()
+
+        def __init__(self, monos, bound):
+            counts["packing"] += 1
+            super().__init__(monos, bound)
+
+        def unpack(self, key):
+            counts["unpack"] += 1
+            return super().unpack(key)
+
+    monkeypatch.setattr(poly, "_Packing", CountedPacking)
+    return counts
+
+
+def test_one_packing_in_and_one_unpack_out(packings):
+    # a multi-term product, an exact division and a power sum each pack
+    # their operands in one packing and unpack only their result's terms
+    a, b = X0 + 2 * X1 - 1, X0 * X1 - X1 ** 2 + 3
+    ab, difference, total = a * b, X0 - X1, X0 + X1
+    term = -2 * X0 * X1 ** 3
+    computations = {
+        "product": lambda: a * b,
+        "product that cancels": lambda: difference * total,  # x0^2 - x1^2: 4 products, 2 terms
+        "quotient": lambda: exact_divide(ab, b),
+        "power sum": lambda: power_sum([a, b, X1],
+                                       [(2, (1, 2, 0)), (-1, (0, 3, 1)), (4, (2, 0, 0))]),
+    }
+    for name, compute in computations.items():
+        packings.update(packing=0, unpack=0)
+        result = compute()
+        assert result and packings == {"packing": 1, "unpack": len(result.terms)}, name
+    # a product with a one-term factor has no colliding terms to merge: no packing
+    packings.update(packing=0, unpack=0)
+    assert term * a == a * term == MultiPoly({((0, 2), (1, 3)): -2, ((0, 1), (1, 4)): -4,
+                                              ((0, 1), (1, 3)): 2})
+    assert 3 * a == a * 3 and X0 * b == b * X0
+    assert packings == {"packing": 0, "unpack": 0}
+
+
+def test_packed_arithmetic_takes_an_int_on_either_side():
+    # an int is the packed constant of key 0: the same ring as MultiPoly's
+    p, three = 2 * X0 - 3 * X1 + 6, MultiPoly.const(3)
+    packed, packed_three = poly._pack((p, three), 2)
+    six = MultiPoly.const(6)
+    for result, expected in ((3 - packed, 3 - p), (packed - 3, p - 3), (0 * packed, 0 * p),
+                             (packed * 0, p * 0), (packed * 2, p * 2), (2 * packed, 2 * p),
+                             (0 + packed, p), (packed + 5, p + 5), (-packed, -p),
+                             (6 / packed_three, exact_divide(six, three)),
+                             (packed * 2 / 2, exact_divide(p * 2, MultiPoly.const(2)))):
+        assert type(result) is poly._Packed and result.packing is packed.packing
+        assert result.unpack() == expected and poly_str(result.unpack()) == poly_str(expected)
+    assert not 0 * packed and packed
+    for divide in (lambda: 6 / packed, lambda: packed / 2):
+        with pytest.raises(NotDivisible):
+            divide()
+    with pytest.raises(NotDivisible):
+        exact_divide(six, p)
+
+
 def test_exact_divide_inverts_multiplication():
     rng = random.Random(987)
     checked = 0

@@ -195,21 +195,26 @@ def test_schur_work_bound_matches_its_formula(monkeypatch):
 
 def test_schur_work_model_bounds_the_products(monkeypatch):
     # the model never counts fewer monomial products than the expansion makes,
-    # on unpacked entries or, for a matrix with a two-term entry, packed ones
+    # on unpacked entries or, for a matrix with a two-term entry, packed ones;
+    # a product counts once, where it is asked for, not again in the packed
+    # product that a multi-term MultiPoly product makes of it
     count = [0]
     counting = [False]
     multiply, multiply_packed = MultiPoly.__mul__, poly._Packed.__mul__
     det_cofactor = symfunc.det_cofactor
 
-    def counted(self, other):
-        if counting[0] and isinstance(other, MultiPoly):
-            count[0] += len(self.terms) * len(other.terms)
-        return multiply(self, other)
-
-    def counted_packed(self, other):
-        if counting[0] and type(other) is poly._Packed:
-            count[0] += len(self.terms) * len(other.terms)
-        return multiply_packed(self, other)
+    def counted_as(multiply_as, element):
+        def counted(self, other):
+            if not counting[0]:
+                return multiply_as(self, other)
+            if type(other) is element:
+                count[0] += len(self._terms) * len(other._terms)
+            counting[0] = False
+            try:
+                return multiply_as(self, other)
+            finally:
+                counting[0] = True
+        return counted
 
     def expand(matrix):
         counting[0] = True
@@ -217,8 +222,8 @@ def test_schur_work_model_bounds_the_products(monkeypatch):
             return det_cofactor(matrix)
         finally:
             counting[0] = False
-    monkeypatch.setattr(MultiPoly, "__mul__", counted)
-    monkeypatch.setattr(poly._Packed, "__mul__", counted_packed)
+    monkeypatch.setattr(MultiPoly, "__mul__", counted_as(multiply, MultiPoly))
+    monkeypatch.setattr(poly._Packed, "__mul__", counted_as(multiply_packed, poly._Packed))
     monkeypatch.setattr(symfunc, "det_cofactor", expand)
     shapes = [(lam, n_vars) for lam, n_vars in SMALL_SHAPES if lam and len(lam) < n_vars]
     shapes += [((4, 3, 2, 1), 6), ((5, 3, 2, 1), 7), ((3, 2, 1), 8), ((9, 2), 3), ((6, 3, 1), 5)]

@@ -8,9 +8,13 @@ Each file named is a record that ``perfbench/run.py --trace 0`` wrote to
 run, since the next run of the same workload and seed overwrites it.  The
 records are grouped by workload.  On each side a workload's records must
 share one git SHA and one seed, and the two sides must hold as many
-records each: the pairs.  The summary gives, per workload and side, the
-SHA, the seed, the pair count, the ops that failed, and each end-to-end
-metric's median and quartiles over the side's runs.
+records each: the pairs, pair ``i`` being the ``i``-th parent record with
+the ``i``-th change record, in the order given.  The summary gives, per
+workload and side, the SHA, the seed, the pair count, the ops that failed,
+and each end-to-end metric's median and quartiles over the side's runs;
+and per workload and metric, in ``change_wins``, the number of pairs whose
+change record is better than its parent record, in the direction that
+``BENCHMARK.json`` gives the metric (a tie counts for neither side).
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import json
 import statistics
 import sys
 from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def _side(records: list[dict]) -> dict:
@@ -35,8 +41,28 @@ def _side(records: list[dict]) -> dict:
     return {"sha": sha.pop(), "failed": sum(r["failed"] for r in records), "metrics": metrics}
 
 
-def summarise(parent: list[dict], change: list[dict]) -> dict:
-    """The summary of the records of both sides, by workload."""
+def directions(benchmark: dict) -> dict[str, str]:
+    """Each end-to-end metric's better direction, ``higher`` or ``lower``."""
+    return {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
+
+
+def _wins(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict[str, int]:
+    """Per metric, the pairs whose change record beats its parent record."""
+    wins = {}
+    for name in parent[0]["units"]:
+        if better.get(name) not in ("higher", "lower"):
+            raise ValueError(f"{name}: no better direction in BENCHMARK.json")
+        sign = 1 if better[name] == "higher" else -1
+        wins[name] = sum(sign * (c["metrics"][name] - p["metrics"][name]) > 0
+                         for p, c in zip(parent, change))
+    return wins
+
+
+def summarise(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
+    """The summary of the records of both sides, by workload.
+
+    ``better`` gives each metric's better direction (see ``directions``).
+    """
     by_workload: dict[str, dict[str, list[dict]]] = {}
     for label, records in (("parent", parent), ("change", change)):
         for record in records:
@@ -55,7 +81,8 @@ def summarise(parent: list[dict], change: list[dict]) -> dict:
         if len(seeds) != 1:
             raise ValueError(f"{workload}: records of seeds {sorted(seeds)}")
         workloads[workload] = {"seed": seeds.pop(), "pairs": pairs,
-                               **{label: _side(records) for label, records in sides.items()}}
+                               **{label: _side(records) for label, records in sides.items()},
+                               "change_wins": _wins(sides["parent"], sides["change"], better)}
     return {"workloads": workloads}
 
 
@@ -67,7 +94,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         summary = summarise(*([json.loads(path.read_text()) for path in paths]
-                              for paths in (args.parent, args.change)))
+                              for paths in (args.parent, args.change)),
+                            directions(json.loads(BENCHMARK.read_text())))
     except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
