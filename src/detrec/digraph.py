@@ -21,7 +21,10 @@ vertex.  Both the enumeration and the determinant peel off a cycle through
 the lowest uncovered vertex and recurse on the vertices left, which is the
 paper's recurrence.  One walker, ``_cycles``, finds those cycles along the
 actual nonzero edges (successor lists built once per call, vertex sets as
-int bitmasks), so the sparse structured matrices stay fast.  Both routes
+int bitmasks), so the sparse structured matrices stay fast; on a
+lower-Hessenberg digraph, such as the ``C``, ``G``, ``F`` and ``E``
+families, a walk climbs only from its start, so the walks grow linearly
+in ``n``.  Both routes
 read one table, ``_first_cycles``: per call, each distinct vertex set's
 cycles whose rest has an LSD, walked once.  ``enumerate_lsds`` builds each
 LSD as such a cycle followed by an LSD of the rest, so its cost follows
@@ -69,11 +72,12 @@ def _successors(rows) -> list[list[tuple[int, object]]]:
     return [[(j, w) for j, w in enumerate(row) if w] for row in rows]
 
 
-def _cycles(succ, negated, unused: int):
+def _cycles(succ, onward, negated, unused: int):
     """The cycles through the lowest vertex of the vertex set ``unused``.
 
     ``unused`` is a bitmask, and a walk from its lowest vertex is already
-    in canonical rotation.  Yields
+    in canonical rotation.  The walk's first edge is one of ``succ``, each
+    later edge one of ``onward`` (see ``_first_cycles``).  Yields
     ``(cycle, rest, signed weight)``: the cycle's vertices, the bitmask of
     ``unused`` without them, and ``(-1)**(|C| - 1)`` times the product of
     its edge weights, the only place the expansion's sign is applied.
@@ -86,18 +90,19 @@ def _cycles(succ, negated, unused: int):
     that edge is an integer 1.
     """
     start = (unused & -unused).bit_length() - 1
-    return _walk(succ, negated, [start], [], start, unused ^ (1 << start))
+    return _walk(succ, onward, negated, [start], [], start, unused ^ (1 << start))
 
 
-def _walk(succ, negated, path, weights, tip: int, avail: int):
+def _walk(edges, onward, negated, path, weights, tip: int, avail: int):
     """``_cycles``' walk: the cycles that extend ``path``, whose edges weigh ``weights``.
 
-    ``tip`` is the path's last vertex and ``avail`` the bitmask of the
-    vertices it may go on to.  A module function, not a closure, so its
-    recursion holds no reference cycle.
+    ``tip`` is the path's last vertex, ``edges`` the successor lists its
+    next step reads and ``avail`` the bitmask of the vertices it may go on
+    to; every step after it reads ``onward``.  A module function, not a
+    closure, so its recursion holds no reference cycle.
     """
     start = path[0]
-    for nxt, w in succ[tip]:
+    for nxt, w in edges[tip]:
         if nxt == start:
             # an even cycle records an odd number of other edges
             weight = negated[tip][start] if len(weights) % 2 else w
@@ -107,7 +112,7 @@ def _walk(succ, negated, path, weights, tip: int, avail: int):
         elif avail >> nxt & 1:
             path.append(nxt)
             weights.append(w)
-            yield from _walk(succ, negated, path, weights, nxt, avail ^ (1 << nxt))
+            yield from _walk(onward, onward, negated, path, weights, nxt, avail ^ (1 << nxt))
             path.pop()
             weights.pop()
 
@@ -123,16 +128,26 @@ def _first_cycles(rows) -> dict[int, list]:
     leave, so a pass over the table in order meets each ``rest`` first.
     Only an edge back to a lower vertex can close a cycle of two or more
     vertices, so each such edge is negated here, once for the whole call.
+
+    The digraph is lower Hessenberg when every such edge goes down one
+    vertex, as on the ``C``, ``G``, ``F`` and ``E`` families.  There a
+    cycle climbs once, from its lowest vertex, and comes home down through
+    every vertex in between, so a walk takes only edges down after its
+    first step: a second climb is a dead end.  Any other digraph's walk
+    may take every edge at every step.
     """
     succ = _successors(rows)
-    negated = [{j: -w for j, w in edges if j < i} for i, edges in enumerate(succ)]
+    down = [[(j, w) for j, w in edges if j < i] for i, edges in enumerate(succ)]
+    negated = [{j: -w for j, w in edges} for edges in down]
+    hessenberg = all(j == i - 1 for i, edges in enumerate(down) for j, _ in edges)
+    onward = down if hessenberg else succ
     table: dict[int, list] = {}
 
     def kept(unused: int) -> list:
         entries = table.get(unused)
         if entries is None:
             entries = table[unused] = [
-                entry for entry in _cycles(succ, negated, unused)
+                entry for entry in _cycles(succ, onward, negated, unused)
                 if not entry[1] or kept(entry[1])]
         return entries
 

@@ -1,17 +1,19 @@
 """One verifier per identity, each returning a self-evidencing report.
 
 Every verifier computes the two (or more) sides of an identity along
-independent routes and reports pass or fail by comparing their canonical
-strings.  ``passed`` is true exactly when the ``lhs`` and ``rhs`` strings
-are identical; when several routes are checked, ``rhs`` is the first route
-that disagrees with the first one, so a failing report shows the actual
-mismatch.
+independent routes and reports pass or fail by comparing their exact
+values.  ``passed`` is true exactly when every route's value equals the
+first route's (``==`` across ``int``, ``MultiPoly`` and ``QuadExt``);
+``lhs`` is the first route's canonical string, and ``rhs`` is the string of
+the first route that disagrees with it, so a failing report shows the
+actual mismatch, or ``lhs`` again when all agree.
 
 Each identity is declared once: the ``_identity`` decorator on its route
 function registers it in ``IDENTITIES``, with each argument's report name,
 CLI flag, least value and cap, and the names its variables print as.  A
 route function returns its routes' exact values (``int``, ``MultiPoly``,
-``QuadExt``); the verifier serializes each once, with ``scalar_str``.
+``QuadExt``); the verifier compares them by value and serializes the
+first, and the first that differs from it, with ``scalar_str``.
 Sury's expansion and the r-acci multinomial sum are both
 ``digraph.cycle_type_sum``, and the recurrence's tiling route is
 ``combi.tiling_sum``.  The expansions that are weighted sums of powers
@@ -106,8 +108,10 @@ def _identity(name: str, *args: Arg, grid=lambda ranges, seed: product(*ranges.v
     """Register the decorated function, which returns its routes' values, as ``name``.
 
     The verifier that replaces it checks the bounds of ``args``, then
-    computes the routes, serializes each with ``scalar_str(value,
-    var_names)`` and compares the strings, timed.  ``grid`` maps the
+    computes the routes and compares each value with the first, timed.  It
+    serializes with ``scalar_str(value, var_names)`` only the first value
+    and the first that differs from it: equal values print equally, so a
+    passing report prints its agreed value once.  ``grid`` maps the
     argument ranges and a seed to argument tuples; ``params`` maps the
     arguments to the report's parameters, by default keyed by the argument
     names.
@@ -120,9 +124,10 @@ def _identity(name: str, *args: Arg, grid=lambda ranges, seed: product(*ranges.v
             started = time.perf_counter()
             report_params = params(*values) if params else dict(zip(names, values))
             entry.check(report_params)
-            lhs, *others = [scalar_str(value, var_names) for value in routes(*values)]
-            mismatches = [s for s in others if s != lhs]
-            rhs = mismatches[0] if mismatches else (others or [lhs])[0]
+            first, *others = routes(*values)
+            mismatches = [value for value in others if value != first]
+            lhs = scalar_str(first, var_names)
+            rhs = scalar_str(mismatches[0], var_names) if mismatches else lhs
             elapsed_ms = (time.perf_counter() - started) * 1000.0
             return VerificationReport(name, report_params, lhs, rhs, not mismatches, elapsed_ms)
 

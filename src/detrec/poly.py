@@ -527,6 +527,8 @@ class _Packed(_Ring):
         return _from_terms({unpack(k): c for k, c in self._terms.items()})
 
     def __mul__(self, other):
+        if isinstance(other, int):  # an int scales each coefficient; 0 gives zero
+            return self._new({k: c * other for k, c in self._terms.items()} if other else {})
         right = self._terms_of(other)
         if right is None:
             return NotImplemented

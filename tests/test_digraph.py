@@ -211,9 +211,9 @@ def test_enumeration_walks_each_vertex_set_once(monkeypatch):
     walked = []
     cycles = digraph._cycles
 
-    def spy(succ, negated, unused):
+    def spy(succ, onward, negated, unused):
         walked.append(unused)
-        return cycles(succ, negated, unused)
+        return cycles(succ, onward, negated, unused)
     monkeypatch.setattr(digraph, "_cycles", spy)
     n = 11
     suffixes = {(1 << n) - (1 << k) for k in range(n)}
@@ -228,6 +228,37 @@ def test_enumeration_walks_each_vertex_set_once(monkeypatch):
     enumerate_lsds(m)
     det_via_lsd(m)
     assert len(walked) == 3 * n  # no table outlives the call
+
+
+def test_hessenberg_walks_grow_linearly(monkeypatch):
+    # on a lower-Hessenberg digraph a walk climbs only from its start, so
+    # the walks either LSD route makes grow linearly in n, not exponentially
+    walks = []
+    walk = digraph._walk
+
+    def spy(*args):
+        walks.append(args)
+        return walk(*args)
+    monkeypatch.setattr(digraph, "_walk", spy)
+    counts = []
+    for n in range(8, 13):
+        m = build_C(symbolic_coeffs(4), n)
+        walks.clear()
+        assert len(enumerate_lsds(m)) == racci(n, 4)
+        enumerated = len(walks)
+        walks.clear()
+        assert det_via_lsd(m) == det_bareiss(m)
+        assert len(walks) == enumerated
+        counts.append(enumerated)
+    assert counts == [7 * (n - 2) for n in range(8, 13)]
+
+
+def test_non_hessenberg_walks_climb_again():
+    # S has an edge from its last vertex to its first, so its cycles need
+    # walks that climb more than once; its LSDs still sum to det_bareiss
+    m = build_S(2, 3, 6)
+    assert det_via_lsd(m) == det_bareiss(m)
+    assert any(cycle == tuple(range(6)) for lsd in enumerate_lsds(m) for cycle in lsd.cycles)
 
 
 def test_lsd_routes_leave_no_garbage_cycle():

@@ -132,6 +132,44 @@ def test_report_invariant_passed_iff_strings_match():
         assert rep.passed == (rep.lhs == rep.rhs)
 
 
+def test_routes_are_compared_by_value_not_by_string(monkeypatch):
+    # two routes that differ in value fail even when the printer maps them
+    # to one string, and rhs is the string of the route that differs
+    monkeypatch.setattr(identities, "IDENTITIES", dict(identities.IDENTITIES))
+    x0 = poly.MultiPoly.var(0)
+
+    @identities._identity("differ-in-value")
+    def verify_differ():
+        return [x0, x0 + 1, x0 + 2]
+
+    printed = []
+
+    def collapsed(p, names=None):
+        printed.append(p)
+        return "same"
+    monkeypatch.setattr(poly, "poly_str", collapsed)
+    rep = verify_differ()
+    assert not rep.passed and rep.lhs == rep.rhs == "same"
+    assert printed == [x0, x0 + 1]
+
+
+def test_verify_all_prints_each_agreed_value_once(monkeypatch):
+    # a passing report prints its first route's value and reuses that
+    # string for rhs, so the printer runs once per polynomial-valued report
+    calls = []
+    original = poly.poly_str
+
+    def counted(p, names=None):
+        calls.append(p)
+        return original(p, names)
+    monkeypatch.setattr(poly, "poly_str", counted)
+    for seed in (0, 5, 23):
+        calls.clear()
+        reports = verify_all(30, seed)
+        assert len(reports) == 219 and all(r.passed for r in reports)
+        assert len(calls) == 98, seed
+
+
 def test_report_json_round_trip():
     rep = verify_fib(4)
     payload = json.loads(rep.to_json())
