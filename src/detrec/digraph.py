@@ -24,11 +24,10 @@ actual nonzero edges (successor lists built once per call, vertex sets as
 int bitmasks), so the sparse structured matrices stay fast; on a
 lower-Hessenberg digraph, such as the ``C``, ``G``, ``F`` and ``E``
 families, a walk climbs only from its start, so the walks grow linearly
-in ``n``.  Both routes
-read one table, ``_first_cycles``: per call, each distinct vertex set's
-cycles whose rest has an LSD, walked once.  ``enumerate_lsds`` builds each
-LSD as such a cycle followed by an LSD of the rest, so its cost follows
-the LSDs it lists; ``det_via_lsd`` sums each set's signed weights in one
+in ``n``.  Both routes read one table, ``_first_cycles``: per call, each
+distinct vertex set's cycles whose rest has an LSD, walked once.
+``enumerate_lsds`` builds each LSD as such a cycle followed by an LSD of
+the rest, so its cost follows the LSDs it lists; ``det_via_lsd`` sums each set's signed weights in one
 pass over the table and builds no LSD.  It runs on the matrix's entries
 packed in one packing when the matrix has size 3 or more and some entry is
 a polynomial of two or more terms (``detmat._run_packed``): every product
@@ -137,10 +136,10 @@ def _first_cycles(rows) -> dict[int, list]:
     may take every edge at every step.
     """
     succ = _successors(rows)
-    down = [[(j, w) for j, w in edges if j < i] for i, edges in enumerate(succ)]
-    negated = [{j: -w for j, w in edges} for edges in down]
-    hessenberg = all(j == i - 1 for i, edges in enumerate(down) for j, _ in edges)
-    onward = down if hessenberg else succ
+    negated = [{j: -w for j, w in edges if j < i} for i, edges in enumerate(succ)]
+    onward = succ
+    if all(j == i - 1 for i, down in enumerate(negated) for j in down):  # lower Hessenberg
+        onward = [[edge for edge in edges if edge[0] < i] for i, edges in enumerate(succ)]
     table: dict[int, list] = {}
 
     def kept(unused: int) -> list:

@@ -253,14 +253,6 @@ def test_hessenberg_walks_grow_linearly(monkeypatch):
     assert counts == [7 * (n - 2) for n in range(8, 13)]
 
 
-def test_non_hessenberg_walks_climb_again():
-    # S has an edge from its last vertex to its first, so its cycles need
-    # walks that climb more than once; its LSDs still sum to det_bareiss
-    m = build_S(2, 3, 6)
-    assert det_via_lsd(m) == det_bareiss(m)
-    assert any(cycle == tuple(range(6)) for lsd in enumerate_lsds(m) for cycle in lsd.cycles)
-
-
 def test_lsd_routes_leave_no_garbage_cycle():
     # the cycle walks, the table and the enumeration's recursion are freed
     # when the call returns, not held in a reference cycle until a garbage
