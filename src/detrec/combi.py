@@ -292,8 +292,11 @@ def cyclic_avoiding_weight(n: int) -> MultiPoly:
     """Weight sum of cyclic words with no ``a`` immediately followed by ``b``.
 
     Read cyclically, any word containing both letters has such a pair, so
-    the sum is ``a**n + b**n``.  Computed here by direct filtering of all
-    ``2**n`` words; the inclusion-exclusion route is ``pie_cyclic_sum``.
+    the sum is ``a**n + b**n``.  Computed here by direct filtering:
+    ``enumerate_cyclic_words(n, avoid="ab")`` drops each half-word that
+    already holds ``ab`` and tests the about ``n**2 / 4`` words its kept
+    halves make, not all ``2**n``.  The inclusion-exclusion route is
+    ``pie_cyclic_sum``.
     """
     return scalar_sum(map(cyclic_word_weight, enumerate_cyclic_words(n, avoid="ab")))
 

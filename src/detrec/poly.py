@@ -323,18 +323,25 @@ class MultiPoly(_Ring):
             raise ValueError("polynomial powers must be non-negative")
         return _power(self, k, MultiPoly.one())
 
-    def __eq__(self, other) -> bool:
-        other = self._terms_of(other)
-        if other is None:
-            return NotImplemented
-        return self._terms == other
-
-    def __hash__(self) -> int:
+    def _constant(self) -> int | None:
+        """The int this polynomial equals, or ``None`` when it has a variable."""
         terms = self._terms
         if not terms or (len(terms) == 1 and _EMPTY in terms):
-            # a constant equals, so must hash like, its int
-            return hash(terms.get(_EMPTY, 0))
-        return hash(frozenset(terms.items()))
+            return terms.get(_EMPTY, 0)
+        return None
+
+    def __eq__(self, other) -> bool:
+        right = self._terms_of(other)
+        if right is not None:
+            return self._terms == right
+        # a constant equals exactly what its int equals: a Fraction, a QuadExt
+        value = self._constant()
+        return NotImplemented if value is None else value == other
+
+    def __hash__(self) -> int:
+        # a constant equals, so must hash like, its int
+        value = self._constant()
+        return hash(frozenset(self._terms.items())) if value is None else hash(value)
 
     def __str__(self) -> str:
         return poly_str(self)

@@ -22,7 +22,7 @@ from math import comb
 from typing import Sequence
 
 from .caps import COFACTOR_MAX_N, MAX_SCHUR_WORK, check_terms
-from .detmat import SquareMatrix, build_C, det_cofactor
+from .detmat import SquareMatrix, _cofactor, build_C, det_cofactor
 from .errors import TooLarge
 from .poly import Monomial, MultiPoly, _from_terms, exact_divide
 
@@ -147,7 +147,9 @@ def schur(lam: Sequence[int], n_vars: int) -> MultiPoly:
     multiplied.  A minor has at most as many terms as the products summed
     into it, and at most ``comb(d + n - 1, n - 1)``, the monomials of its
     degree ``d``.  A matrix's work is its products' costs summed, plus the
-    terms of each distinct entry it builds.
+    terms of each distinct entry it builds.  The model is the expansion
+    itself, ``detmat._cofactor``, run over these term counts (``_Bound``),
+    so it reaches the same minors and skips the same zeros.
 
     Raises ``TooLarge`` before any work when the result's size bound
     ``comb(|lam| + n - 1, n - 1)``, the monomials of degree ``|lam|``,
@@ -178,17 +180,19 @@ def _jacobi_trudi(parts: tuple[int, ...], n_vars: int) -> MultiPoly:
                               if len(shape) <= COFACTOR_MAX_N), key=lambda c: c[0])
     if work > MAX_SCHUR_WORK:
         raise TooLarge(f"schur: Jacobi-Trudi work {work} exceeds {MAX_SCHUR_WORK}")
-    built = {}
+    return det_cofactor(SquareMatrix(_jacobi_trudi_rows(shape, lambda k: build(k, n_vars))))
 
-    def entry(k: int):
-        if k < 0:
-            return 0
-        if k not in built:
-            built[k] = build(k, n_vars)
-        return built[k]
+
+def _jacobi_trudi_rows(shape: tuple[int, ...], entry) -> list[list]:
+    """The rows of ``det(f_{shape_i - i + j})``, ``entry(k)`` being ``f_k``.
+
+    ``entry`` is asked once for each distinct ``k >= 0`` in the matrix; an
+    entry of negative index is 0.
+    """
     size = len(shape)
-    return det_cofactor(SquareMatrix([entry(p - i + j) for j in range(size)]
-                                     for i, p in enumerate(shape)))
+    offsets = [p - i for i, p in enumerate(shape)]  # entry (i, j) is f_(offsets[i] + j)
+    built = {k: entry(k) for k in {o + j for o in offsets for j in range(size)} if k >= 0}
+    return [[built.get(o + j, 0) for j in range(size)] for o in offsets]
 
 
 def _h_terms(k: int, n_vars: int) -> int:
@@ -199,46 +203,52 @@ def _e_terms(k: int, n_vars: int) -> int:
     return comb(n_vars, k) if k >= 0 else 0
 
 
+class _Bound:
+    """A nonzero bound on the terms of a Jacobi-Trudi entry or minor: ``schur``'s cost model.
+
+    ``work`` is a one-item list that the bounds of one matrix share.  A
+    product ``entry * minor`` costs, and adds to it, the entry's count times
+    the minor's, which is capped first at ``comb(degree + n_vars - 1,
+    n_vars - 1)``, the monomials of the minor's degree.  A sum or difference
+    adds counts; the int 0 is the empty sum.
+    """
+
+    __slots__ = ("count", "degree", "n_vars", "work")
+
+    def __init__(self, count: int, degree: int, n_vars: int, work: list[int]):
+        self.count, self.degree, self.n_vars, self.work = count, degree, n_vars, work
+
+    def __mul__(self, minor: "_Bound") -> "_Bound":
+        n_vars = self.n_vars
+        count = self.count * min(minor.count, comb(minor.degree + n_vars - 1, n_vars - 1))
+        self.work[0] += count
+        return _Bound(count, self.degree + minor.degree, n_vars, self.work)
+
+    def __add__(self, other: "_Bound") -> "_Bound":
+        return _Bound(self.count + other.count, self.degree, self.n_vars, self.work)
+
+    def __radd__(self, zero: int) -> "_Bound":
+        return self
+
+    __sub__, __rsub__ = __add__, __radd__
+
+
 def _expansion_work(shape: tuple[int, ...], n_vars: int, terms) -> int:
     """Modelled work of ``det_cofactor`` on ``det(f_{shape_i - i + j})`` (see ``schur``).
 
-    ``terms(k, n_vars)`` is the term count of ``f_k``.  The recursion is the
-    expansion's own: a minor takes the last ``popcount(cols)`` rows and the
-    columns in the bitmask ``cols``, and is costed once.
+    ``terms(k, n_vars)`` is the term count of ``f_k``.  The expansion's own
+    recursion, ``detmat._cofactor``, runs on the ``_Bound`` of each entry,
+    which tallies its products' costs.
     """
-    size = len(shape)
-    offsets = [p - i for i, p in enumerate(shape)]  # entry (i, j) is f_(offsets[i] + j)
-    memo = {}
-    # building each distinct entry costs its terms
-    work = sum(terms(k, n_vars) for k in {o + j for o in offsets for j in range(size)})
+    work = [0]
 
-    def minor(cols: int) -> int:
-        # the bound on the terms of the minor on ``cols``
-        nonlocal work
-        row = size - cols.bit_count()
-        if row == size - 1:
-            return terms(offsets[row] + cols.bit_length() - 1, n_vars)
-        bound = memo.get(cols)
-        if bound is not None:
-            return bound
-        products = 0
-        degree = sum(offsets[row:])
-        rest = cols
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            j = bit.bit_length() - 1
-            degree += j
-            count = terms(offsets[row] + j, n_vars)
-            if count:
-                products += count * minor(cols ^ bit)
-        work += products
-        # a minor with no product is zero, whatever its degree
-        bound = memo[cols] = products and min(products, comb(degree + n_vars - 1, n_vars - 1))
-        return bound
-
-    minor((1 << size) - 1)
-    return work
+    def bound(k: int):
+        # building an entry costs its terms; an entry of no term is 0
+        count = terms(k, n_vars)
+        work[0] += count
+        return count and _Bound(count, k, n_vars, work)
+    _cofactor(_jacobi_trudi_rows(shape, bound))
+    return work[0]
 
 
 def build_E(m: int, n_vars: int) -> SquareMatrix:

@@ -30,7 +30,7 @@ from detrec.errors import InvalidCycleType, TooLarge
 from detrec.identities import symbolic_coeffs
 from detrec.poly import MultiPoly, scalar_str, scalar_sum
 from detrec.recurrence import racci
-from detrec.symfunc import build_E, homogeneous
+from detrec.symfunc import build_E, homogeneous, schur
 
 
 def identity_matrix(n):
@@ -264,6 +264,19 @@ def test_lsd_routes_leave_no_garbage_cycle():
             for route in (det_via_lsd, enumerate_lsds):
                 route(m)
                 assert gc.collect() == 0, route.__name__
+    finally:
+        gc.enable()
+
+
+def test_schur_leaves_no_garbage_cycle():
+    # the work model, which prices both matrices of (3, 2, 1), and the
+    # expansion free their minors when schur returns
+    gc.collect()
+    gc.disable()
+    try:
+        for lam, n_vars in (((3, 2, 1), 4), ((33, 2), 5)):
+            schur(lam, n_vars)
+            assert gc.collect() == 0, lam
     finally:
         gc.enable()
 

@@ -418,3 +418,31 @@ def test_constants_hash_like_their_values():
     assert {5: "x"}.get(QuadExt(5)) == "x"
     assert hash(QuadExt(Fraction(3, 2))) == hash(Fraction(3, 2))
     assert len({QuadExt(Fraction(3, 2)), Fraction(3, 2)}) == 1
+
+
+def test_equality_is_one_rule_across_the_exact_scalars():
+    # a constant polynomial equals exactly what its int equals, in both
+    # orders: == is symmetric and transitive over ints, Fractions,
+    # polynomials and quadratic elements, and equal values hash alike
+    grid = [0, 5, -3, Fraction(5), Fraction(1, 2), Fraction(-3),
+            MultiPoly.zero(), MultiPoly.const(5), MultiPoly.const(-3), X0, X0 + 5,
+            QuadExt(0), QuadExt(5), QuadExt(Fraction(1, 2)), QuadExt(-3), PHI, QuadExt(5, 1)]
+    for a in grid:
+        for b in grid:
+            assert (a == b) == (b == a) and (a != b) == (not a == b), (a, b)
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+                for c in grid:
+                    assert (b == c) == (a == c), (a, b, c)
+    assert MultiPoly.const(5) == QuadExt(5) == Fraction(5)
+    assert QuadExt(5) == MultiPoly.const(5) and MultiPoly.zero() == QuadExt(0)
+    assert X0 != QuadExt(5) and MultiPoly.const(5) != QuadExt(5, 1)
+
+
+@pytest.mark.parametrize("left, right", [(MultiPoly.const(5), QuadExt(5)), (X0, PHI)])
+def test_polynomials_and_quadratic_elements_do_not_mix_in_arithmetic(left, right):
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(TypeError):
+            op(left, right)
+        with pytest.raises(TypeError):
+            op(right, left)

@@ -236,6 +236,25 @@ def test_schur_work_model_bounds_the_products(monkeypatch):
     assert total  # the spies saw the expansions' products
 
 
+@pytest.mark.parametrize("lam, n_vars, work", [
+    ((33, 2), 5, 1_499_630),
+    ((6, 3, 2, 2), 8, 1_448_640),
+    ((7, 5, 2, 2), 7, 1_485_321),
+    ((5, 3, 2, 1), 7, 104_318),
+])
+def test_schur_work_figures_of_the_accepted_cases(lam, n_vars, work):
+    # the figures caps.MAX_SCHUR_WORK quotes, under its bound
+    assert _jacobi_trudi_work(lam, n_vars) == work <= MAX_SCHUR_WORK
+
+
+@pytest.mark.parametrize("lam, n_vars, work", [((6, 4), 10, 5_277_957),
+                                               ((9, 5, 3, 3, 3), 6, 133_997_761)])
+def test_schur_work_figures_of_the_refused_cases(lam, n_vars, work):
+    with pytest.raises(TooLarge) as refused:
+        schur(lam, n_vars)
+    assert str(refused.value) == f"schur: Jacobi-Trudi work {work} exceeds {MAX_SCHUR_WORK}"
+
+
 @pytest.mark.parametrize("lam, n_vars", [
     ((9, 2, 2), 8),           # work 7,320,265
     ((10, 5, 3), 7),          # 134,596 terms
