@@ -148,9 +148,9 @@ def _cmd_compute(args) -> int:
     subject = args.subject
     # integer recurrence values are held to caps.MAX_DIGITS and their
     # iteration to caps.MAX_RECURRENCE_STEPS by check_iteration before any
-    # work, and by check_digits once computed
+    # work, and by check_digits once computed; fibonacci and lucas hold
+    # their own values to both
     if subject in ("fib", "lucas"):
-        check_iteration(args.n, (1, 1))
         value = fibonacci(args.n) if subject == "fib" else lucas(args.n)
     elif subject == "racci":
         check_iteration(args.n, repeat(1, args.r))

@@ -49,7 +49,9 @@ as three ints ``(a, b, den)`` for ``(a + b*sqrt(5)) / den`` with
 ``den > 0`` and ``gcd(den, a, b) == 1``: one representation per element, so
 equality compares the triples.  Ring operations work on the ints and build
 their results through the trusted ``_quad``, which only reduces by the gcd;
-no ``Fraction`` arithmetic runs inside them.
+no ``Fraction`` arithmetic runs inside them.  A square takes three big-int
+products, and ``conjugate`` is the automorphism ``sqrt(5) -> -sqrt(5)``, so
+``PSI ** n`` is ``(PHI ** n).conjugate()``, one power for both.
 """
 
 from __future__ import annotations
@@ -386,12 +388,25 @@ def _mul_into(out: dict[int, int], left: Iterable[tuple[int, int]],
 
 
 def _power(base, k: int, one):
-    """``base**k`` for ``k >= 0`` by square-and-multiply, starting from ``one``."""
-    result = one
+    """``base**k`` for ``k >= 0`` by right-to-left square-and-multiply.
+
+    The result starts as the power of ``base`` at the lowest set bit of
+    ``k``, and ``base`` is squared only while higher bits remain, so ``k >
+    0`` costs ``k.bit_length() - 1`` squarings and ``popcount(k) - 1`` other
+    products (Knuth, TAOCP vol. 2, 4.6.3).  ``one`` is returned for ``k ==
+    0`` only.
+    """
+    if not k:
+        return one
+    while not k & 1:
+        base = base * base
+        k >>= 1
+    result = base
+    k >>= 1
     while k:
+        base = base * base
         if k & 1:
             result = result * base
-        base = base * base
         k >>= 1
     return result
 
@@ -686,6 +701,10 @@ class QuadExt:
         return other - self
 
     def __mul__(self, other):
+        if other is self:
+            # a square: three big-int products, not four
+            a, b, den = self._a, self._b, self._den
+            return _quad(a * a + 5 * (b * b), 2 * (a * b), den * den)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -721,6 +740,10 @@ class QuadExt:
         if k < 0:
             raise ValueError("quadratic powers must be non-negative")
         return _power(self, k, _quad(1, 0, 1))
+
+    def conjugate(self) -> "QuadExt":
+        """``(a - b*sqrt(5)) / den``: the field automorphism that maps ``PHI`` to ``PSI``."""
+        return _quad(self._a, -self._b, self._den)
 
     def __bool__(self) -> bool:
         return bool(self._a or self._b)

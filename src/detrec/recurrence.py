@@ -4,16 +4,17 @@ These are the independent oracles the determinant routes are checked
 against: plain iteration for the order-r recurrence (initial conditions
 ``u_0 = 1`` and ``u_j = 0`` for ``j < 0``), the Fibonacci, Lucas and r-acci
 sequences, the cycle-type multinomial sum, and exact golden-ratio closed
-forms evaluated in the quadratic field (no floating point anywhere).
+forms evaluated in the quadratic field (no floating point anywhere).  Each
+Fibonacci and Lucas value, iterated or closed, is held to the digit cap.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .caps import check_cap, check_iteration
+from .caps import check_cap, check_digits, check_iteration
 from .digraph import cycle_type_sum
-from .poly import PHI, PSI, SQRT5, QuadExt
+from .poly import PHI, SQRT5, QuadExt
 
 
 def eval_recurrence(coeffs: Sequence, n: int):
@@ -40,23 +41,35 @@ def eval_recurrence(coeffs: Sequence, n: int):
     return values[n]
 
 
-def fibonacci(n: int) -> int:
-    """Fibonacci numbers with ``f_0 = f_1 = 1``."""
+def _check_golden(n: int) -> None:
+    """The guard of every Fibonacci and Lucas value: ``check_iteration`` of ``1, 1``."""
     if n < 0:
         raise ValueError("index must be non-negative")
+    check_iteration(n, (1, 1))
+
+
+def fibonacci(n: int) -> int:
+    """Fibonacci numbers with ``f_0 = f_1 = 1``.
+
+    Like ``lucas``, ``binet_fib`` and ``binet_lucas``, it raises ``TooLarge``
+    before any work when ``check_iteration`` refuses ``n`` for ``1, 1``, and
+    once computed when the value has more than ``caps.MAX_DIGITS`` digits.
+    """
+    _check_golden(n)
     a, b = 1, 1
     for _ in range(n):
         a, b = b, a + b
+    check_digits(a)
     return a
 
 
 def lucas(n: int) -> int:
-    """Lucas numbers with seeds ``l_0 = 2, l_1 = 1``."""
-    if n < 0:
-        raise ValueError("index must be non-negative")
+    """Lucas numbers with seeds ``l_0 = 2, l_1 = 1``, guarded as ``fibonacci``."""
+    _check_golden(n)
     a, b = 2, 1
     for _ in range(n):
         a, b = b, a + b
+    check_digits(a)
     return a
 
 
@@ -88,15 +101,26 @@ def racci_multinomial(n: int, r: int) -> int:
 def binet_fib(n: int) -> QuadExt:
     """Fibonacci closed form ``(phi**(n+1) - psi**(n+1)) / sqrt(5)``, exactly.
 
-    The result always has zero radical part and an integer rational part.
+    ``psi**(n+1)`` is the conjugate of ``phi**(n+1)`` (``sqrt(5) ->
+    -sqrt(5)`` maps ``phi`` to ``psi``), so one power serves both.  The
+    result always has zero radical part and an integer rational part.
+    Guarded as ``fibonacci``.
     """
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    return (PHI ** (n + 1) - PSI ** (n + 1)) / SQRT5
+    _check_golden(n)
+    p = PHI ** (n + 1)
+    value = (p - p.conjugate()) / SQRT5
+    check_digits(value.rational.numerator)  # the value is an integer
+    return value
 
 
 def binet_lucas(n: int) -> QuadExt:
-    """Lucas closed form ``phi**n + psi**n``, exactly."""
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    return PHI ** n + PSI ** n
+    """Lucas closed form ``phi**n + psi**n``, exactly.
+
+    ``psi**n`` is the conjugate of ``phi**n``, so one power serves both.
+    Guarded as ``fibonacci``.
+    """
+    _check_golden(n)
+    p = PHI ** n
+    value = p + p.conjugate()
+    check_digits(value.rational.numerator)  # the value is an integer
+    return value

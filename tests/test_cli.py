@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from detrec import cli, combi, identities, symfunc
+from detrec import cli, combi, identities, recurrence, symfunc
 from detrec.caps import MAX_RECURRENCE_STEPS, MAX_RECURRENCE_WORK, check_recurrence
 from detrec.cli import main
 from detrec.combi import cyclic_word_weight, tiling_weight, word_weight
@@ -765,7 +765,9 @@ def test_every_subject_is_capped_before_any_work(capsys, monkeypatch, argv, mess
     for module in (combi, symfunc):
         monkeypatch.setattr(module, "combinations_with_replacement", work)
     monkeypatch.setattr(symfunc, "combinations", work)
-    for name in ("fibonacci", "lucas", "racci", "eval_recurrence", "symbolic_coeffs",
+    # fibonacci and lucas guard themselves, so they run; their loop is the work
+    monkeypatch.setattr(recurrence, "range", work, raising=False)
+    for name in ("racci", "eval_recurrence", "symbolic_coeffs",
                  "build_A", "build_E", "build_F", "det_bareiss", "enumerate_lsds"):
         monkeypatch.setattr(cli, name, work)
     code, out, err = run(capsys, *argv)

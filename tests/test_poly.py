@@ -3,7 +3,9 @@
 import copy
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import prod
 
 import pytest
@@ -276,6 +278,67 @@ def test_quad_division_is_exact():
     assert (PHI ** 4 - PSI ** 4) / SQRT5 == QuadExt(3)  # f_3
     with pytest.raises(ZeroDivisionError):
         PHI / QuadExt(0)
+
+
+class _Counted:
+    """``x**exponent`` in a ring that tallies its squarings and other products."""
+
+    def __init__(self, exponent, tally):
+        self.exponent, self.tally = exponent, tally
+
+    def __mul__(self, other):
+        self.tally["squarings" if other is self else "products"] += 1
+        return _Counted(self.exponent + other.exponent, self.tally)
+
+
+def test_power_squares_once_per_bit_and_multiplies_once_per_further_set_bit():
+    for k in range(301):
+        tally = Counter()
+        one = _Counted(0, tally)
+        result = poly._power(_Counted(1, tally), k, one)
+        assert result.exponent == k
+        if not k:
+            assert result is one and not tally
+            continue
+        assert tally["squarings"] == k.bit_length() - 1, k
+        assert tally["products"] == k.bit_count() - 1, k
+
+
+# components up to 2**300 in size, zero among them; every element has two
+# denominators from 1..7, one per component
+_COMPONENTS = [0, 1, -2, 5, 3 ** 100, -(2 ** 300) + 1, 2 ** 300]
+QUAD_GRID = [QuadExt(Fraction(a, 1 + i % 7), Fraction(b, 1 + i // 7 % 7))
+             for i, (a, b) in enumerate(product(_COMPONENTS, repeat=2))]
+
+
+def _pair(z):
+    """``z`` as ``(r, s)`` for ``r + s*sqrt(5)``, in ``Fraction``s."""
+    return z.rational, z.radical
+
+
+def test_quad_products_and_squares_match_fraction_pairs():
+    for x in QUAD_GRID:
+        r1, s1 = _pair(x)
+        square = (r1 * r1 + 5 * s1 * s1, 2 * r1 * s1)
+        assert _pair(x * x) == square, x
+        assert _pair(x * copy.copy(x)) == square, x  # an equal operand takes the general product
+        for y in QUAD_GRID:
+            r2, s2 = _pair(y)
+            assert _pair(x * y) == (r1 * r2 + 5 * s1 * s2, r1 * s2 + r2 * s1), (x, y)
+
+
+def test_conjugate_is_the_field_automorphism():
+    assert PHI.conjugate() == PSI and PSI.conjugate() == PHI
+    for x in QUAD_GRID:
+        r, s = _pair(x)
+        assert _pair(x.conjugate()) == (r, -s)
+        assert x.conjugate().conjugate() == x
+        assert QuadExt(r).conjugate() == QuadExt(r) == r
+        for y in QUAD_GRID[::5]:
+            assert (x + y).conjugate() == x.conjugate() + y.conjugate()
+            assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+    for n in range(201):
+        assert PSI ** n == (PHI ** n).conjugate(), n
 
 
 def test_poly_str_golden():

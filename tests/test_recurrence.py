@@ -2,8 +2,10 @@
 
 import pytest
 
+from detrec import recurrence
+from detrec.cli import main
 from detrec.errors import TooLarge
-from detrec.poly import MultiPoly, QuadExt
+from detrec.poly import MultiPoly, QuadExt, scalar_str
 from detrec.recurrence import (
     binet_fib,
     binet_lucas,
@@ -98,6 +100,43 @@ def test_binet_lucas_exact():
         value = binet_lucas(n)
         assert value.radical == 0, n
         assert value.rational == lucas(n), n
+
+
+@pytest.mark.parametrize("n", [9950, 8192, 8191, 9207])
+def test_binet_at_the_scale_of_the_benchmark(n):
+    # numeric-det draws indices up to about 9,950; 2**13, 2**13 - 1 and an
+    # odd index in between take different square-and-multiply paths
+    assert binet_fib(n) == fibonacci(n)
+    assert binet_lucas(n) == lucas(n)
+
+
+def test_fibonacci_and_lucas_values_share_the_cli_guard(capsys, monkeypatch):
+    for subject, last, iterate, closed, refused in (
+            ("fib", 20576, fibonacci, binet_fib, (fibonacci, lucas, binet_fib, binet_lucas)),
+            ("lucas", 20575, lucas, binet_lucas, (lucas, binet_lucas))):
+        # the largest index that compute accepts prints by either route
+        value = iterate(last)
+        assert main(["compute", subject, "--n", str(last)]) == 0
+        assert capsys.readouterr().out == f"{value}\n"
+        assert closed(last) == value and scalar_str(closed(last)) == str(value)
+        # the next is refused by the CLI and by every library function over it
+        assert main(["compute", subject, "--n", str(last + 1)]) == 3
+        assert "more than 4300 digits" in capsys.readouterr().err
+        for fn in refused:
+            with pytest.raises(TooLarge, match="more than 4300 digits"):
+                fn(last + 1)
+    # far past the cap the refusal comes before the loop or the power
+    def work(*args):
+        raise AssertionError("work before the guard")
+
+    class Unpowered:
+        __pow__ = work
+
+    monkeypatch.setattr(recurrence, "range", work, raising=False)
+    monkeypatch.setattr(recurrence, "PHI", Unpowered())
+    for fn in (fibonacci, lucas, binet_fib, binet_lucas):
+        with pytest.raises(TooLarge, match="more than 4300 digits"):
+            fn(10 ** 9)
 
 
 def test_negative_indices_rejected():
