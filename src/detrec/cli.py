@@ -149,11 +149,10 @@ def _cmd_compute(args) -> int:
     # integer recurrence values are held to caps.MAX_DIGITS and their
     # iteration to caps.MAX_RECURRENCE_STEPS by check_iteration before any
     # work, and by check_digits once computed; fibonacci and lucas hold
-    # their own values to both
+    # their own values to both, and racci its iteration
     if subject in ("fib", "lucas"):
         value = fibonacci(args.n) if subject == "fib" else lucas(args.n)
     elif subject == "racci":
-        check_iteration(args.n, repeat(1, args.r))
         value = racci(args.n, args.r)
     elif subject == "recurrence":
         coeffs, names = _recurrence_coeffs(args, args.n)

@@ -15,8 +15,8 @@ Bareiss divides through ``_exact_div``, one rule for ints, polynomials and
 field elements.  On a matrix of size 3 or more with a polynomial entry of
 two or more terms (``SquareMatrix._multiterm``) each route,
 ``digraph.det_via_lsd`` too, runs that ring code on the entries packed in
-one packing (``_run_packed``) and unpacks only the determinant; every other
-matrix runs on its entries as they are.
+one packing with one bound, two minors (``_run_packed``), and unpacks only
+the determinant; every other matrix runs on its entries as they are.
 Cofactor expansion memoises each minor on its column set for the length of
 one call, so it expands ``2**n`` minors at most rather than ``n!`` paths.
 
@@ -212,23 +212,24 @@ def _exact_div(num, den):
         raise ExactDivisionFailure(str(exc)) from exc
 
 
-def _run_packed(route, m: SquareMatrix, minors: int):
+def _run_packed(route, m: SquareMatrix):
     """``route(rows)`` on the rows of ``m``: the determinant, by one packing when it pays.
 
     When ``m._multiterm``, the polynomial entries are packed once, in one
-    packing whose bound covers a product of ``minors`` minors
-    (``poly._pack_rows``), the route's ring code runs on them, and only
-    the determinant it returns is unpacked: no product or quotient inside
-    builds a packing of its own.  Otherwise the route runs on the entries
-    as they are, so ints, field elements and one-term polynomials pay
-    nothing for it; a one-term product has no colliding terms for a
-    packing to merge.  Nor does a matrix of size 1 or 2: each product its
+    packing with one bound for every route, two minors (``poly._pack_rows``):
+    it covers a product of two minors, which Bareiss forms, and so the
+    one-minor products of the cofactor and LSD routes.  The route's ring
+    code runs on them, and only the determinant it returns is unpacked:
+    no product or quotient inside builds a packing of its own.  Otherwise
+    the route runs on the entries as they are, so ints, field elements and
+    one-term polynomials pay nothing for it; a one-term product has no
+    colliding terms for a packing to merge.  Nor does a matrix of size 1 or 2: each product its
     determinant takes is of two entries and feeds no other product, so a
     packing per product packs and unpacks no more than one for the matrix.
     """
     if not m._multiterm or m.n < 3:
         return route(m._rows)
-    det = route(_pack_rows(m._rows, minors))
+    det = route(_pack_rows(m._rows))
     return det.unpack() if type(det) is _Packed else det
 
 
@@ -243,11 +244,12 @@ def det_cofactor(m: SquareMatrix):
     the columns of the minor's first row, left to right, with alternating
     signs, skipping each term whose entry or minor is zero, and a 1x1 matrix
     returns its entry itself.  Every product is an entry times a minor of
-    the rows below it, so a packing sized for one minor holds it.
+    the rows below it, one minor's degree, so the packing's one bound, two
+    minors, holds it.
     """
     if m.n > COFACTOR_MAX_N:
         raise TooLarge(f"cofactor expansion capped at n <= {COFACTOR_MAX_N}")
-    return _run_packed(_cofactor, m, 1)
+    return _run_packed(_cofactor, m)
 
 
 def _cofactor(rows):
@@ -307,10 +309,10 @@ def det_bareiss(m: SquareMatrix):
     row is nonzero.  Elimination keeps a band (without row swaps), so a
     matrix with ``w`` nonzero diagonals costs O(n*w^2) ring operations in
     all instead of O(n^3); ``S`` and ``A`` fill in only their last row.
-    Every numerator is a difference of products of two minors, so a
-    packing sized for two minors holds it.
+    Every numerator is a difference of products of two minors, so the
+    packing's one bound, two minors, holds it.
     """
-    return _run_packed(_bareiss, m, 2)
+    return _run_packed(_bareiss, m)
 
 
 def _bareiss(rows):

@@ -31,9 +31,9 @@ the rest, so its cost follows the LSDs it lists; ``det_via_lsd`` sums each set's
 pass over the table and builds no LSD.  It runs on the matrix's entries
 packed in one packing when the matrix has size 3 or more and some entry is
 a polynomial of two or more terms (``detmat._run_packed``): every product
-it forms is of edges out of distinct vertices, so a packing sized for one
-minor holds it.  The hard cap exists because a dense matrix has ``n!``
-linear subdigraphs.  In a banded digraph every
+it forms is of edges out of distinct vertices, one minor's degree, so the
+packing's one bound, two minors, holds it.  The hard cap exists because a
+dense matrix has ``n!`` linear subdigraphs.  In a banded digraph every
 cycle is a block of consecutive vertices, so its LSDs group by cycle type
 (``cycle_types``, ``count_cycle_type``), and ``cycle_type_sum`` is their
 weight sum written that way: Sury's identity and the r-acci multinomial
@@ -201,7 +201,7 @@ def det_via_lsd(m: SquareMatrix):
     distinct vertex set once; no linear subdigraph is built.
     """
     check_cap("lsd", m.n)
-    return _run_packed(_lsd_sum, m, 1)
+    return _run_packed(_lsd_sum, m)
 
 
 def _lsd_sum(rows):

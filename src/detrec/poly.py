@@ -34,10 +34,12 @@ several polynomials into one packing sized by a degree bound, and
 ``sum(count * prod(w_t ** a_t))`` in one packing: each power once, every
 intermediate product and the running sum packed, and only the final sum
 unpacked.  A determinant route does the same through ``_pack_rows``,
-which packs a matrix's polynomial entries, sized by a degree bound on the
-minors the route forms; the route runs its ring code on them and unpacks
-only the determinant.  There is one packed multiply loop, ``_mul_into``,
-and one packed division loop, ``_divide``.
+which packs a matrix's polynomial entries in a packing with one bound, two
+minors: the degree of a product of two minors, which Bareiss forms and
+which covers the one minor of the cofactor and LSD routes.  The route
+runs its ring code on them and unpacks only the determinant.  There is
+one packed multiply loop, ``_mul_into``, and one packed division loop,
+``_divide``.
 
 The canonical text form lists terms in descending graded-lexicographic order
 (total degree first, then lexicographically with the lowest-indexed variable
@@ -530,8 +532,10 @@ class _Packed(_Ring):
     return an element of that packing, so a computation on them packs
     nothing and unpacks nothing until ``unpack``, the one way back to a
     ``MultiPoly``.  The packing's bound must cover the degree of every
-    product the computation forms (see ``_pack``).  ``/`` is ``_divide``
-    and raises ``NotDivisible`` when the quotient does not exist.
+    product the computation forms (see ``_pack``).  ``*`` is ``_mul_into``
+    with the shorter factor on the left, for every operand, an int too.
+    ``/`` is ``_divide`` and raises ``NotDivisible`` when the quotient does
+    not exist.
     """
 
     __slots__ = ("_terms", "packing")
@@ -549,21 +553,15 @@ class _Packed(_Ring):
         return _from_terms({unpack(k): c for k, c in self._terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, int):  # an int scales each coefficient; 0 gives zero
-            return self._new({k: c * other for k, c in self._terms.items()} if other else {})
         right = self._terms_of(other)
         if right is None:
             return NotImplemented
         left = self._terms
         if len(left) > len(right):
             left, right = right, left
-        if len(left) < 2:
-            # at most one term times a polynomial: no two products collide or cancel
-            product = {ka + kb: ca * cb for ka, ca in left.items() for kb, cb in right.items()}
-        else:
-            product = _mul_into({}, left.items(), right.items())
-            if 0 in product.values():  # drop the terms that cancelled
-                product = {k: c for k, c in product.items() if c}
+        product = _mul_into({}, left.items(), right.items())
+        if 0 in product.values():  # drop the terms that cancelled
+            product = {k: c for k, c in product.items() if c}
         return self._new(product)
 
     __rmul__ = __mul__
@@ -592,16 +590,17 @@ def _pack(polys: Sequence[MultiPoly], bound: int) -> list[_Packed]:
     return [_Packed({pack(m): c for m, c in p._terms.items()}, packing) for p in polys]
 
 
-def _pack_rows(rows: Sequence[Sequence], minors: int) -> list[list]:
+def _pack_rows(rows: Sequence[Sequence]) -> list[list]:
     """The matrix ``rows`` with each polynomial entry a ``_Packed`` of one packing.
 
-    Int entries stay as they are.  The packing's bound is ``minors`` times
-    ``sum_i max_j deg a_ij``, the row maxima summed: a ``k x k`` minor
+    Int entries stay as they are.  One bound serves every route: twice
+    ``sum_i max_j deg a_ij``, the row maxima summed.  A ``k x k`` minor
     takes its entries from ``k`` distinct rows, so that sum bounds the
-    degree of every minor, and the bound covers every product of
-    ``minors`` minors.  The distinct entries go through ``_pack``
-    together: an entry object that fills several cells, as a band
-    coefficient does, is packed once.
+    degree of every minor, and twice it covers a product of two minors,
+    the most that Bareiss forms; the cofactor and LSD routes form products
+    of one minor's degree at most.  The distinct entries go through
+    ``_pack`` together: an entry object that fills several cells, as a
+    band coefficient does, is packed once.
     """
     degrees: dict[int, int] = {}  # id -> degree of each distinct polynomial entry
     polys = []
@@ -617,7 +616,7 @@ def _pack_rows(rows: Sequence[Sequence], minors: int) -> list[list]:
                 if degree > top:
                     top = degree
         bound += top
-    packed = dict(zip(degrees, _pack(polys, minors * bound)))  # the ids are in polys' order
+    packed = dict(zip(degrees, _pack(polys, 2 * bound)))  # the ids are in polys' order
     return [[packed[id(x)] if type(x) is MultiPoly else x for x in row] for row in rows]
 
 

@@ -5,11 +5,14 @@ against: plain iteration for the order-r recurrence (initial conditions
 ``u_0 = 1`` and ``u_j = 0`` for ``j < 0``), the Fibonacci, Lucas and r-acci
 sequences, the cycle-type multinomial sum, and exact golden-ratio closed
 forms evaluated in the quadratic field (no floating point anywhere).  Each
-Fibonacci and Lucas value, iterated or closed, is held to the digit cap.
+Fibonacci and Lucas value, iterated or closed, is held to the digit cap,
+and ``racci`` holds its value and iteration to ``caps.check_iteration``
+before it builds its list of ones.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Sequence
 
 from .caps import check_cap, check_digits, check_iteration
@@ -41,11 +44,15 @@ def eval_recurrence(coeffs: Sequence, n: int):
     return values[n]
 
 
-def _check_golden(n: int) -> None:
-    """The guard of every Fibonacci and Lucas value: ``check_iteration`` of ``1, 1``."""
+def _check_ones(n: int, r: int) -> None:
+    """The guard of every r-acci value: ``check_iteration`` of ``r`` ones.
+
+    Fibonacci and Lucas values are guarded with ``r = 2``.  No list of the
+    ones is built, so a huge ``r`` costs nothing before the refusal.
+    """
     if n < 0:
         raise ValueError("index must be non-negative")
-    check_iteration(n, (1, 1))
+    check_iteration(n, repeat(1, r))
 
 
 def fibonacci(n: int) -> int:
@@ -55,7 +62,7 @@ def fibonacci(n: int) -> int:
     before any work when ``check_iteration`` refuses ``n`` for ``1, 1``, and
     once computed when the value has more than ``caps.MAX_DIGITS`` digits.
     """
-    _check_golden(n)
+    _check_ones(n, 2)
     a, b = 1, 1
     for _ in range(n):
         a, b = b, a + b
@@ -65,7 +72,7 @@ def fibonacci(n: int) -> int:
 
 def lucas(n: int) -> int:
     """Lucas numbers with seeds ``l_0 = 2, l_1 = 1``, guarded as ``fibonacci``."""
-    _check_golden(n)
+    _check_ones(n, 2)
     a, b = 2, 1
     for _ in range(n):
         a, b = b, a + b
@@ -74,11 +81,14 @@ def lucas(n: int) -> int:
 
 
 def racci(n: int, r: int) -> int:
-    """r-acci numbers: ``F_n = F_{n-1} + ... + F_{n-r}`` with ``F_0 = 1``."""
-    if n < 0:
-        raise ValueError("index must be non-negative")
+    """r-acci numbers: ``F_n = F_{n-1} + ... + F_{n-r}`` with ``F_0 = 1``.
+
+    Guarded as ``fibonacci``, with ``r`` ones: a refused ``n`` or ``r``
+    raises ``TooLarge`` before the list of coefficients is built.
+    """
     if r < 1:
         raise ValueError("order must be positive")
+    _check_ones(n, r)
     return eval_recurrence([1] * min(r, max(n, 1)), n)  # u_n reads c_1..c_n only
 
 
@@ -106,7 +116,7 @@ def binet_fib(n: int) -> QuadExt:
     result always has zero radical part and an integer rational part.
     Guarded as ``fibonacci``.
     """
-    _check_golden(n)
+    _check_ones(n, 2)
     p = PHI ** (n + 1)
     value = (p - p.conjugate()) / SQRT5
     check_digits(value.rational.numerator)  # the value is an integer
@@ -119,7 +129,7 @@ def binet_lucas(n: int) -> QuadExt:
     ``psi**n`` is the conjugate of ``phi**n``, so one power serves both.
     Guarded as ``fibonacci``.
     """
-    _check_golden(n)
+    _check_ones(n, 2)
     p = PHI ** n
     value = p + p.conjugate()
     check_digits(value.rational.numerator)  # the value is an integer

@@ -203,42 +203,30 @@ def _e_terms(k: int, n_vars: int) -> int:
     return comb(n_vars, k) if k >= 0 else 0
 
 
-class _DegreeCaps(dict):
-    """Degree ``d`` to ``comb(d + n_vars - 1, n_vars - 1)``, its monomials, each computed once."""
-
-    __slots__ = ("n_vars",)
-
-    def __init__(self, n_vars: int):
-        super().__init__()
-        self.n_vars = n_vars
-
-    def __missing__(self, degree: int) -> int:
-        cap = self[degree] = comb(degree + self.n_vars - 1, self.n_vars - 1)
-        return cap
-
-
 class _Bound:
     """A nonzero bound on the terms of a Jacobi-Trudi entry or minor: ``schur``'s cost model.
 
-    ``caps`` (a ``_DegreeCaps``) and ``work``, a one-item list, are shared
-    by the bounds of one matrix.  A product ``entry * minor`` costs, and
-    adds to ``work``, the entry's count times the minor's, which is capped
-    first at ``caps[degree]``, the monomials of the minor's degree.  A sum
-    or difference adds counts; the int 0 is the empty sum.
+    ``work`` is a one-item list that the bounds of one matrix share.  A
+    product ``entry * minor`` costs, and adds to it, the entry's count times
+    the minor's, which is capped first at ``comb(degree + n_vars - 1,
+    n_vars - 1)``, the monomials of the minor's degree, computed for each
+    product: a per-call table of those caps measured no faster.  A sum or
+    difference adds counts; the int 0 is the empty sum.
     """
 
-    __slots__ = ("count", "degree", "caps", "work")
+    __slots__ = ("count", "degree", "n_vars", "work")
 
-    def __init__(self, count: int, degree: int, caps: _DegreeCaps, work: list[int]):
-        self.count, self.degree, self.caps, self.work = count, degree, caps, work
+    def __init__(self, count: int, degree: int, n_vars: int, work: list[int]):
+        self.count, self.degree, self.n_vars, self.work = count, degree, n_vars, work
 
     def __mul__(self, minor: "_Bound") -> "_Bound":
-        count = self.count * min(minor.count, self.caps[minor.degree])
+        n_vars = self.n_vars
+        count = self.count * min(minor.count, comb(minor.degree + n_vars - 1, n_vars - 1))
         self.work[0] += count
-        return _Bound(count, self.degree + minor.degree, self.caps, self.work)
+        return _Bound(count, self.degree + minor.degree, n_vars, self.work)
 
     def __add__(self, other: "_Bound") -> "_Bound":
-        return _Bound(self.count + other.count, self.degree, self.caps, self.work)
+        return _Bound(self.count + other.count, self.degree, self.n_vars, self.work)
 
     def __radd__(self, zero: int) -> "_Bound":
         return self
@@ -254,13 +242,12 @@ def _expansion_work(shape: tuple[int, ...], n_vars: int, terms) -> int:
     which tallies its products' costs.
     """
     work = [0]
-    caps = _DegreeCaps(n_vars)
 
     def bound(k: int):
         # building an entry costs its terms; an entry of no term is 0
         count = terms(k, n_vars)
         work[0] += count
-        return count and _Bound(count, k, caps, work)
+        return count and _Bound(count, k, n_vars, work)
     _cofactor(_jacobi_trudi_rows(shape, bound))
     return work[0]
 

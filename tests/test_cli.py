@@ -563,12 +563,30 @@ def _digits(out: str) -> int:
     return len(out.strip().lstrip("-"))
 
 
+def _child_env() -> dict:
+    """The environment of a ``python -m detrec`` child that imports this checkout's ``src``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+
+
+def _detrec(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """``python -m detrec *argv`` in a child process, its output captured."""
+    return subprocess.run([sys.executable, "-m", "detrec", *argv],
+                          capture_output=True, env=_child_env(), **kwargs)
+
+
 def test_integer_values_are_held_to_the_digit_cap(capsys):
-    # refused before any work: the loop of a hundred million steps never runs
+    # refused before any work: the loop of a hundred million steps never
+    # runs.  Each runs in a child with a timeout, so a regressed guard fails
+    # the test instead of hanging the suite
     for argv in (["fib", "--n", "100000000"], ["lucas", "--n", "100000000"],
                  ["racci", "--n", "100000000", "--r", "100000000"],
-                 ["recurrence", "--coeffs", "1,1", "--n", "100000000"],
-                 ["fib", "--n", "30000"],
+                 ["recurrence", "--coeffs", "1,1", "--n", "100000000"]):
+        proc = _detrec("compute", *argv, timeout=60)
+        assert (proc.returncode, proc.stdout) == (3, b""), argv
+        assert b"more than 4300 digits" in proc.stderr, argv
+    for argv in (["fib", "--n", "30000"],
                  ["recurrence", "--coeffs", "1" + "0" * 4299, "--n", "2"]):
         code, out, err = run(capsys, "compute", *argv)
         assert (code, out) == (3, ""), argv
@@ -613,8 +631,9 @@ def test_verify_recurrence_det_is_held_to_the_digit_cap(capsys, monkeypatch):
 def test_integer_iteration_is_held_to_the_step_cap(capsys, monkeypatch):
     def iterate(*args):
         raise AssertionError("the iteration ran")
+    # racci's iteration is recurrence's own eval_recurrence, after its guard
     monkeypatch.setattr(cli, "eval_recurrence", iterate)
-    monkeypatch.setattr(cli, "racci", iterate)
+    monkeypatch.setattr(recurrence, "eval_recurrence", iterate)
     # refused before any work: each value fits the digit cap, the loop does not
     for argv in (["racci", "--n", "100000000", "--r", "1"],
                  ["recurrence", "--coeffs", "1", "--n", "100000000"],
@@ -625,7 +644,7 @@ def test_integer_iteration_is_held_to_the_step_cap(capsys, monkeypatch):
         assert f"iteration steps exceed {MAX_RECURRENCE_STEPS}" in err
     # the steps are n times the coefficients u_n reads, held to the cap itself
     monkeypatch.setattr(cli, "eval_recurrence", lambda coeffs, n: 0)
-    monkeypatch.setattr(cli, "racci", lambda n, r: 0)
+    monkeypatch.setattr(recurrence, "eval_recurrence", lambda coeffs, n: 0)
     for argv in (["recurrence", "--coeffs", "1", "--n", str(MAX_RECURRENCE_STEPS)],
                  ["recurrence", "--coeffs", "1,0,0", "--n", str(MAX_RECURRENCE_STEPS // 3)],
                  ["recurrence", "--coeffs", ",".join(["1"] * 100000), "--n", "1000"],
@@ -765,9 +784,11 @@ def test_every_subject_is_capped_before_any_work(capsys, monkeypatch, argv, mess
     for module in (combi, symfunc):
         monkeypatch.setattr(module, "combinations_with_replacement", work)
     monkeypatch.setattr(symfunc, "combinations", work)
-    # fibonacci and lucas guard themselves, so they run; their loop is the work
-    monkeypatch.setattr(recurrence, "range", work, raising=False)
-    for name in ("racci", "eval_recurrence", "symbolic_coeffs",
+    # fibonacci, lucas and racci guard themselves, so they run: their loops
+    # are the work, and racci's list of ones, sized by min after its guard
+    for name in ("range", "min"):
+        monkeypatch.setattr(recurrence, name, work, raising=False)
+    for name in ("eval_recurrence", "symbolic_coeffs",
                  "build_A", "build_E", "build_F", "det_bareiss", "enumerate_lsds"):
         monkeypatch.setattr(cli, name, work)
     code, out, err = run(capsys, *argv)
@@ -805,14 +826,9 @@ def test_enumerate_lsds_and_compute_det_refuse_alike(capsys, monkeypatch, family
 
 def test_many_variables_print_within_memory():
     # one packed sort key per term, 200,000 bits wide, took 2 GB and more
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
     limit = 2 * 10**9
-    proc = subprocess.run(
-        [sys.executable, "-m", "detrec", "compute", "h", "--k", "1", "--vars", "99999"],
-        capture_output=True, env=env, timeout=120,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    proc = _detrec("compute", "h", "--k", "1", "--vars", "99999", timeout=120,
+                   preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == (" + ".join(f"x{v}" for v in range(99999)) + "\n").encode()
 
@@ -848,13 +864,10 @@ def test_symmetric_polynomials_under_the_term_cap(capsys):
 def test_closed_pipe_exits_quietly():
     # The 0.6 MB of output outgrows the pipe buffer, so the writer is still
     # writing when the reader closes its end after the first line.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
     proc = subprocess.Popen(
         [sys.executable, "-m", "detrec", "enumerate", "tilings", "--n", "20",
          "--r", "2", "--coeffs", "1,1"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
     first = proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read()

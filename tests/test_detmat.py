@@ -238,7 +238,7 @@ def test_exact_div_rungs(counted_ints):
         with pytest.raises(ExactDivisionFailure):
             _exact_div(num, den)
     # packed polynomials of one packing divide by "/", with the same contract
-    [[difference, total, a, doubled]] = _pack_rows([[A * A - B * B, A + B, A, 2 * A]], 1)
+    [[difference, total, a, doubled]] = _pack_rows([[A * A - B * B, A + B, A, 2 * A]])
     assert _exact_div(difference, total).unpack() == A - B
     assert _exact_div(doubled, 2).unpack() == A
     assert _exact_div(6, _exact_div(doubled, a)).unpack() == 3

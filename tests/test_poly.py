@@ -204,12 +204,18 @@ def test_one_packing_in_and_one_unpack_out(packings):
 
 
 def test_packed_arithmetic_takes_an_int_on_either_side():
-    # an int is the packed constant of key 0: the same ring as MultiPoly's
-    p, three = 2 * X0 - 3 * X1 + 6, MultiPoly.const(3)
-    packed, packed_three = poly._pack((p, three), 2)
-    six = MultiPoly.const(6)
+    # an int is the packed constant of key 0: the same ring as MultiPoly's,
+    # and every product, of an int or a one-term factor too, is _mul_into's
+    p, three, mono = 2 * X0 - 3 * X1 + 6, MultiPoly.const(3), -4 * X0 * X1
+    packed, packed_three, packed_mono, plus, minus = poly._pack(
+        (p, three, mono, X0 + X1, X0 - X1), 3)
+    six, big = MultiPoly.const(6), 10 ** 40
     for result, expected in ((3 - packed, 3 - p), (packed - 3, p - 3), (0 * packed, 0 * p),
                              (packed * 0, p * 0), (packed * 2, p * 2), (2 * packed, 2 * p),
+                             (packed * -1, -p), (-1 * packed, -p), (packed * 1, p),
+                             (1 * packed, p), (packed * big, p * big), (big * packed, big * p),
+                             (packed_mono * packed, mono * p), (packed * packed_mono, p * mono),
+                             (plus * minus, X0 ** 2 - X1 ** 2),  # the middle terms cancel
                              (0 + packed, p), (packed + 5, p + 5), (-packed, -p),
                              (6 / packed_three, exact_divide(six, three)),
                              (packed * 2 / 2, exact_divide(p * 2, MultiPoly.const(2)))):
@@ -325,6 +331,10 @@ def test_quad_products_and_squares_match_fraction_pairs():
         for y in QUAD_GRID:
             r2, s2 = _pair(y)
             assert _pair(x * y) == (r1 * r2 + 5 * s1 * s2, r1 * s2 + r2 * s1), (x, y)
+            assert _pair(x + y) == (r1 + r2, s1 + s2), (x, y)
+            assert _pair(x - y) == (r1 - r2, s1 - s2), (x, y)
+    # sums and differences take both paths: one shared denominator, and the general one
+    assert {x._den == y._den for x in QUAD_GRID for y in QUAD_GRID} == {True, False}
 
 
 def test_conjugate_is_the_field_automorphism():

@@ -1,5 +1,7 @@
 """Recurrence iteration and exact closed forms."""
 
+import tracemalloc
+
 import pytest
 
 from detrec import recurrence
@@ -147,6 +149,20 @@ def test_negative_indices_rejected():
         racci(-1, 2)
     with pytest.raises(ValueError):
         eval_recurrence([1], -1)
+
+
+def test_racci_is_guarded_before_its_list_of_ones():
+    # ten million ones would take 80 MB; the refusal comes before the list
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="more than 4300 digits"):
+            racci(10 ** 7, 10 ** 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
+    with pytest.raises(TooLarge, match="iteration steps exceed"):
+        racci(10 ** 7, 1)  # u_n = 1 fits the digit cap, its ten million steps do not
 
 
 def test_integer_recurrence_is_held_to_the_iteration_caps():

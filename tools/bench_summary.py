@@ -15,6 +15,17 @@ and each end-to-end metric's median and quartiles over the side's runs;
 and per workload and metric, in ``change_wins``, the number of pairs whose
 change record is better than its parent record, in the direction that
 ``BENCHMARK.json`` gives the metric (a tie counts for neither side).
+
+Per workload and metric, ``verdicts`` names the first of these that holds,
+with the metric's ``bound`` share from ``BENCHMARK.json``:
+
+- ``worse``: the change's median is worse than the parent's by more than
+  ``bound`` times the parent's median;
+- ``better``: the change won at least nine tenths of the pairs, and its
+  median is better than the parent's by more than the parent's q3 - q1;
+- ``unresolved``: the parent's q3 - q1 exceeds ``bound`` times its median,
+  and not every change run is better than every parent run;
+- ``flat``: none of these.
 """
 
 from __future__ import annotations
@@ -46,6 +57,11 @@ def directions(benchmark: dict) -> dict[str, str]:
     return {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
 
 
+def bounds(benchmark: dict) -> dict[str, float]:
+    """Each end-to-end metric's ``bound``: the share of the parent's median it may lose."""
+    return {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]}
+
+
 def _wins(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict[str, int]:
     """Per metric, the pairs whose change record beats its parent record."""
     wins = {}
@@ -58,10 +74,37 @@ def _wins(parent: list[dict], change: list[dict], better: dict[str, str]) -> dic
     return wins
 
 
-def summarise(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
+def _verdicts(parent: list[dict], change: list[dict], sides: dict, wins: dict[str, int],
+              better: dict[str, str], bound: dict[str, float]) -> dict[str, str]:
+    """Per metric, ``worse``, ``better``, ``unresolved`` or ``flat`` (see the module)."""
+    verdicts = {}
+    for name, won in wins.items():
+        if name not in bound:
+            raise ValueError(f"{name}: no bound in BENCHMARK.json")
+        sign = 1 if better[name] == "higher" else -1
+        base, new = sides["parent"]["metrics"][name], sides["change"]["metrics"][name]
+        gain = sign * (new["median"] - base["median"])
+        spread = base["q3"] - base["q1"]
+        allowed = bound[name] * abs(base["median"])
+        if -gain > allowed:
+            verdict = "worse"
+        elif 10 * won >= 9 * len(parent) and gain > spread:
+            verdict = "better"
+        elif spread > allowed and (min(sign * r["metrics"][name] for r in change)
+                                   <= max(sign * r["metrics"][name] for r in parent)):
+            verdict = "unresolved"
+        else:
+            verdict = "flat"
+        verdicts[name] = verdict
+    return verdicts
+
+
+def summarise(parent: list[dict], change: list[dict], better: dict[str, str],
+              bound: dict[str, float]) -> dict:
     """The summary of the records of both sides, by workload.
 
-    ``better`` gives each metric's better direction (see ``directions``).
+    ``better`` gives each metric's better direction (see ``directions``)
+    and ``bound`` its bound share (see ``bounds``).
     """
     by_workload: dict[str, dict[str, list[dict]]] = {}
     for label, records in (("parent", parent), ("change", change)):
@@ -80,9 +123,12 @@ def summarise(parent: list[dict], change: list[dict], better: dict[str, str]) ->
         seeds = {r["seed"] for r in sides["parent"] + sides["change"]}
         if len(seeds) != 1:
             raise ValueError(f"{workload}: records of seeds {sorted(seeds)}")
-        workloads[workload] = {"seed": seeds.pop(), "pairs": pairs,
-                               **{label: _side(records) for label, records in sides.items()},
-                               "change_wins": _wins(sides["parent"], sides["change"], better)}
+        summary = {label: _side(records) for label, records in sides.items()}
+        wins = _wins(sides["parent"], sides["change"], better)
+        workloads[workload] = {"seed": seeds.pop(), "pairs": pairs, **summary,
+                               "change_wins": wins,
+                               "verdicts": _verdicts(sides["parent"], sides["change"],
+                                                     summary, wins, better, bound)}
     return {"workloads": workloads}
 
 
@@ -93,9 +139,10 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, nargs="+", required=True)
     args = parser.parse_args(argv)
     try:
+        benchmark = json.loads(BENCHMARK.read_text())
         summary = summarise(*([json.loads(path.read_text()) for path in paths]
                               for paths in (args.parent, args.change)),
-                            directions(json.loads(BENCHMARK.read_text())))
+                            directions(benchmark), bounds(benchmark))
     except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
