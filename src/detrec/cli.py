@@ -2,11 +2,19 @@
 
 Values print in their canonical text serialization (integers are plain JSON
 numbers, polynomials the graded-lex term string).  ``enumerate`` streams one
-JSON object per item followed by a summary line, handing stdout
-``CHUNK_LINES`` lines per write and the summary with the last write.  It
-counts the objects by the key their weight depends on as it writes them,
-so it keeps no list of its own, and the total weight costs one weight per
-key.  ``verify`` emits one verification report in JSON per check.  ``SUBJECTS`` names each command's subjects and the flags
+JSON object per item followed by a summary line, handing stdout at least
+``CHUNK_LINES`` lines per write and the summary with the last write.  One
+writer takes every subject's objects as blocks of lines and keys: a
+tiling subject's blocks are ``combi``'s ``(head, rests)`` blocks, whose
+row of rests is formatted and counted once per row and joined to each
+head's prefix; the other subjects give one block per ``CHUNK_LINES``
+objects.  It counts the objects by the key their weight depends on as it
+writes them, so it keeps no list of its own, and the total weight costs
+one weight per key.  The LSDs of a multiset of cycle weights share one
+weight object (``digraph.enumerate_lsds``), whose text is built once;
+each weakly increasing word is its own multiset, so a block of words is
+keyed by its weight sum.  ``verify`` emits one verification report in
+JSON per check.  ``SUBJECTS`` names each command's subjects and the flags
 each one reads, and the parser takes exactly those, so a flag a subject does
 not read is a usage error; the ``verify`` rows come from the registry
 ``identities.IDENTITIES``.  Flags go after the subject, and a flag put
@@ -41,13 +49,12 @@ from itertools import islice, repeat
 from .caps import (MAX_DIGITS, MAX_RECURRENCE_WORK, check_cap, check_cells, check_det_E,
                    check_det_S, check_digits, check_iteration, check_lsds_E, check_recurrence)
 from .combi import (
+    circular_tiling_blocks,
     counted_sum,
     cyclic_word_weight,
-    enumerate_circular_tilings,
     enumerate_cyclic_words,
     enumerate_increasing_words,
-    enumerate_tilings,
-    tiling_parts,
+    tiling_blocks,
     tiling_weight,
     word_weight,
 )
@@ -55,7 +62,7 @@ from .detmat import build_A, build_C, build_F, build_G, build_S, det_bareiss
 from .digraph import enumerate_lsds
 from .errors import NotDivisible, TooLarge
 from .identities import IDENTITIES, coeff_name, symbolic_coeffs, verify_all
-from .poly import MultiPoly, scalar_str
+from .poly import MultiPoly, scalar_str, scalar_sum
 from .recurrence import eval_recurrence, fibonacci, lucas, racci
 from .symfunc import build_E, elementary, homogeneous, schur
 
@@ -174,9 +181,16 @@ def _cmd_compute(args) -> int:
     return 0
 
 
-# ``enumerate`` hands its output to ``sys.stdout.write`` this many lines at
-# a time: one call per line costs more than formatting the line does.
+# ``enumerate`` hands its output to ``sys.stdout.write`` at least this many
+# lines at a time: one call per line costs more than formatting the line does.
 CHUNK_LINES = 512
+
+# an object's JSON line is its pretty line between these two texts; a word
+# over {a, b} needs no JSON escaping, and an LSD's signed weight text is
+# escaped where it is built
+_JSON_WRAP = {"tilings": ('{"parts": ', "}"), "circular-tilings": ('{"tiles": ', "}"),
+              "lsds": ('{"cycles": ', "}"), "words": ('{"letters": ', "}"),
+              "cyclic-words": ('{"word": "', '"}')}
 
 
 def _list_text(item_text, items) -> str:
@@ -189,73 +203,121 @@ def _int_list_texts(chunk):
     return map(str, map(list, chunk))
 
 
+def _chunk_blocks(objects, texts, keys, before: str, after: str):
+    """``objects`` as ``enumerate`` blocks of ``CHUNK_LINES`` objects, the last one shorter.
+
+    ``texts`` maps a chunk of objects to their texts, each line one text
+    between ``before`` and ``after``, and ``keys`` maps it to its keys.
+    """
+    objects = iter(objects)
+    while chunk := list(islice(objects, CHUNK_LINES)):
+        yield [before + text + after for text in texts(chunk)], keys(chunk)
+
+
+def _tiling_blocks(blocks, item_text, parts, before: str, after: str):
+    """``(head, rests)`` tiling blocks (``combi.tiling_blocks``) as ``enumerate`` blocks.
+
+    A tiling's text is ``str(list(head + rest))`` with each tile printed by
+    ``item_text``, and its key its sorted ``parts``.  Each row of rests,
+    one list object shared by the heads that cover the same cells, gets
+    its suffix texts and the ``Counter`` of its keys built once.  A
+    block's lines are then its head's prefix text joined to each suffix,
+    and its key counts the row's, each key merged with the head's parts.
+    """
+    rows = {}  # id of a row of rests -> its suffix texts and its key counts
+    for head, rests in blocks:
+        row = rows.get(id(rests))
+        if row is None:
+            row = rows[id(rests)] = (
+                ["".join([", " + item_text(tile) for tile in rest]) + "]" + after
+                 for rest in rests],
+                Counter(tuple(sorted(parts(rest))) for rest in rests))
+        suffixes, keys = row
+        prefix = before + "[" + ", ".join(map(item_text, head))  # a head is empty only on an empty board
+        head_parts = parts(head)
+        yield ([prefix + suffix for suffix in suffixes],
+               {tuple(sorted(head_parts + key)): count for key, count in keys.items()})
+
+
 def _cmd_enumerate(args) -> int:
     pretty = args.format == "pretty"
     subject = args.subject
     names = None
-    # Each branch sets ``objects``, the objects in order; ``texts``, which
-    # maps a chunk of objects to their texts, each a pretty line as it
-    # stands and a JSON line between ``before`` and ``after``; ``keys``,
-    # which maps a chunk to the keys their weights depend on; and
-    # ``weight``, the weight of one key.  The objects are counted by key as
-    # they are written, and the total weight is one ``counted_sum`` over
-    # the keys.
+    before, after = ("", "") if pretty else _JSON_WRAP[subject]
+    # Each branch sets ``blocks``, the objects in order as ``(lines, keys)``
+    # pairs: a block's output lines, one per object, and the keys its
+    # objects' weights depend on, as keys or as a mapping of keys to
+    # counts; and ``weight``, the weight of one key.  A tiling subject
+    # gives one block per head, the others one per ``CHUNK_LINES`` objects.
+    # The blocks are counted by key as they are written, and the total
+    # weight is one ``counted_sum`` over the keys.
     if subject == "tilings":
         n, r = args.n, args.r
-        objects = enumerate_tilings(n, r)  # its cap comes before any coefficient is built
+        tilings = tiling_blocks(n, r)  # its cap comes before any coefficient is built
         coeffs, names = _recurrence_coeffs(args, n)  # the total weight is u_n
         if min(n, r) > len(coeffs):
             # the first tiling with a part past the coefficients, found up front
             raise ValueError(f"tile length {len(coeffs) + 1} outside 1..{len(coeffs)}")
-        texts, before, after = _int_list_texts, '{"parts": ', "}"
-        keys, weight = tiling_parts, functools.partial(tiling_weight, coeffs=coeffs)
+        blocks = _tiling_blocks(tilings, str, tuple, before, after)
+        weight = functools.partial(tiling_weight, coeffs=coeffs)
     elif subject == "circular-tilings":
-        objects = enumerate_circular_tilings(args.n)
+        tilings = circular_tiling_blocks(args.n)
         pair_text = functools.cache(lambda pair: str(list(pair)))  # the tilings share their pairs
-        texts = lambda chunk: (_list_text(pair_text, tiling) for tiling in chunk)
-        before, after = '{"tiles": ', "}"
-        keys, weight = (lambda chunk: repeat(1, len(chunk))), (lambda one: one)
+        # every circular tiling weighs 1, so all share the key ()
+        blocks = _tiling_blocks(tilings, pair_text, lambda tiles: (), before, after)
+        weight = lambda parts: 1
     elif subject == "lsds":
         matrix, names = _family_matrix(args, lsds=True)
-        objects = enumerate_lsds(matrix)
         # the LSDs share their cycles, printed with 1-based vertices
         cycle_text = functools.cache(lambda cycle: str([v + 1 for v in cycle]))
+        # and their weight objects (``enumerate_lsds``), each printed once and
+        # counted by its id: id -> (the weight, its text)
+        shared = {}
 
-        def lsd_line(lsd) -> str:
-            cycles = _list_text(cycle_text, lsd.cycles)
-            weight = scalar_str(lsd.signed_weight, names)
-            if pretty:
-                return f"{cycles} {weight}"
-            return f'{{"cycles": {cycles}, "signed_weight": {json.dumps(weight)}}}'
-        texts, before, after = (lambda chunk: map(lsd_line, chunk)), "", ""  # a text is its line
-        keys = lambda chunk: (lsd.signed_weight for lsd in chunk)
-        weight = lambda signed_weight: signed_weight
+        def weight_text(w) -> str:
+            seen = shared.get(id(w))
+            if seen is None:
+                text = scalar_str(w, names)
+                seen = shared[id(w)] = (w, text if pretty else json.dumps(text))
+            return seen[1]
+
+        between = " " if pretty else ', "signed_weight": '
+        blocks = _chunk_blocks(
+            enumerate_lsds(matrix),
+            lambda chunk: [_list_text(cycle_text, lsd.cycles) + between
+                           + weight_text(lsd.signed_weight) for lsd in chunk],
+            lambda chunk: [id(lsd.signed_weight) for lsd in chunk], before, after)
+        weight = lambda key: shared[key][0]
     elif subject == "words":
-        objects = enumerate_increasing_words(args.n, args.vars)
-        texts, before, after = _int_list_texts, '{"letters": ', "}"
-        keys, weight = (lambda chunk: chunk), word_weight
+        # each weakly increasing word is its own multiset, so a block's key is
+        # its words' weight sum, and no word outlives its block
+        blocks = _chunk_blocks(enumerate_increasing_words(args.n, args.vars), _int_list_texts,
+                               lambda chunk: [scalar_sum(map(word_weight, chunk))], before, after)
+        weight = lambda total: total
     else:  # cyclic-words
         n, names = args.n, ("a", "b")
-        objects = enumerate_cyclic_words(n, args.avoid)
-        # a word over {a, b} needs no JSON escaping
-        texts, before, after = (lambda chunk: chunk), '{"word": "', '"}'
-        keys = lambda chunk: (word.count("a") for word in chunk)
+        blocks = _chunk_blocks(enumerate_cyclic_words(n, args.avoid), lambda chunk: chunk,
+                               lambda chunk: [word.count("a") for word in chunk], before, after)
         weight = lambda k: cyclic_word_weight("a" * k + "b" * (n - k))
 
-    objects = iter(objects)
     counts = Counter()
-    last = False
-    while not last:
-        chunk = list(islice(objects, CHUNK_LINES))
-        last = len(chunk) < CHUNK_LINES
-        counts.update(keys(chunk))
-        lines = [*texts(chunk)] if pretty else [before + text + after for text in texts(chunk)]
-        if last:  # the summary goes with the last write
-            count, total = counts.total(), scalar_str(counted_sum(counts, weight), names)
-            lines.append(f"count={count} total_weight={total}" if pretty
-                         else json.dumps({"count": count, "total_weight": total}))
-        lines.append("")  # a newline after the last line
-        sys.stdout.write("\n".join(lines))
+    count = 0
+    lines = []
+    for block, keys in blocks:
+        lines += block
+        counts.update(keys)
+        if len(lines) >= CHUNK_LINES:
+            count += len(lines)
+            lines.append("")  # a newline after the last line
+            sys.stdout.write("\n".join(lines))
+            lines = []
+    # the summary goes with the last write
+    count += len(lines)
+    total = scalar_str(counted_sum(counts, weight), names)
+    lines.append(f"count={count} total_weight={total}" if pretty
+                 else json.dumps({"count": count, "total_weight": total}))
+    lines.append("")
+    sys.stdout.write("\n".join(lines))
     return 0
 
 

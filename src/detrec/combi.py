@@ -16,7 +16,12 @@ enumerator is called; circular tilings come as a list.  Each tiling,
 linear or circular, is one join of a head, the tiles over the board's
 first half, and a tiling of the cells after it, built row by row from the
 board's end; so only the result is board-sized, and the circular ones
-share their ``(start, length)`` pairs.  A tile's length is checked, and
+share their ``(start, length)`` pairs.  ``tiling_blocks`` and
+``circular_tiling_blocks`` give the tilings as those ``(head, rests)``
+blocks, the heads that cover the same cells sharing one row list of
+rests, and ``enumerate_tilings`` and ``enumerate_circular_tilings`` are
+their flattenings; the ``enumerate`` command writes the blocks, so it
+formats and counts each row once, not each tiling.  A tile's length is checked, and
 the tiles' weights multiplied, only in ``tiling_weight``, which is also
 the signed weight of a tiling's linear subdigraph (``tiling_to_lsd``).
 A tiling's weight depends only on its ``tiling_parts``, and
@@ -55,8 +60,14 @@ def enumerate_tilings(n: int, r: int) -> Iterator[Tiling]:
     """Compositions of ``n`` with parts in ``1..r``, lexicographic order, lazily.
 
     ``n = 0`` yields the single empty tiling.  The arguments and the cap are
-    checked when this is called, before the first tiling is built.
+    checked when this is called, before the first tiling is built.  The
+    tilings are those of ``tiling_blocks``, flattened.
     """
+    return _joined(tiling_blocks(n, r))
+
+
+def tiling_blocks(n: int, r: int) -> list[tuple[Tiling, list[Tiling]]]:
+    """``enumerate_tilings(n, r)`` as ``(head, rests)`` blocks (see ``_board_tilings``)."""
     if n < 0:
         raise ValueError("board length must be non-negative")
     if r < 1:
@@ -65,20 +76,29 @@ def enumerate_tilings(n: int, r: int) -> Iterator[Tiling]:
     return _board_tilings([range(1, min(r, n) + 1)] * n)
 
 
-def _board_tilings(tiles: Sequence[Sequence], tail: tuple = ()) -> Iterator[tuple]:
-    """Tilings of a board of ``len(tiles)`` cells, lexicographic in the tile lengths.
+def _joined(blocks: Iterable[tuple[tuple, Sequence[tuple]]]) -> Iterator[tuple]:
+    """The tilings of ``(head, rests)`` blocks, ``head + rest`` in order, lazily."""
+    return (head + rest for head, rests in blocks for rest in rests)
+
+
+def _board_tilings(tiles: Sequence[Sequence], tail: tuple = ()) -> list[tuple[tuple, list]]:
+    """Tilings of a board of ``len(tiles)`` cells as ``(head, rests)`` blocks.
 
     ``tiles[s][t - 1]`` stands for a ``t``-tile on cell ``s``.  A tiling is
     the tuple of its tiles from cell 0 on, followed by ``tail``.  Each
     tiling is one join, ``head + rest``: ``head`` is the tiles up to the
     first tile that reaches past the board's first half, and ``rest`` a
-    tiling of the cells after it.  The heads are grown a tile at a time in
-    lexicographic order, and no head is a prefix of another, so joining
-    each to the rests of its length in order keeps the order.  The rests
+    tiling of the cells after it, one of the block's ``rests``.  The heads
+    are grown a tile at a time in lexicographic order, and no head is a
+    prefix of another, so the blocks in order, each joined to its rests in
+    order, give the tilings lexicographic in the tile lengths.  The rests
     are built row by row from the end of the board, the tilings of the
-    last ``k`` cells as ``(tile,) + rest`` of the rows before.  Heads and
-    rows cover half the board each, and the joins are yielded as they are
-    made, so no more than one tiling at a time is board-sized.
+    last ``k`` cells as ``(tile,) + rest`` of the rows before, and the
+    heads that cover the same cells share one row list: the ``rests`` of
+    two blocks are one object exactly when they are one row.  Heads and
+    rows cover half the board each, so no tiling is built board-sized
+    until a block is joined.  A head is empty only on the empty board,
+    whose one rest is ``tail``.
     """
     n = len(tiles)
     half = (n + 1) // 2
@@ -92,7 +112,7 @@ def _board_tilings(tiles: Sequence[Sequence], tail: tuple = ()) -> Iterator[tupl
                  for grown in ([(head, cells)] if cells >= half else
                                [(head + (tile,), cells + t)
                                 for t, tile in enumerate(tiles[cells][:n - cells], 1)])]
-    return (head + rest for head, cells in heads for rest in rows[n - cells])
+    return [(head, rows[n - cells]) for head, cells in heads]
 
 
 def tiling_weight(tiling: Sequence[int], coeffs: Sequence):
@@ -156,7 +176,13 @@ def enumerate_circular_tilings(n: int) -> list[CircularTiling]:
     ``CircularTiling``).  The cells are labeled ``0..n-1``, so rotated
     tilings are distinct, and the count is the n-th Lucas number.  There
     are ``2n`` distinct pairs, one tuple each, which the tilings share.
+    The tilings are those of ``circular_tiling_blocks``, flattened.
     """
+    return [*_joined(circular_tiling_blocks(n))]
+
+
+def circular_tiling_blocks(n: int) -> list[tuple[CircularTiling, list[CircularTiling]]]:
+    """``enumerate_circular_tilings(n)`` as ``(head, rests)`` blocks (see ``_board_tilings``)."""
     if n < 3:
         raise DimensionTooSmall(f"circular board needs n >= 3, got {n}")
     check_cap("circular_tilings", n)

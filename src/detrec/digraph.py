@@ -27,8 +27,10 @@ families, a walk climbs only from its start, so the walks grow linearly
 in ``n``.  Both routes read one table, ``_first_cycles``: per call, each
 distinct vertex set's cycles whose rest has an LSD, walked once.
 ``enumerate_lsds`` builds each LSD as such a cycle followed by an LSD of
-the rest, so its cost follows the LSDs it lists; ``det_via_lsd`` sums each set's signed weights in one
-pass over the table and builds no LSD.  It runs on the matrix's entries
+the rest, so its cost follows the LSDs it lists, and builds one signed
+weight per multiset of cycle weights, which every LSD of that multiset
+shares; ``det_via_lsd`` sums each set's signed weights in one pass over
+the table and builds no LSD.  It runs on the matrix's entries
 packed in one packing when the matrix has size 3 or more and some entry is
 a polynomial of two or more terms (``detmat._run_packed``): every product
 it forms is of edges out of distinct vertices, one minor's degree, so the
@@ -166,22 +168,38 @@ def enumerate_lsds(m: SquareMatrix) -> list[LinearSubdigraph]:
     lexicographically by the canonical cycle representation, and the LSDs
     share the cycle tuples.  Every cycle in the table ends in an LSD
     listed, and an LSD's signed weight is the product of its cycles'.
+
+    The cycles' signed weights are deduplicated by value, and each LSD's
+    weight is built once per multiset of them: LSDs whose cycles weigh the
+    same, in any order, share one weight object, so a list with few
+    distinct weights holds few weight objects.  A multiset is a count
+    vector over the distinct weights, packed in an int.
     """
     check_cap("lsd", m.n)
     table = _first_cycles(m._rows)
+    distinct: dict = {}  # each distinct cycle weight -> its place in the count vector
+    width = m.n.bit_length()  # no LSD has more than n cycles
+    steps = {unused: [(cycle, rest, w, 1 << width * distinct.setdefault(w, len(distinct)))
+                      for cycle, rest, w in entries] for unused, entries in table.items()}
+    # the signed weight of each multiset reached, keyed by its count vector
+    weights = {0: None}
     found: list[LinearSubdigraph] = []
     cycles: list[tuple[int, ...]] = []
 
-    def cover(unused: int, weight) -> None:
+    def cover(unused: int, counts: int) -> None:
         if not unused:
-            found.append(LinearSubdigraph(tuple(cycles), weight))
+            found.append(LinearSubdigraph(tuple(cycles), weights[counts]))
             return
-        for cycle, rest, w in table[unused]:
+        for cycle, rest, w, unit in steps[unused]:
+            grown = counts + unit
+            if grown not in weights:
+                weight = weights[counts]
+                weights[grown] = w if weight is None else weight * w
             cycles.append(cycle)
-            cover(rest, w if weight is None else weight * w)
+            cover(rest, grown)
             cycles.pop()
 
-    cover((1 << m.n) - 1, None)
+    cover((1 << m.n) - 1, 0)
     del cover  # break the recursive closure's cycle, as in _first_cycles
     return found
 

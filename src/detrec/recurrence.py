@@ -7,7 +7,8 @@ sequences, the cycle-type multinomial sum, and exact golden-ratio closed
 forms evaluated in the quadratic field (no floating point anywhere).  Each
 Fibonacci and Lucas value, iterated or closed, is held to the digit cap,
 and ``racci`` holds its value and iteration to ``caps.check_iteration``
-before it builds its list of ones.
+once, before it builds its list of ones and runs ``eval_recurrence``'s
+guard-free loop on them.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ def eval_recurrence(coeffs: Sequence, n: int):
         raise ValueError("need at least one coefficient")
     if all(isinstance(c, int) for c in coeffs):
         check_iteration(n, coeffs)
+    return _iterate(coeffs, n)
+
+
+def _iterate(coeffs: Sequence, n: int):
+    """``eval_recurrence``'s loop, run by it and by ``racci`` after each one's own guard."""
     values = [1]
     for m in range(1, n + 1):
         acc = 0
@@ -84,12 +90,14 @@ def racci(n: int, r: int) -> int:
     """r-acci numbers: ``F_n = F_{n-1} + ... + F_{n-r}`` with ``F_0 = 1``.
 
     Guarded as ``fibonacci``, with ``r`` ones: a refused ``n`` or ``r``
-    raises ``TooLarge`` before the list of coefficients is built.
+    raises ``TooLarge`` before the list of coefficients is built.  That one
+    guard is its only ``check_iteration``: it runs ``eval_recurrence``'s
+    loop, not ``eval_recurrence``, on its ones.
     """
     if r < 1:
         raise ValueError("order must be positive")
     _check_ones(n, r)
-    return eval_recurrence([1] * min(r, max(n, 1)), n)  # u_n reads c_1..c_n only
+    return _iterate([1] * min(r, max(n, 1)), n)  # u_n reads c_1..c_n only
 
 
 def racci_multinomial(n: int, r: int) -> int:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -17,7 +18,8 @@ from detrec import cli, combi, identities, recurrence, symfunc
 from detrec.caps import MAX_RECURRENCE_STEPS, MAX_RECURRENCE_WORK, check_recurrence
 from detrec.cli import main
 from detrec.combi import cyclic_word_weight, tiling_weight, word_weight
-from detrec.digraph import enumerate_lsds
+from detrec.detmat import build_C, build_F, build_G, build_S
+from detrec.digraph import det_via_lsd, enumerate_lsds
 from detrec.errors import TooLarge
 from detrec.identities import symbolic_coeffs
 from detrec.poly import MultiPoly, scalar_str
@@ -133,6 +135,72 @@ def test_enumerate_circular_tilings(capsys):
     items = [json.loads(line) for line in out.strip().split("\n")]
     assert items[-1] == {"count": 4, "total_weight": "4"}
     assert {"tiles": [[0, 1], [1, 2]]} in items[:-1]
+
+
+def _expect_enumerate(capsys, argv, objects, json_item, pretty_item, total):
+    """``enumerate`` prints, in both formats, the lines a plain formatter builds.
+
+    Each object's line is ``json.dumps`` of ``json_item(object)``, or
+    ``pretty_item(object)``, and the summary counts ``objects`` and prints
+    ``total``.
+    """
+    count = len(objects)
+    expected = {
+        "json": [json.dumps(json_item(item)) for item in objects]
+        + [json.dumps({"count": count, "total_weight": total})],
+        "pretty": [pretty_item(item) for item in objects]
+        + [f"count={count} total_weight={total}"],
+    }
+    for fmt, lines in expected.items():
+        code, out, err = run(capsys, "enumerate", *argv, "--format", fmt)
+        assert (code, err) == (0, ""), (argv, fmt)
+        assert out == "\n".join(lines) + "\n", (argv, fmt)
+
+
+def test_enumerate_tilings_match_a_reference_formatter(capsys):
+    rng = random.Random(25)
+    for n in range(13):
+        for r in range(1, 5):
+            tilings = list(combi.enumerate_tilings(n, r))
+            for ints in (False, True):
+                argv = ["tilings", "--n", str(n), "--r", str(r)]
+                if ints:
+                    coeffs, names = [rng.choice([-3, -2, -1, 1, 2, 5]) for _ in range(r)], None
+                    argv.append("--coeffs=" + ",".join(map(str, coeffs)))
+                else:
+                    coeffs, names = symbolic_coeffs(r), identities.coeff_name
+                total = scalar_str(combi.tiling_sum(tilings, coeffs), names)
+                _expect_enumerate(capsys, argv, tilings, lambda t: {"parts": list(t)},
+                                  lambda t: str(list(t)), total)
+
+
+def test_enumerate_circular_tilings_match_a_reference_formatter(capsys):
+    for n in range(3, 15):
+        tilings = combi.enumerate_circular_tilings(n)
+        _expect_enumerate(capsys, ["circular-tilings", "--n", str(n)], tilings,
+                          lambda t: {"tiles": [list(pair) for pair in t]},
+                          lambda t: str([list(pair) for pair in t]), str(len(tilings)))
+
+
+@pytest.mark.parametrize("argv, matrix, names", [
+    (["--family", "C", "--n", "6", "--r", "3"], build_C(symbolic_coeffs(3), 6),
+     identities.coeff_name),
+    (["--family", "C", "--n", "7", "--coeffs=2,-1,3"], build_C([2, -1, 3], 7), None),
+    (["--family", "G", "--n", "6", "--r", "3"], build_G(6, 3), None),
+    (["--family", "F", "--n", "7"], build_F(7), None),
+    (["--family", "S", "--n", "5"], build_S(MultiPoly.var(0), MultiPoly.var(1), 5), ("a", "b")),
+    (["--family", "E", "--n", "5", "--vars", "3"], build_E(5, 3), None),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else "")
+def test_enumerate_lsds_match_a_reference_formatter(capsys, argv, matrix, names):
+    lsds = enumerate_lsds(matrix)
+
+    def cycles(lsd):
+        return [[v + 1 for v in cycle] for cycle in lsd.cycles]
+    _expect_enumerate(
+        capsys, ["lsds", *argv], lsds,
+        lambda lsd: {"cycles": cycles(lsd), "signed_weight": scalar_str(lsd.signed_weight, names)},
+        lambda lsd: f"{cycles(lsd)} {scalar_str(lsd.signed_weight, names)}",
+        scalar_str(det_via_lsd(matrix), names))
 
 
 def test_verify_single_identity(capsys):
@@ -631,9 +699,8 @@ def test_verify_recurrence_det_is_held_to_the_digit_cap(capsys, monkeypatch):
 def test_integer_iteration_is_held_to_the_step_cap(capsys, monkeypatch):
     def iterate(*args):
         raise AssertionError("the iteration ran")
-    # racci's iteration is recurrence's own eval_recurrence, after its guard
-    monkeypatch.setattr(cli, "eval_recurrence", iterate)
-    monkeypatch.setattr(recurrence, "eval_recurrence", iterate)
+    # racci and eval_recurrence each run the one shared loop after their guard
+    monkeypatch.setattr(recurrence, "_iterate", iterate)
     # refused before any work: each value fits the digit cap, the loop does not
     for argv in (["racci", "--n", "100000000", "--r", "1"],
                  ["recurrence", "--coeffs", "1", "--n", "100000000"],
@@ -643,8 +710,7 @@ def test_integer_iteration_is_held_to_the_step_cap(capsys, monkeypatch):
         assert (code, out) == (3, ""), argv
         assert f"iteration steps exceed {MAX_RECURRENCE_STEPS}" in err
     # the steps are n times the coefficients u_n reads, held to the cap itself
-    monkeypatch.setattr(cli, "eval_recurrence", lambda coeffs, n: 0)
-    monkeypatch.setattr(recurrence, "eval_recurrence", lambda coeffs, n: 0)
+    monkeypatch.setattr(recurrence, "_iterate", lambda coeffs, n: 0)
     for argv in (["recurrence", "--coeffs", "1", "--n", str(MAX_RECURRENCE_STEPS)],
                  ["recurrence", "--coeffs", "1,0,0", "--n", str(MAX_RECURRENCE_STEPS // 3)],
                  ["recurrence", "--coeffs", ",".join(["1"] * 100000), "--n", "1000"],

@@ -27,7 +27,7 @@ from detrec.digraph import (
     enumerate_lsds,
 )
 from detrec.errors import InvalidCycleType, TooLarge
-from detrec.identities import symbolic_coeffs
+from detrec.identities import coeff_name, symbolic_coeffs
 from detrec.poly import MultiPoly, scalar_str, scalar_sum
 from detrec.recurrence import racci
 from detrec.symfunc import build_E, homogeneous, schur
@@ -117,6 +117,26 @@ def test_sign_is_product_over_cycles():
                 if len(cyc) % 2 == 0:
                     expected = -expected
             assert lsd.signed_weight == expected
+
+
+def test_lsds_with_equal_weights_share_one_weight_object():
+    # the 773 LSDs of C over four symbolic coefficients carry 27 distinct
+    # weights, one object each, built once per multiset of cycle weights
+    matrix = build_C(symbolic_coeffs(4), 11)
+    lsds = enumerate_lsds(matrix)
+    assert len(lsds) == 773
+    objects = {id(lsd.signed_weight): lsd.signed_weight for lsd in lsds}
+    assert len(objects) == 27
+    assert len(set(objects.values())) == 27
+    for lsd in lsds:
+        expected = 1
+        for cyc in lsd.cycles:
+            weight = (-1) ** (len(cyc) - 1)
+            for k, v in enumerate(cyc):
+                weight = weight * matrix[v][cyc[(k + 1) % len(cyc)]]
+            expected = expected * weight
+        assert lsd.signed_weight == expected
+        assert scalar_str(lsd.signed_weight, coeff_name) == scalar_str(expected, coeff_name)
 
 
 def test_each_closing_edge_is_negated_once_per_call():

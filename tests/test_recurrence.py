@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from detrec import recurrence
+from detrec import caps, recurrence
 from detrec.cli import main
 from detrec.errors import TooLarge
 from detrec.poly import MultiPoly, QuadExt, scalar_str
@@ -163,6 +163,21 @@ def test_racci_is_guarded_before_its_list_of_ones():
     assert peak < 10 ** 6
     with pytest.raises(TooLarge, match="iteration steps exceed"):
         racci(10 ** 7, 1)  # u_n = 1 fits the digit cap, its ten million steps do not
+
+
+def test_racci_and_eval_recurrence_each_check_their_iteration_once(monkeypatch):
+    calls = []
+
+    def spy(n, coeffs):
+        calls.append(n)
+        return caps.check_iteration(n, coeffs)
+    monkeypatch.setattr(recurrence, "check_iteration", spy)
+    expected = racci_multinomial(10, 4)  # checks no iteration
+    assert racci(10, 4) == expected
+    assert calls == [10]
+    calls.clear()
+    assert eval_recurrence([1, 1], 10) == 89  # f_10, with f_0 = f_1 = 1
+    assert calls == [10]
 
 
 def test_integer_recurrence_is_held_to_the_iteration_caps():
