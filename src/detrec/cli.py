@@ -214,11 +214,12 @@ def _chunk_blocks(objects, texts, keys, before: str, after: str):
         yield [before + text + after for text in texts(chunk)], keys(chunk)
 
 
-def _tiling_blocks(blocks, item_text, parts, before: str, after: str):
+def _head_blocks(blocks, item_text, parts, before: str, after: str):
     """``(head, rests)`` tiling blocks (``combi.tiling_blocks``) as ``enumerate`` blocks.
 
     A tiling's text is ``str(list(head + rest))`` with each tile printed by
-    ``item_text``, and its key its sorted ``parts``.  Each row of rests,
+    ``item_text``, and its key the sorted ``parts`` of its tiles, which fix
+    its weight.  Each row of rests,
     one list object shared by the heads that cover the same cells, gets
     its suffix texts and the ``Counter`` of its keys built once.  A
     block's lines are then its head's prefix text joined to each suffix,
@@ -233,7 +234,9 @@ def _tiling_blocks(blocks, item_text, parts, before: str, after: str):
                  for rest in rests],
                 Counter(tuple(sorted(parts(rest))) for rest in rests))
         suffixes, keys = row
-        prefix = before + "[" + ", ".join(map(item_text, head))  # a head is empty only on an empty board
+        # the suffixes start with ", ", which is right because a head is
+        # empty only on an empty board, whose one rest is empty too
+        prefix = before + "[" + ", ".join(map(item_text, head))
         head_parts = parts(head)
         yield ([prefix + suffix for suffix in suffixes],
                {tuple(sorted(head_parts + key)): count for key, count in keys.items()})
@@ -258,13 +261,13 @@ def _cmd_enumerate(args) -> int:
         if min(n, r) > len(coeffs):
             # the first tiling with a part past the coefficients, found up front
             raise ValueError(f"tile length {len(coeffs) + 1} outside 1..{len(coeffs)}")
-        blocks = _tiling_blocks(tilings, str, tuple, before, after)
+        blocks = _head_blocks(tilings, str, tuple, before, after)
         weight = functools.partial(tiling_weight, coeffs=coeffs)
     elif subject == "circular-tilings":
         tilings = circular_tiling_blocks(args.n)
         pair_text = functools.cache(lambda pair: str(list(pair)))  # the tilings share their pairs
         # every circular tiling weighs 1, so all share the key ()
-        blocks = _tiling_blocks(tilings, pair_text, lambda tiles: (), before, after)
+        blocks = _head_blocks(tilings, pair_text, lambda tiles: (), before, after)
         weight = lambda parts: 1
     elif subject == "lsds":
         matrix, names = _family_matrix(args, lsds=True)

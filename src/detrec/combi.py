@@ -21,9 +21,10 @@ share their ``(start, length)`` pairs.  ``tiling_blocks`` and
 blocks, the heads that cover the same cells sharing one row list of
 rests, and ``enumerate_tilings`` and ``enumerate_circular_tilings`` are
 their flattenings; the ``enumerate`` command writes the blocks, so it
-formats and counts each row once, not each tiling.  A tile's length is checked, and
-the tiles' weights multiplied, only in ``tiling_weight``, which is also
-the signed weight of a tiling's linear subdigraph (``tiling_to_lsd``).
+formats and counts each row once, not each tiling.  A tile's length is
+checked, and the tiles' weights multiplied, only in ``tiling_weight``,
+which is also the signed weight of a tiling's linear subdigraph
+(``tiling_to_lsd``).
 A tiling's weight depends only on its ``tiling_parts``, and
 ``counted_sum`` is the one sum of weights over objects counted by such a
 key, which ``tiling_sum`` and the ``enumerate`` command share.
