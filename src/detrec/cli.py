@@ -7,13 +7,16 @@ JSON object per item followed by a summary line, handing stdout at least
 writer takes every subject's objects as blocks of lines and keys: a
 tiling subject's blocks are ``combi``'s ``(head, rests)`` blocks, whose
 row of rests is formatted and counted once per row and joined to each
-head's prefix; the other subjects give one block per ``CHUNK_LINES``
-objects.  It counts the objects by the key their weight depends on as it
-writes them, so it keeps no list of its own, and the total weight costs
-one weight per key.  The LSDs of a multiset of cycle weights share one
-weight object (``digraph.enumerate_lsds``), whose text is built once;
-each weakly increasing word is its own multiset, so a block of words is
-keyed by its weight sum.  ``verify`` emits one verification report in
+head's prefix; ``lsds`` gives ``digraph.lsd_blocks``' blocks, one per
+first cycle, whose rows hold each LSD of a rest as its text, built once
+per vertex set from the texts of the rests' rows, and are counted once
+per row; ``words`` and ``cyclic-words`` give one block per
+``CHUNK_LINES`` objects.  It counts the objects by the key their weight
+depends on as it writes them, so it keeps no list of its own, and the
+total weight costs one weight per key.  The LSDs of a multiset of cycle
+weights share one weight object, whose text is built once; each weakly
+increasing word is its own multiset, so a block of words is keyed by its
+weight sum.  ``verify`` emits one verification report in
 JSON per check.  ``SUBJECTS`` names each command's subjects and the flags
 each one reads, and the parser takes exactly those, so a flag a subject does
 not read is a usage error; the ``verify`` rows come from the registry
@@ -59,7 +62,7 @@ from .combi import (
     word_weight,
 )
 from .detmat import build_A, build_C, build_F, build_G, build_S, det_bareiss
-from .digraph import enumerate_lsds
+from .digraph import lsd_blocks
 from .errors import NotDivisible, TooLarge
 from .identities import IDENTITIES, coeff_name, symbolic_coeffs, verify_all
 from .poly import MultiPoly, scalar_str, scalar_sum
@@ -193,11 +196,6 @@ _JSON_WRAP = {"tilings": ('{"parts": ', "}"), "circular-tilings": ('{"tiles": ',
               "cyclic-words": ('{"word": "', '"}')}
 
 
-def _list_text(item_text, items) -> str:
-    """``str(list(items))`` with each item printed as ``item_text`` prints it."""
-    return f"[{', '.join(map(item_text, items))}]"
-
-
 def _int_list_texts(chunk):
     """``str(list(item))`` of each item: the repr of a list of ints is its ``json.dumps``."""
     return map(str, map(list, chunk))
@@ -242,6 +240,32 @@ def _head_blocks(blocks, item_text, parts, before: str, after: str):
                {tuple(sorted(head_parts + key)): count for key, count in keys.items()})
 
 
+def _cycle_blocks(blocks, cycle_text, weight_text, before: str, between: str, after: str):
+    """``(cycle, rests, weights)`` LSD blocks (``digraph.lsd_blocks``) as ``enumerate`` blocks.
+
+    An LSD's text is the list of its cycles, each printed by
+    ``cycle_text``, then ``between`` and its signed weight printed by
+    ``weight_text``; its key is the id of that weight object.  The rows
+    hold each LSD of a rest as its suffix text, and each row, one list
+    object shared by the cycles that leave the same vertex set, gets the
+    ``Counter`` of its keys built once.  A block's lines are then its
+    cycle's prefix text joined to each suffix and to the text of that
+    LSD's weight, built once per key of the row, and its key counts the
+    row's, each key mapped to its weight's id.
+    """
+    rows = {}  # id of a row of rests -> its key counts
+    for cycle, rests, weights in blocks:
+        keys = rows.get(id(rests))
+        if keys is None:
+            keys = rows[id(rests)] = Counter(key for _, key in rests)
+        prefix = before + "[" + cycle_text(cycle)
+        tails = {key: between + weight_text(w) + after for key, w in weights.items()}
+        counts = Counter()  # two multisets may weigh one object, a small int
+        for key, count in keys.items():
+            counts[id(weights[key])] += count
+        yield [prefix + suffix + tails[key] for suffix, key in rests], counts
+
+
 def _cmd_enumerate(args) -> int:
     pretty = args.format == "pretty"
     subject = args.subject
@@ -251,7 +275,8 @@ def _cmd_enumerate(args) -> int:
     # pairs: a block's output lines, one per object, and the keys its
     # objects' weights depend on, as keys or as a mapping of keys to
     # counts; and ``weight``, the weight of one key.  A tiling subject
-    # gives one block per head, the others one per ``CHUNK_LINES`` objects.
+    # gives one block per head, ``lsds`` one per first cycle, and the others
+    # one per ``CHUNK_LINES`` objects.
     # The blocks are counted by key as they are written, and the total
     # weight is one ``counted_sum`` over the keys.
     if subject == "tilings":
@@ -271,10 +296,10 @@ def _cmd_enumerate(args) -> int:
         weight = lambda parts: 1
     elif subject == "lsds":
         matrix, names = _family_matrix(args, lsds=True)
-        # the LSDs share their cycles, printed with 1-based vertices
-        cycle_text = functools.cache(lambda cycle: str([v + 1 for v in cycle]))
-        # and their weight objects (``enumerate_lsds``), each printed once and
-        # counted by its id: id -> (the weight, its text)
+        # a cycle prints with 1-based vertices
+        cycle_text = lambda cycle: str([v + 1 for v in cycle])
+        # the LSDs share their weight objects (``lsd_blocks``), each printed
+        # once and counted by its id: id -> (the weight, its text)
         shared = {}
 
         def weight_text(w) -> str:
@@ -285,11 +310,10 @@ def _cmd_enumerate(args) -> int:
             return seen[1]
 
         between = " " if pretty else ', "signed_weight": '
-        blocks = _chunk_blocks(
-            enumerate_lsds(matrix),
-            lambda chunk: [_list_text(cycle_text, lsd.cycles) + between
-                           + weight_text(lsd.signed_weight) for lsd in chunk],
-            lambda chunk: [id(lsd.signed_weight) for lsd in chunk], before, after)
+        # the rows hold each LSD of a rest as its suffix text: each cycle
+        # after a comma, then the list's close; the vertex sets share cycles
+        lsds = lsd_blocks(matrix, functools.cache(lambda cycle: ", " + cycle_text(cycle)), "]")
+        blocks = _cycle_blocks(lsds, cycle_text, weight_text, before, between, after)
         weight = lambda key: shared[key][0]
     elif subject == "words":
         # each weakly increasing word is its own multiset, so a block's key is

@@ -44,7 +44,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .caps import check_cap, check_terms
 from .digraph import LinearSubdigraph
 from .errors import DimensionTooSmall
-from .poly import MultiPoly, power_sum, scalar_sum
+from .poly import MultiPoly, _from_terms, power_sum, scalar_sum
 from .symfunc import signed_elementary
 
 Tiling = tuple[int, ...]
@@ -212,11 +212,19 @@ def enumerate_increasing_words(m: int, n_vars: int) -> Iterator[Word]:
 
 
 def word_weight(word: Iterable[int]) -> MultiPoly:
-    """Commutative weight of a word: the product of its letters ``x_{i-1}``."""
+    """Commutative weight of a word: the product of its letters ``x_{i-1}``.
+
+    The letters are counted, in any order, and sorted once into the
+    canonical monomial, which is stored as it is; a letter below 1 is a
+    ``ValueError``.
+    """
     exps: dict[int, int] = {}
     for letter in word:
         exps[letter - 1] = exps.get(letter - 1, 0) + 1
-    return MultiPoly({tuple(sorted(exps.items())): 1})
+    mono = tuple(sorted(exps.items()))
+    if mono and mono[0][0] < 0:
+        raise ValueError(f"letter {mono[0][0] + 1} is below 1")
+    return _from_terms({mono: 1})
 
 
 def pie_linear_sum(m: int, n_vars: int) -> MultiPoly:

@@ -26,16 +26,19 @@ lower-Hessenberg digraph, such as the ``C``, ``G``, ``F`` and ``E``
 families, a walk climbs only from its start, so the walks grow linearly
 in ``n``.  Both routes read one table, ``_first_cycles``: per call, each
 distinct vertex set's cycles whose rest has an LSD, walked once.
-``enumerate_lsds`` builds each LSD as such a cycle followed by an LSD of
-the rest, so its cost follows the LSDs it lists, and builds one signed
-weight per multiset of cycle weights, which every LSD of that multiset
-shares; ``det_via_lsd`` sums each set's signed weights in one pass over
-the table and builds no LSD.  It runs on the matrix's entries
-packed in one packing when the matrix has size 3 or more and some entry is
-a polynomial of two or more terms (``detmat._run_packed``): every product
-it forms is of edges out of distinct vertices, one minor's degree, so the
-packing's one bound, two minors, holds it.  The hard cap exists because a
-dense matrix has ``n!`` linear subdigraphs.  In a banded digraph every
+``lsd_blocks`` builds, in one pass over the table, each vertex set's row
+of LSDs once, each LSD a cycle followed by an LSD of the rest's row, and
+gives the full set's LSDs as ``(first cycle, row)`` blocks; it builds
+one signed weight per multiset of cycle weights, which every LSD of that
+multiset shares.  ``enumerate_lsds`` is the blocks' flattening, so its
+cost follows the LSDs it lists.  ``det_via_lsd`` sums each set's signed
+weights in one pass over the table and builds no LSD.  It runs on the
+matrix's entries packed in one packing when the matrix has size 3 or
+more and some entry is a polynomial of two or more terms
+(``detmat._run_packed``): every product it forms is of edges out of
+distinct vertices, one minor's degree, so the packing's one bound, two
+minors, holds it.  The hard cap exists because a dense matrix has ``n!``
+linear subdigraphs.  In a banded digraph every
 cycle is a block of consecutive vertices, so its LSDs group by cycle type
 (``cycle_types``, ``count_cycle_type``), and ``cycle_type_sum`` is their
 weight sum written that way: Sury's identity and the r-acci multinomial
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .caps import check_cap
 from .detmat import SquareMatrix, _run_packed
@@ -162,46 +165,72 @@ def _first_cycles(rows) -> dict[int, list]:
 def enumerate_lsds(m: SquareMatrix) -> list[LinearSubdigraph]:
     """All linear subdigraphs with nonzero weight, each exactly once.
 
-    The LSDs of a vertex set are, for each of its entries in the
-    ``_first_cycles`` table, in ``_cycles`` order, that cycle followed by
-    each LSD of the vertices left; so the output is sorted
-    lexicographically by the canonical cycle representation, and the LSDs
-    share the cycle tuples.  Every cycle in the table ends in an LSD
-    listed, and an LSD's signed weight is the product of its cycles'.
+    The LSDs of ``lsd_blocks`` with each held as the tuple of its cycles,
+    flattened: each block's cycle followed by each LSD of its row.  So the
+    output is sorted lexicographically by the canonical cycle
+    representation, and the LSDs share the cycle tuples.  An LSD's signed
+    weight is the product of its cycles', one object per multiset of cycle
+    weights: LSDs whose cycles weigh the same, in any order, share one
+    weight object, so a list with few distinct weights holds few weight
+    objects.
+    """
+    blocks = lsd_blocks(m, lambda cycle: (cycle,), ())
+    return [LinearSubdigraph((cycle,) + cycles, weights[key])
+            for cycle, rests, weights in blocks for cycles, key in rests]
 
-    The cycles' signed weights are deduplicated by value, and each LSD's
-    weight is built once per multiset of them: LSDs whose cycles weigh the
-    same, in any order, share one weight object, so a list with few
-    distinct weights holds few weight objects.  A multiset is a count
-    vector over the distinct weights, packed in an int.
+
+def lsd_blocks(m: SquareMatrix, item: Callable, empty) -> list[tuple[tuple[int, ...], list, dict]]:
+    """The LSDs of ``m`` as ``(cycle, rests, weights)`` blocks, one per first cycle.
+
+    The blocks are the ``_first_cycles`` table's entries for the full
+    vertex set, in ``_cycles`` order, so the LSDs of the blocks in order,
+    each block's ``cycle`` followed by each LSD of its ``rests`` in order,
+    are ``enumerate_lsds(m)``.  ``rests`` is the row of the vertex set the
+    block's cycle leaves: that set's LSDs as ``(held, key)`` entries.  An
+    LSD is held as ``item(C) + rest``, for its first cycle ``C`` and
+    ``rest`` the LSD of the vertices left held alike, and the empty LSD
+    as ``empty``: with ``(C,)`` and ``()`` that is the tuple of its
+    cycles, with texts its text.  The key stands for the LSD's multiset of
+    cycle weights: a count vector over the distinct cycle weights, packed
+    in an int, so it is the sum of its cycles' keys.  ``weights`` maps
+    each key of the row to the signed weight of the block's cycle followed
+    by an LSD of that key.
+
+    One pass over the table, which lists each set after the sets its
+    entries leave, builds every set's row from the rows of its rests,
+    once, and each multiset's signed weight once, as one object: the
+    blocks whose cycles leave the same set share its row object, the LSDs
+    of one multiset share its weight, and each LSD is one ``+`` on an LSD
+    of its rest.  The full set's own row is never built.
     """
     check_cap("lsd", m.n)
     table = _first_cycles(m._rows)
+    full = (1 << m.n) - 1
     distinct: dict = {}  # each distinct cycle weight -> its place in the count vector
     width = m.n.bit_length()  # no LSD has more than n cycles
-    steps = {unused: [(cycle, rest, w, 1 << width * distinct.setdefault(w, len(distinct)))
-                      for cycle, rest, w in entries] for unused, entries in table.items()}
-    # the signed weight of each multiset reached, keyed by its count vector
-    weights = {0: None}
-    found: list[LinearSubdigraph] = []
-    cycles: list[tuple[int, ...]] = []
-
-    def cover(unused: int, counts: int) -> None:
-        if not unused:
-            found.append(LinearSubdigraph(tuple(cycles), weights[counts]))
-            return
-        for cycle, rest, w, unit in steps[unused]:
-            grown = counts + unit
-            if grown not in weights:
-                weight = weights[counts]
-                weights[grown] = w if weight is None else weight * w
-            cycles.append(cycle)
-            cover(rest, grown)
-            cycles.pop()
-
-    cover((1 << m.n) - 1, 0)
-    del cover  # break the recursive closure's cycle, as in _first_cycles
-    return found
+    rows = {0: [(empty, 0)]}
+    row_keys = {0: (0,)}  # the distinct keys of each row
+    weights: dict = {}  # the signed weight of each multiset reached, by key
+    for unused, entries in table.items():
+        steps = []
+        keys = set()
+        for cycle, rest, w in entries:
+            unit = 1 << width * distinct.setdefault(w, len(distinct))
+            for key in row_keys[rest]:
+                grown = unit + key
+                if grown not in weights:
+                    weights[grown] = w * weights[key] if key else w
+                keys.add(grown)
+            steps.append((cycle, unit, rest))
+        if unused != full:
+            row = rows[unused] = []
+            for cycle, unit, rest in steps:
+                head = item(cycle)
+                row += [(head + held, unit + key) for held, key in rows[rest]]
+            row_keys[unused] = keys
+    # the full set is the table's last, so ``steps`` holds its entries
+    return [(cycle, rows[rest], {key: weights[unit + key] for key in row_keys[rest]})
+            for cycle, unit, rest in steps]
 
 
 def det_via_lsd(m: SquareMatrix):

@@ -18,7 +18,7 @@ from detrec import cli, combi, identities, recurrence, symfunc
 from detrec.caps import MAX_RECURRENCE_STEPS, MAX_RECURRENCE_WORK, check_recurrence
 from detrec.cli import main
 from detrec.combi import cyclic_word_weight, tiling_weight, word_weight
-from detrec.detmat import build_C, build_F, build_G, build_S
+from detrec.detmat import build_A, build_C, build_F, build_G, build_S
 from detrec.digraph import det_via_lsd, enumerate_lsds
 from detrec.errors import TooLarge
 from detrec.identities import symbolic_coeffs
@@ -190,6 +190,9 @@ def test_enumerate_circular_tilings_match_a_reference_formatter(capsys):
     (["--family", "F", "--n", "7"], build_F(7), None),
     (["--family", "S", "--n", "5"], build_S(MultiPoly.var(0), MultiPoly.var(1), 5), ("a", "b")),
     (["--family", "E", "--n", "5", "--vars", "3"], build_E(5, 3), None),
+    (["--family", "A", "--n", "9"], build_A(9), None),
+    (["--family", "C", "--n", "11", "--r", "4"], build_C(symbolic_coeffs(4), 11),
+     identities.coeff_name),
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else "")
 def test_enumerate_lsds_match_a_reference_formatter(capsys, argv, matrix, names):
     lsds = enumerate_lsds(matrix)
@@ -855,7 +858,7 @@ def test_every_subject_is_capped_before_any_work(capsys, monkeypatch, argv, mess
     for name in ("range", "min"):
         monkeypatch.setattr(recurrence, name, work, raising=False)
     for name in ("eval_recurrence", "symbolic_coeffs",
-                 "build_A", "build_E", "build_F", "det_bareiss", "enumerate_lsds"):
+                 "build_A", "build_E", "build_F", "det_bareiss", "lsd_blocks"):
         monkeypatch.setattr(cli, name, work)
     code, out, err = run(capsys, *argv)
     if message:
@@ -884,7 +887,7 @@ SHARED_REFUSALS = [
 def test_enumerate_lsds_and_compute_det_refuse_alike(capsys, monkeypatch, family, message):
     def unreachable(*args):
         raise AssertionError("work before the cap")
-    for name in ("build_C", "build_E", "build_S", "det_bareiss", "enumerate_lsds"):
+    for name in ("build_C", "build_E", "build_S", "det_bareiss", "lsd_blocks"):
         monkeypatch.setattr(cli, name, unreachable)
     assert run(capsys, "compute", "det", "--family", *family)[:2] == (3, "")
     assert run(capsys, "enumerate", "lsds", "--family", *family) == (3, "", f"error: {message}\n")

@@ -156,6 +156,21 @@ def test_word_weight():
     assert word_weight(()) == MultiPoly.one()
 
 
+def test_word_weight_of_an_unsorted_word_is_canonical():
+    # the weight is stored as built, so its monomial must come out sorted
+    # and merged for any letter order, equal to the normalising constructor's
+    for word in ((3, 1, 2, 1), (2, 2, 1), (5, 4, 3, 2, 1), (1, 3, 1, 3)):
+        weight = word_weight(word)
+        assert weight == MultiPoly({tuple((letter - 1, 1) for letter in word): 1})
+        assert weight == word_weight(sorted(word))
+
+
+@pytest.mark.parametrize("word", [(0,), (2, 0, 1), (1, -3)])
+def test_word_weight_refuses_a_letter_below_1(word):
+    with pytest.raises(ValueError, match="below 1"):
+        word_weight(word)
+
+
 def test_pie_linear_sum_examples():
     assert pie_linear_sum(1, 3) == homogeneous(1, 3)
     assert pie_linear_sum(2, 2) == homogeneous(2, 2)

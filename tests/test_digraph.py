@@ -131,12 +131,61 @@ def test_lsds_with_equal_weights_share_one_weight_object():
     for lsd in lsds:
         expected = 1
         for cyc in lsd.cycles:
-            weight = (-1) ** (len(cyc) - 1)
-            for k, v in enumerate(cyc):
-                weight = weight * matrix[v][cyc[(k + 1) % len(cyc)]]
-            expected = expected * weight
+            expected = expected * signed_cycle_weight(matrix, cyc)
         assert lsd.signed_weight == expected
         assert scalar_str(lsd.signed_weight, coeff_name) == scalar_str(expected, coeff_name)
+
+
+def signed_cycle_weight(matrix, cycle):
+    weight = (-1) ** (len(cycle) - 1)
+    for k, v in enumerate(cycle):
+        weight = weight * matrix[v][cycle[(k + 1) % len(cycle)]]
+    return weight
+
+
+def test_enumerate_lsds_is_the_flattened_blocks():
+    # each block is a first cycle and the row of the LSDs of the vertices it
+    # leaves, one row object per vertex set left; the blocks, flattened, are
+    # enumerate_lsds, weight objects included; a row holds an LSD as the sum
+    # of its cycles' items, so texts make its text
+    rng = random.Random(26)
+    sparse = []
+    while len(sparse) < 40:
+        n = rng.randint(1, 7)
+        # zero three times in four, as the LSD oracle draws its integers
+        sparse.append(SquareMatrix([[rng.choice((0, 0, 0, rng.randint(-9, 9)))
+                                     for _ in range(n)] for _ in range(n)]))
+    a, b = MultiPoly.var(0), MultiPoly.var(1)
+    for m in (build_C(symbolic_coeffs(4), 9), build_C([2, -1, 3], 8), build_G(8, 3),
+              build_S(a, b, 6), build_E(6, 3), build_E(5, 5), *sparse):
+        full = (1 << m.n) - 1
+        lsds = enumerate_lsds(m)
+        blocks = digraph.lsd_blocks(m, lambda cycle: (cycle,), ())
+        assert len(lsds) == sum(len(rests) for _, rests, _ in blocks)
+        flat = [(cycle, cycles, weights[key])
+                for cycle, rests, weights in blocks for cycles, key in rests]
+        # as many weight objects, one per multiset of cycle weights
+        assert len({id(weight) for _, _, weight in flat}) == \
+            len({id(lsd.signed_weight) for lsd in lsds})
+        for lsd, (cycle, cycles, weight) in zip(lsds, flat, strict=True):
+            assert lsd.cycles == (cycle,) + cycles
+            assert lsd.signed_weight == weight
+            expected = signed_cycle_weight(m, cycle)
+            for rest_cycle in cycles:
+                expected = expected * signed_cycle_weight(m, rest_cycle)
+            assert weight == expected
+        rows = {}  # the vertex set a block's cycle leaves -> its row's id
+        for cycle, rests, _ in blocks:
+            left = full - sum(1 << v for v in cycle)
+            assert rows.setdefault(left, id(rests)) == id(rests)
+            for cycles, _ in rests:
+                assert sorted(v for c in cycles for v in c) == \
+                    [v for v in range(m.n) if left >> v & 1]
+        assert len(set(rows.values())) == len(rows)
+        texts = digraph.lsd_blocks(m, lambda cycle: f" {list(cycle)}", "")
+        assert [(cycle, [(text, key) for text, key in rests]) for cycle, rests, _ in texts] == \
+            [(cycle, [("".join(f" {list(c)}" for c in cycles), key) for cycles, key in rests])
+             for cycle, rests, _ in blocks]
 
 
 def test_each_closing_edge_is_negated_once_per_call():
