@@ -246,24 +246,25 @@ def _cycle_blocks(blocks, cycle_text, weight_text, before: str, between: str, af
     An LSD's text is the list of its cycles, each printed by
     ``cycle_text``, then ``between`` and its signed weight printed by
     ``weight_text``; its key is the id of that weight object.  The rows
-    hold each LSD of a rest as its suffix text, and each row, one list
-    object shared by the cycles that leave the same vertex set, gets the
-    ``Counter`` of its keys built once.  A block's lines are then its
+    hold each LSD of a rest as its suffix text beside its key, and each
+    row, one object shared by the cycles that leave the same vertex set,
+    gets the ``Counter`` of its keys built once.  A block's lines are then its
     cycle's prefix text joined to each suffix and to the text of that
     LSD's weight, built once per key of the row, and its key counts the
     row's, each key mapped to its weight's id.
     """
     rows = {}  # id of a row of rests -> its key counts
     for cycle, rests, weights in blocks:
-        keys = rows.get(id(rests))
-        if keys is None:
-            keys = rows[id(rests)] = Counter(key for _, key in rests)
+        suffixes, keys = rests
+        key_counts = rows.get(id(rests))
+        if key_counts is None:
+            key_counts = rows[id(rests)] = Counter(keys)
         prefix = before + "[" + cycle_text(cycle)
         tails = {key: between + weight_text(w) + after for key, w in weights.items()}
         counts = Counter()  # two multisets may weigh one object, a small int
-        for key, count in keys.items():
+        for key, count in key_counts.items():
             counts[id(weights[key])] += count
-        yield [prefix + suffix + tails[key] for suffix, key in rests], counts
+        yield [prefix + suffix + tails[key] for suffix, key in zip(suffixes, keys)], counts
 
 
 def _cmd_enumerate(args) -> int:

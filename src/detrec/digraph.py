@@ -176,61 +176,62 @@ def enumerate_lsds(m: SquareMatrix) -> list[LinearSubdigraph]:
     """
     blocks = lsd_blocks(m, lambda cycle: (cycle,), ())
     return [LinearSubdigraph((cycle,) + cycles, weights[key])
-            for cycle, rests, weights in blocks for cycles, key in rests]
+            for cycle, (held, keys), weights in blocks for cycles, key in zip(held, keys)]
 
 
-def lsd_blocks(m: SquareMatrix, item: Callable, empty) -> list[tuple[tuple[int, ...], list, dict]]:
+def lsd_blocks(m: SquareMatrix, item: Callable, empty) -> list[tuple[tuple[int, ...], tuple, dict]]:
     """The LSDs of ``m`` as ``(cycle, rests, weights)`` blocks, one per first cycle.
 
     The blocks are the ``_first_cycles`` table's entries for the full
     vertex set, in ``_cycles`` order, so the LSDs of the blocks in order,
     each block's ``cycle`` followed by each LSD of its ``rests`` in order,
     are ``enumerate_lsds(m)``.  ``rests`` is the row of the vertex set the
-    block's cycle leaves: that set's LSDs as ``(held, key)`` entries.  An
-    LSD is held as ``item(C) + rest``, for its first cycle ``C`` and
-    ``rest`` the LSD of the vertices left held alike, and the empty LSD
-    as ``empty``: with ``(C,)`` and ``()`` that is the tuple of its
-    cycles, with texts its text.  The key stands for the LSD's multiset of
-    cycle weights: a count vector over the distinct cycle weights, packed
-    in an int, so it is the sum of its cycles' keys.  ``weights`` maps
-    each key of the row to the signed weight of the block's cycle followed
-    by an LSD of that key.
+    block's cycle leaves: that set's LSDs as two lists in one order,
+    ``(held, keys)``.  An LSD is held as ``item(C) + rest``, for its first
+    cycle ``C`` and ``rest`` the LSD of the vertices left held alike, and
+    the empty LSD as ``empty``: with ``(C,)`` and ``()`` that is the tuple
+    of its cycles, with texts its text.  Its key stands for its multiset
+    of cycle weights: a count vector over the distinct cycle weights,
+    packed in an int, so it is the sum of its cycles' keys.  ``weights``
+    maps each key of the row to the signed weight of the block's cycle
+    followed by an LSD of that key.
 
     One pass over the table, which lists each set after the sets its
     entries leave, builds every set's row from the rows of its rests,
-    once, and each multiset's signed weight once, as one object: the
-    blocks whose cycles leave the same set share its row object, the LSDs
-    of one multiset share its weight, and each LSD is one ``+`` on an LSD
-    of its rest.  The full set's own row is never built.
+    once, and each multiset's key and signed weight once, as one object
+    each: the blocks whose cycles leave the same set share its row object,
+    the LSDs of one multiset share its key and weight, and each LSD is one
+    ``+`` on an LSD of its rest.  The full set's own row is never built.
     """
     check_cap("lsd", m.n)
     table = _first_cycles(m._rows)
     full = (1 << m.n) - 1
     distinct: dict = {}  # each distinct cycle weight -> its place in the count vector
     width = m.n.bit_length()  # no LSD has more than n cycles
-    rows = {0: [(empty, 0)]}
-    row_keys = {0: (0,)}  # the distinct keys of each row
+    rows = {0: ([empty], [0])}
+    row_keys = {0: {0}}  # the distinct keys of each row
     weights: dict = {}  # the signed weight of each multiset reached, by key
     for unused, entries in table.items():
         steps = []
-        keys = set()
         for cycle, rest, w in entries:
             unit = 1 << width * distinct.setdefault(w, len(distinct))
-            for key in row_keys[rest]:
-                grown = unit + key
-                if grown not in weights:
-                    weights[grown] = w * weights[key] if key else w
-                keys.add(grown)
-            steps.append((cycle, unit, rest))
+            # each key of the rest's row -> that key with this cycle's added
+            grown = {key: unit + key for key in row_keys[rest]}
+            for key, sum_key in grown.items():
+                if sum_key not in weights:
+                    weights[sum_key] = w * weights[key] if key else w
+            steps.append((cycle, rest, grown))
         if unused != full:
-            row = rows[unused] = []
-            for cycle, unit, rest in steps:
+            held, keys = rows[unused] = [], []
+            for cycle, rest, grown in steps:
                 head = item(cycle)
-                row += [(head + held, unit + key) for held, key in rows[rest]]
-            row_keys[unused] = keys
+                rest_held, rest_keys = rows[rest]
+                held += [head + lsd for lsd in rest_held]
+                keys += map(grown.__getitem__, rest_keys)
+            row_keys[unused] = set(keys)
     # the full set is the table's last, so ``steps`` holds its entries
-    return [(cycle, rows[rest], {key: weights[unit + key] for key in row_keys[rest]})
-            for cycle, unit, rest in steps]
+    return [(cycle, rows[rest], {key: weights[sum_key] for key, sum_key in grown.items()})
+            for cycle, rest, grown in steps]
 
 
 def det_via_lsd(m: SquareMatrix):

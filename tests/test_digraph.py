@@ -161,9 +161,9 @@ def test_enumerate_lsds_is_the_flattened_blocks():
         full = (1 << m.n) - 1
         lsds = enumerate_lsds(m)
         blocks = digraph.lsd_blocks(m, lambda cycle: (cycle,), ())
-        assert len(lsds) == sum(len(rests) for _, rests, _ in blocks)
+        assert len(lsds) == sum(len(held) for _, (held, _), _ in blocks)
         flat = [(cycle, cycles, weights[key])
-                for cycle, rests, weights in blocks for cycles, key in rests]
+                for cycle, (held, keys), weights in blocks for cycles, key in zip(held, keys)]
         # as many weight objects, one per multiset of cycle weights
         assert len({id(weight) for _, _, weight in flat}) == \
             len({id(lsd.signed_weight) for lsd in lsds})
@@ -178,14 +178,14 @@ def test_enumerate_lsds_is_the_flattened_blocks():
         for cycle, rests, _ in blocks:
             left = full - sum(1 << v for v in cycle)
             assert rows.setdefault(left, id(rests)) == id(rests)
-            for cycles, _ in rests:
+            for cycles in rests[0]:
                 assert sorted(v for c in cycles for v in c) == \
                     [v for v in range(m.n) if left >> v & 1]
         assert len(set(rows.values())) == len(rows)
         texts = digraph.lsd_blocks(m, lambda cycle: f" {list(cycle)}", "")
-        assert [(cycle, [(text, key) for text, key in rests]) for cycle, rests, _ in texts] == \
-            [(cycle, [("".join(f" {list(c)}" for c in cycles), key) for cycles, key in rests])
-             for cycle, rests, _ in blocks]
+        assert [(cycle, rests) for cycle, rests, _ in texts] == \
+            [(cycle, (["".join(f" {list(c)}" for c in cycles) for cycles in held], keys))
+             for cycle, (held, keys), _ in blocks]
 
 
 def test_each_closing_edge_is_negated_once_per_call():
