@@ -248,10 +248,10 @@ def _cycle_blocks(blocks, cycle_text, weight_text, before: str, between: str, af
     ``weight_text``; its key is the id of that weight object.  The rows
     hold each LSD of a rest as its suffix text beside its key, and each
     row, one object shared by the cycles that leave the same vertex set,
-    gets the ``Counter`` of its keys built once.  A block's lines are then its
-    cycle's prefix text joined to each suffix and to the text of that
-    LSD's weight, built once per key of the row, and its key counts the
-    row's, each key mapped to its weight's id.
+    gets the ``Counter`` of its keys built once.  A block's lines are
+    then its cycle's prefix text joined to each suffix and to the text of
+    that LSD's weight, built once per key of the row, and its key counts
+    the row's, each key mapped to its weight's id.
     """
     rows = {}  # id of a row of rests -> its key counts
     for cycle, rests, weights in blocks:
