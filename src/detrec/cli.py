@@ -103,12 +103,15 @@ def _coeffs(args, n: int | None = None):
     return symbolic_coeffs(r if n is None else min(r, max(n, 1))), coeff_name
 
 
-def _recurrence_coeffs(args, n: int, work: int = MAX_RECURRENCE_WORK):
-    """``_coeffs(args, n)`` after ``u_n``'s caps: ``work`` if symbolic, else ``check_iteration``."""
+def _recurrence_coeffs(args, n: int, work: int = MAX_RECURRENCE_WORK, iterated: bool = False):
+    """``_coeffs(args, n)`` after ``u_n``'s caps: ``work`` if symbolic, else ``check_iteration``.
+
+    An ``iterated`` caller runs ``eval_recurrence``, whose own guard holds
+    integer coefficients to ``check_iteration``, so it is not run here too."""
     if args.coeffs is None:
         check_recurrence(n, _need(args, "--coeffs or --r"), work)
     coeffs, names = _coeffs(args, n)
-    if names is None:
+    if names is None and not iterated:
         check_iteration(n, coeffs)
     return coeffs, names
 
@@ -159,13 +162,13 @@ def _cmd_compute(args) -> int:
     # integer recurrence values are held to caps.MAX_DIGITS and their
     # iteration to caps.MAX_RECURRENCE_STEPS by check_iteration before any
     # work, and by check_digits once computed; fibonacci and lucas hold
-    # their own values to both, and racci its iteration
+    # their own values to both, and racci and eval_recurrence their iteration
     if subject in ("fib", "lucas"):
         value = fibonacci(args.n) if subject == "fib" else lucas(args.n)
     elif subject == "racci":
         value = racci(args.n, args.r)
     elif subject == "recurrence":
-        coeffs, names = _recurrence_coeffs(args, args.n)
+        coeffs, names = _recurrence_coeffs(args, args.n, iterated=True)
         value = eval_recurrence(coeffs, args.n)
     elif subject == "e":
         value = elementary(args.k, args.vars)

@@ -590,6 +590,23 @@ def _pack(polys: Sequence[MultiPoly], bound: int) -> list[_Packed]:
     return [_Packed({pack(m): c for m, c in p._terms.items()}, packing) for p in polys]
 
 
+def _mul_sum(lefts: Sequence[_Packed], rights: Iterable) -> _Packed:
+    """``sum(map(mul, lefts, rights))`` of packed ``lefts``, as one multiply-accumulate.
+
+    ``rights`` are elements of the same packing or ints, and ``zip`` pairs
+    them with ``lefts``, which must not be empty.  ``_mul_into`` adds every
+    product straight into one term map, so no product gets a map of its
+    own and no running sum is copied; the terms that cancel are dropped
+    once, at the end.
+    """
+    out: dict[int, int] = {}
+    for left, right in zip(lefts, rights):
+        _mul_into(out, left._terms.items(), left._terms_of(right).items())
+    if 0 in out.values():
+        out = {k: c for k, c in out.items() if c}
+    return lefts[0]._new(out)
+
+
 def _pack_rows(rows: Sequence[Sequence]) -> list[list]:
     """The matrix ``rows`` with each polynomial entry a ``_Packed`` of one packing.
 

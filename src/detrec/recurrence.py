@@ -4,50 +4,75 @@ These are the independent oracles the determinant routes are checked
 against: plain iteration for the order-r recurrence (initial conditions
 ``u_0 = 1`` and ``u_j = 0`` for ``j < 0``), the Fibonacci, Lucas and r-acci
 sequences, the cycle-type multinomial sum, and exact golden-ratio closed
-forms evaluated in the quadratic field (no floating point anywhere).  Each
-Fibonacci and Lucas value, iterated or closed, is held to the digit cap,
-and ``racci`` holds its value and iteration to ``caps.check_iteration``
-once, before it builds its list of ones and runs ``eval_recurrence``'s
-guard-free loop on them.
+forms evaluated in the quadratic field (no floating point anywhere).  The
+iteration keeps only its last ``r`` values.  With a polynomial coefficient
+it packs the coefficients once and runs in that packing: each ``u_m`` is
+one multiply-accumulate, and only ``u_n`` is unpacked.  Each Fibonacci and
+Lucas value, iterated or closed, is held to the digit cap, and ``racci``
+holds its value and iteration to ``caps.check_iteration`` once, before it
+builds its list of ones and runs ``eval_recurrence``'s guard-free loop on
+them.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import repeat
+from operator import mul
 from typing import Sequence
 
 from .caps import check_cap, check_digits, check_iteration
 from .digraph import cycle_type_sum
-from .poly import PHI, SQRT5, QuadExt
+from .poly import PHI, SQRT5, MultiPoly, QuadExt, _mul_sum, _pack, _Packed
 
 
 def eval_recurrence(coeffs: Sequence, n: int):
     """Value ``u_n`` of ``u_m = c_1 u_{m-1} + ... + c_r u_{m-r}``.
 
     ``u_0 = 1`` and ``u_j = 0`` for ``j < 0``; coefficients may be any exact
-    scalar, including polynomials.  With integer coefficients the value and
-    its iteration are held to ``caps.check_iteration`` before the first
-    step, so every path that iterates them shares that guard.
+    scalar, including polynomials.  ``u_n`` reads ``c_1..c_n`` only.  With
+    integer coefficients the value and its iteration are held to
+    ``caps.check_iteration`` before the first step, so every path that
+    iterates them shares that guard.  With a polynomial among ``c_1..c_n``
+    the call packs them once, ints as packed constants, with ``poly._pack``
+    and the bound ``n * max deg c_t``, which covers every ``u_m``; each step
+    is then one multiply-accumulate (``poly._mul_sum``), and only ``u_n`` is
+    unpacked, a ``MultiPoly``.  ``u_0`` is the int 1.
     """
     if n < 0:
         raise ValueError("index must be non-negative")
     if not coeffs:
         raise ValueError("need at least one coefficient")
-    if all(isinstance(c, int) for c in coeffs):
-        check_iteration(n, coeffs)
-    return _iterate(coeffs, n)
+    if n == 0:
+        return 1
+    coeffs = coeffs[:n]
+    if not any(isinstance(c, MultiPoly) for c in coeffs):
+        if all(isinstance(c, int) for c in coeffs):
+            check_iteration(n, coeffs)
+        return _iterate(coeffs, n)
+    polys = [MultiPoly._coerce(c) for c in coeffs]
+    if None in polys:
+        raise TypeError("recurrence coefficients with a polynomial must be ints or polynomials")
+    return _iterate(_pack(polys, n * max(map(MultiPoly.degree, polys))), n).unpack()
+
+
+def _dot(coeffs: Sequence, recent: Sequence):
+    """``c_1 u_(m-1) + c_2 u_(m-2) + ...`` of plain scalars, ``recent`` newest first."""
+    return sum(map(mul, coeffs, recent))
 
 
 def _iterate(coeffs: Sequence, n: int):
-    """``eval_recurrence``'s loop, run by it and by ``racci`` after each one's own guard."""
-    values = [1]
-    for m in range(1, n + 1):
-        acc = 0
-        for i, c in enumerate(coeffs, start=1):
-            if m - i >= 0:
-                acc = acc + c * values[m - i]
-        values.append(acc)
-    return values[n]
+    """``eval_recurrence``'s loop, run by it and by ``racci`` after each one's own guard.
+
+    It keeps the last ``r`` values, newest first, so that ``coeffs`` and
+    them pair up as ``c_t`` and ``u_(m-t)``.  Packed coefficients step by
+    ``poly._mul_sum`` and any others by ``_dot``.
+    """
+    step = _mul_sum if type(coeffs[0]) is _Packed else _dot
+    recent = deque([1], maxlen=len(coeffs))  # u_(m-1), ..., u_(m-r)
+    for _ in range(n):
+        recent.appendleft(step(coeffs, recent))
+    return recent[0]
 
 
 def _check_ones(n: int, r: int) -> None:

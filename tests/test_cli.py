@@ -857,7 +857,10 @@ def test_every_subject_is_capped_before_any_work(capsys, monkeypatch, argv, mess
     # are the work, and racci's list of ones, sized by min after its guard
     for name in ("range", "min"):
         monkeypatch.setattr(recurrence, name, work, raising=False)
-    for name in ("eval_recurrence", "symbolic_coeffs",
+    # eval_recurrence guards its integer coefficients itself, so it runs too;
+    # its loop is the work
+    monkeypatch.setattr(recurrence, "_iterate", work)
+    for name in ("symbolic_coeffs",
                  "build_A", "build_E", "build_F", "det_bareiss", "lsd_blocks"):
         monkeypatch.setattr(cli, name, work)
     code, out, err = run(capsys, *argv)

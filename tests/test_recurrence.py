@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from detrec import caps, recurrence
+from detrec import caps, cli, recurrence
 from detrec.cli import main
 from detrec.errors import TooLarge
 from detrec.poly import MultiPoly, QuadExt, scalar_str
@@ -178,6 +178,50 @@ def test_racci_and_eval_recurrence_each_check_their_iteration_once(monkeypatch):
     calls.clear()
     assert eval_recurrence([1, 1], 10) == 89  # f_10, with f_0 = f_1 = 1
     assert calls == [10]
+
+
+def test_each_recurrence_command_checks_its_iteration_once(capsys, monkeypatch):
+    # compute recurrence leaves the check to eval_recurrence; det C and
+    # tilings, which never run it, check in the CLI before any work
+    calls = []
+
+    def spy(n, coeffs):
+        calls.append(n)
+        return caps.check_iteration(n, coeffs)
+    monkeypatch.setattr(recurrence, "check_iteration", spy)
+    monkeypatch.setattr(cli, "check_iteration", spy)
+    for argv, out in ((["compute", "recurrence", "--coeffs", "1,1", "--n", "10"], "89\n"),
+                      (["compute", "det", "--family", "C", "--coeffs", "1,1", "--n", "10"], "89\n"),
+                      (["enumerate", "tilings", "--coeffs", "1,1", "--r", "2", "--n", "10"],
+                       '{"count": 89, "total_weight": "89"}\n')):
+        calls.clear()
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out.endswith(out), argv
+        assert calls == [10], argv
+
+    def unreachable(*args):
+        raise AssertionError("work before the cap")
+    monkeypatch.setattr(cli, "build_C", unreachable)
+    monkeypatch.setattr(cli, "tiling_weight", unreachable)
+    nines = "9" * 1000
+    for argv in (["compute", "det", "--family", "C"], ["enumerate", "tilings", "--r", "2"]):
+        calls.clear()
+        assert main([*argv, "--coeffs", f"{nines},{nines}", "--n", "10"]) == 3, argv
+        assert capsys.readouterr().out == "", argv
+        assert calls == [10], argv
+
+
+def test_iteration_keeps_only_its_last_values():
+    # a list of every u_m held 200,000 references, 1.6 MB
+    tracemalloc.start()
+    try:
+        assert eval_recurrence([1], 200_000) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
+    assert eval_recurrence([1, 1, 1], 30) == racci(30, 3) == racci_multinomial(30, 3)
+    assert eval_recurrence([2, 0, -1], 1) == 2  # r > n reads c_1 only
 
 
 def test_integer_recurrence_is_held_to_the_iteration_caps():
