@@ -47,17 +47,18 @@ MAX_TERMS = 100_000
 MAX_FACTORS = 1_000_000
 
 # The symbolic recurrence's time follows its work bound (see
-# check_recurrence), about 1.2-2.9 us a unit on that VM, where a step of
-# the iteration costs as much as _STEP_TERMS terms.  --r 10 --n 40 (work
-# 1,154,280) takes 1.4-1.7 s; the slowest accepted cases measured,
-# --r 3 --n 238, --r 2 --n 1531 and --r 1 --n 299999, take 2.5-3.0 s;
-# --r 10 --n 50 (work 4,941,240) took 9 s.  The elimination of E runs
-# at 0.5-1.3 us a unit of check_det_E, and that of S at about 1.3 us a
-# unit of check_det_S: compute det --family E --n 30 --vars 4 (work
-# 1,198,442) takes 1.5 s from the command line, and S of size 153 1.9 s.
-# Refused: E --n 40 --vars 4 (3,655,867, 2.9 s), --n 10 --vars 10
-# (19.0M, 10.6 s), --n 2 --vars 446 (44.7M, 10.4 s), and S of size 200
-# (2,666,666, 3.5 s).
+# check_recurrence), about 0.2-0.4 us a unit on that VM from the command
+# line, where a step of the iteration costs as much as _STEP_TERMS terms;
+# the iteration runs in one packing.  The slowest accepted cases measured,
+# --r 10 --n 40 (work 1,154,280), --r 3 --n 238, --r 2 --n 1531 and
+# --r 1 --n 299999, take 0.25, 0.29, 0.28-0.31 and 0.41-0.43 s;
+# --r 10 --n 50 (work 4,941,240), refused, iterates in 0.6 s in process.
+# The elimination of E runs at 0.5-1.3 us a unit of check_det_E, and that
+# of S at about 1.3 us a unit of check_det_S: compute det --family E --n
+# 30 --vars 4 (work 1,198,442) takes 1.5 s from the command line, and S of
+# size 153 1.9 s.  Refused: E --n 40 --vars 4 (3,655,867, 2.9 s), --n 10
+# --vars 10 (19.0M, 10.6 s), --n 2 --vars 446 (44.7M, 10.4 s), and S of
+# size 200 (2,666,666, 3.5 s).
 MAX_RECURRENCE_WORK = 1_200_000
 _STEP_TERMS = 3
 
@@ -80,9 +81,9 @@ MAX_CELLS = 4_000_000
 # Python's default limit on the digits of an int it converts to text
 MAX_DIGITS = 4300
 
-# The integer iteration takes n steps of r terms each, about 1.0-1.1 us a
-# term on that VM: racci --n 14285 --r 100 (1,428,500) takes 1.4 s, --r 210
-# (2,999,850) 3.3 s, and --coeffs 1 --n 3000000 1.4 s.
+# The integer iteration takes n steps of r terms each, about 0.26-0.54 us a
+# term on that VM: racci --n 14285 --r 100 (1,428,500) takes 0.8 s, --r 210
+# (2,999,850) 1.5-1.6 s, and --coeffs 1 --n 3000000 0.8 s.
 MAX_RECURRENCE_STEPS = 3_000_000
 
 

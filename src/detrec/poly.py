@@ -37,9 +37,12 @@ unpacked.  A determinant route does the same through ``_pack_rows``,
 which packs a matrix's polynomial entries in a packing with one bound, two
 minors: the degree of a product of two minors, which Bareiss forms and
 which covers the one minor of the cofactor and LSD routes.  The route
-runs its ring code on them and unpacks only the determinant.  There is
-one packed multiply loop, ``_mul_into``, and one packed division loop,
-``_divide``.
+runs its ring code on them and unpacks only the determinant.
+``recurrence.eval_recurrence`` packs a recurrence's coefficients once
+too, with the bound ``n * max deg c_t``, and makes each ``u_m`` one
+``_mul_sum``, a multiply-accumulate that adds every ``c_t * u_(m-t)``
+into one term map; only ``u_n`` is unpacked.  There is one packed
+multiply loop, ``_mul_into``, and one packed division loop, ``_divide``.
 
 The canonical text form lists terms in descending graded-lexicographic order
 (total degree first, then lexicographically with the lowest-indexed variable

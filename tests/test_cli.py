@@ -577,7 +577,7 @@ def test_symbolic_recurrence_work_cap(capsys):
     code, out, _ = run(capsys, "compute", "recurrence", "--r", "1000000000", "--n", "5")
     assert (code, out) == run(capsys, "compute", "recurrence", "--r", "5", "--n", "5")[:2]
     assert code == 0
-    check_recurrence(40, 10)  # 16,928 terms, about 1.5 s: still computed
+    check_recurrence(40, 10)  # 16,928 terms, about 0.25 s: still computed
     with pytest.raises(TooLarge):
         check_recurrence(41, 10)
     # integer coefficients are not capped by it

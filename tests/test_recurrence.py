@@ -212,7 +212,7 @@ def test_each_recurrence_command_checks_its_iteration_once(capsys, monkeypatch):
 
 
 def test_iteration_keeps_only_its_last_values():
-    # a list of every u_m held 200,000 references, 1.6 MB
+    # a list of every u_m would hold 200,000 references, 1.6 MB
     tracemalloc.start()
     try:
         assert eval_recurrence([1], 200_000) == 1
