@@ -2,12 +2,13 @@
 
 Values print in their canonical text serialization (integers are plain JSON
 numbers, polynomials the graded-lex term string).  ``enumerate`` streams one
-JSON object per item followed by a summary line, handing stdout at least
-``CHUNK_LINES`` lines per write and the summary with the last write.  One
-writer takes every subject's objects as blocks of lines and keys: a
-tiling subject's blocks are ``combi``'s ``(head, rests)`` blocks, whose
-row of rests is formatted and counted once per row and joined to each
-head's prefix; ``lsds`` gives ``digraph.lsd_blocks``' blocks, one per
+JSON object per item followed by a summary line, handing stdout exactly
+``CHUNK_LINES`` lines per write but the last, which holds the rest and the
+summary.  One writer takes every subject's objects as blocks of lines and
+keys, carrying a block's lines past a write into the next: a tiling
+subject's blocks are ``combi``'s ``(head, rests)`` blocks, whose row of
+rests is formatted and counted once per row and joined to each head's
+prefix; ``lsds`` gives ``digraph.lsd_blocks``' blocks, one per
 first cycle, whose rows hold each LSD of a rest as its text, built once
 per vertex set from the texts of the rests' rows, and are counted once
 per row; ``words`` and ``cyclic-words`` give one block per
@@ -41,7 +42,6 @@ ends the run quietly with exit code 0.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -187,8 +187,9 @@ def _cmd_compute(args) -> int:
     return 0
 
 
-# ``enumerate`` hands its output to ``sys.stdout.write`` at least this many
-# lines at a time: one call per line costs more than formatting the line does.
+# ``enumerate`` hands its output to ``sys.stdout.write`` this many lines at a
+# time, the last write fewer: one call per line costs more than formatting the
+# line does, and a bounded write keeps one write's text small.
 CHUNK_LINES = 512
 
 # an object's JSON line is its pretty line between these two texts; a word
@@ -335,13 +336,19 @@ def _cmd_enumerate(args) -> int:
     count = 0
     lines = []
     for block, keys in blocks:
-        lines += block
         counts.update(keys)
-        if len(lines) >= CHUNK_LINES:
-            count += len(lines)
+        # every write but the last takes exactly CHUNK_LINES lines; the
+        # block's lines from ``start`` on are not yet written
+        start = 0
+        while len(lines) + len(block) - start >= CHUNK_LINES:
+            end = start + CHUNK_LINES - len(lines)
+            lines += block[start:end]
             lines.append("")  # a newline after the last line
             sys.stdout.write("\n".join(lines))
+            count += CHUNK_LINES
             lines = []
+            start = end
+        lines += block[start:] if start else block
     # the summary goes with the last write
     count += len(lines)
     total = scalar_str(counted_sum(counts, weight), names)
@@ -366,6 +373,8 @@ def _cmd_verify(args) -> int:
         reports = [entry.verify(*(_coeffs(args)[0] if a.flag == "--coeffs" else flags[a.name]
                                   for a in entry.args))]
     if args.format == "csv":
+        import csv  # only this format reads it, so no other run loads it
+
         writer = csv.writer(sys.stdout)
         writer.writerow(["identity", "params", "lhs", "rhs", "passed", "elapsed_ms"])
         writer.writerows([rep.identity, json.dumps(rep.params), rep.lhs, rep.rhs,

@@ -48,9 +48,8 @@ each power of a weight is built once per sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .caps import check_cap
 from .detmat import SquareMatrix, _run_packed
@@ -58,8 +57,7 @@ from .errors import InvalidCycleType
 from .poly import power_sum, scalar_str
 
 
-@dataclass(frozen=True)
-class LinearSubdigraph:
+class LinearSubdigraph(NamedTuple):
     """Spanning vertex-disjoint cycle collection with its signed weight.
 
     The signed weight is the product of the cycles' signed weights

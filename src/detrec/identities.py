@@ -30,10 +30,9 @@ import json
 import random
 import time
 from collections import namedtuple
-from dataclasses import asdict, dataclass
 from itertools import product
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .combi import (
     enumerate_circular_tilings,
@@ -58,8 +57,7 @@ from .recurrence import (
 from .symfunc import bialternant, build_E, elementary, homogeneous, signed_elementary
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     identity: str
     params: dict
     lhs: str
@@ -68,7 +66,7 @@ class VerificationReport:
     elapsed_ms: float
 
     def to_json(self) -> str:
-        return json.dumps({**asdict(self), "elapsed_ms": round(self.elapsed_ms, 3)})
+        return json.dumps({**self._asdict(), "elapsed_ms": round(self.elapsed_ms, 3)})
 
 
 # a verifier argument: its report name, CLI flag, least value and cap (a
@@ -76,8 +74,7 @@ class VerificationReport:
 Arg = namedtuple("Arg", "name flag least cap")
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     """A verifier, its arguments in the order it takes them, and its sweep grid."""
 
     name: str

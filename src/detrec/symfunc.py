@@ -44,10 +44,9 @@ def elementary(k: int, n_vars: int) -> MultiPoly:
         return MultiPoly.one()
     if k > n_vars:
         return MultiPoly.zero()
-    terms = {}
-    for combo in combinations(range(n_vars), k):
-        terms[tuple((v, 1) for v in combo)] = 1
-    return MultiPoly(terms)
+    # each monomial is canonical as built: variables ascending, exponents 1
+    return _from_terms(dict.fromkeys((tuple((v, 1) for v in combo)
+                                      for combo in combinations(range(n_vars), k)), 1))
 
 
 def homogeneous(k: int, n_vars: int) -> MultiPoly:

@@ -1,9 +1,9 @@
 """Command-line interface: outputs, schemas, exit codes, determinism."""
 
 import argparse
+import ast
 import io
 import json
-import math
 import os
 import random
 import resource
@@ -472,22 +472,30 @@ def test_consecutive_calls_share_no_state(capsys):
 
 
 class _CountingStdout(io.StringIO):
+    """A stdout that keeps the line count of each write."""
+
     def __init__(self):
         super().__init__()
-        self.writes = 0
+        self.write_lines = []
 
     def write(self, text):
-        self.writes += 1
+        self.write_lines.append(text.count("\n"))
         return super().write(text)
 
 
-def test_enumerate_writes_in_chunks(monkeypatch):
+# every write but the last holds exactly a chunk's lines, also where one
+# block holds more: the lsds case's first block holds 609 LSDs
+@pytest.mark.parametrize("argv", [
+    ["tilings", "--n", "14", "--r", "3", "--coeffs", "1,1,1"],
+    ["lsds", "--family", "C", "--n", "11", "--r", "4"],
+])
+def test_enumerate_writes_in_chunks(monkeypatch, argv):
     stdout = _CountingStdout()
     monkeypatch.setattr(sys, "stdout", stdout)
-    assert main(["enumerate", "tilings", "--n", "14", "--r", "3", "--coeffs", "1,1,1"]) == 0
-    lines = stdout.getvalue().count("\n")
-    assert lines > 3 * cli.CHUNK_LINES
-    assert stdout.writes <= math.ceil(lines / cli.CHUNK_LINES) + 1
+    assert main(["enumerate", *argv]) == 0
+    *full, last = stdout.write_lines
+    assert full and full == [cli.CHUNK_LINES] * len(full)
+    assert 1 <= last <= cli.CHUNK_LINES
 
 
 class _NullStdout(io.TextIOBase):
@@ -645,6 +653,19 @@ def _detrec(*argv, **kwargs) -> subprocess.CompletedProcess:
     """``python -m detrec *argv`` in a child process, its output captured."""
     return subprocess.run([sys.executable, "-m", "detrec", *argv],
                           capture_output=True, env=_child_env(), **kwargs)
+
+
+def test_start_up_loads_no_module_it_does_not_run():
+    # the records are named tuples and csv is imported by the one format
+    # that writes it, so a start-up loads none of these; -S keeps site's
+    # own imports out of the list
+    code = "import detrec, detrec.cli, sys; print(sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=_child_env(), check=True, timeout=60)
+    loaded = set(ast.literal_eval(proc.stdout))
+    assert "detrec.cli" in loaded
+    unused = loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "csv"}
+    assert not unused, sorted(unused)
 
 
 def test_integer_values_are_held_to_the_digit_cap(capsys):

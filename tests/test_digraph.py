@@ -20,6 +20,7 @@ from detrec.detmat import (
     det_cofactor,
 )
 from detrec.digraph import (
+    LinearSubdigraph,
     count_cycle_type,
     cycle_type_sum,
     det_via_lsd,
@@ -57,6 +58,19 @@ def test_full_two_by_two_has_two_lsds():
         (((0,), (1,)), a * d),
         (((0, 1),), -b * c),
     ]
+
+
+def test_lsd_is_an_immutable_record():
+    # fields in this order, read by name, equal by value, assigned never
+    lsd, _ = enumerate_lsds(SquareMatrix([[2, 3], [5, 7]]))
+    assert LinearSubdigraph._fields == ("cycles", "signed_weight")
+    assert (lsd.cycles, lsd.signed_weight) == (((0,), (1,)), 14)
+    assert lsd == LinearSubdigraph(((0,), (1,)), 14)
+    assert lsd != LinearSubdigraph(((0,), (1,)), -14)
+    with pytest.raises(AttributeError):
+        lsd.signed_weight = 0
+    with pytest.raises(AttributeError):
+        lsd.extra = 1
 
 
 def test_lsds_of_fibonacci_matrix():

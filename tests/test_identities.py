@@ -181,6 +181,31 @@ def test_report_json_round_trip():
     assert isinstance(payload["elapsed_ms"], (int, float))
 
 
+def test_report_and_identity_are_immutable_records():
+    # fields in this order, read by name, equal by value, assigned never
+    fields = ("fib", {"n": 4}, "5", "5", True, 0.12345)
+    rep = identities.VerificationReport(*fields)
+    assert identities.VerificationReport._fields == (
+        "identity", "params", "lhs", "rhs", "passed", "elapsed_ms")
+    assert (rep.identity, rep.params, rep.lhs, rep.rhs, rep.passed, rep.elapsed_ms) == fields
+    assert rep == identities.VerificationReport(*fields)
+    assert rep != rep._replace(rhs="6")
+    # the pinned JSON text: the fields in order, elapsed_ms rounded
+    assert rep.to_json() == ('{"identity": "fib", "params": {"n": 4}, "lhs": "5", "rhs": "5", '
+                             '"passed": true, "elapsed_ms": 0.123}')
+    entry = identities.IDENTITIES["fib"]
+    assert identities.Identity._fields == ("name", "verify", "args", "grid")
+    assert (entry.name, entry.verify) == ("fib", verify_fib)
+    assert [a.name for a in entry.args] == ["n"]
+    assert entry == identities.Identity(*entry)
+    assert entry != entry._replace(name="lucas")
+    for record, field in ((rep, "lhs"), (entry, "name")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, "x")
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+
 def test_reports_are_deterministic():
     a = verify_mclaughlin(4)
     b = verify_mclaughlin(4)
