@@ -483,19 +483,17 @@ class _CountingStdout(io.StringIO):
         return super().write(text)
 
 
-# every write but the last holds exactly a chunk's lines, also where one
-# block holds more: the lsds case's first block holds 609 LSDs
-@pytest.mark.parametrize("argv", [
-    ["tilings", "--n", "14", "--r", "3", "--coeffs", "1,1,1"],
-    ["lsds", "--family", "C", "--n", "11", "--r", "4"],
-])
-def test_enumerate_writes_in_chunks(monkeypatch, argv):
-    stdout = _CountingStdout()
-    monkeypatch.setattr(sys, "stdout", stdout)
-    assert main(["enumerate", *argv]) == 0
-    *full, last = stdout.write_lines
-    assert full and full == [cli.CHUNK_LINES] * len(full)
-    assert 1 <= last <= cli.CHUNK_LINES
+def test_enumerate_writes_in_chunks(monkeypatch):
+    # every write but the last holds exactly a chunk's lines, also where one
+    # block holds more: the lsds command's first block holds 609 LSDs
+    for argv in (["tilings", "--n", "14", "--r", "3", "--coeffs", "1,1,1"],
+                 ["lsds", "--family", "C", "--n", "11", "--r", "4"]):
+        stdout = _CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["enumerate", *argv]) == 0
+        *full, last = stdout.write_lines
+        assert full and full == [cli.CHUNK_LINES] * len(full), argv
+        assert 1 <= last <= cli.CHUNK_LINES, argv
 
 
 class _NullStdout(io.TextIOBase):
