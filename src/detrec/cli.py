@@ -19,10 +19,11 @@ weights share one weight object, whose text is built once; each weakly
 increasing word is its own multiset, so a block of words is keyed by its
 weight sum.  ``verify`` emits one verification report in
 JSON per check.  ``SUBJECTS`` names each command's subjects and the flags
-each one reads, and the parser takes exactly those, so a flag a subject does
-not read is a usage error; the ``verify`` rows come from the registry
+each one reads, and a command line is parsed by its subject's own parser,
+built when first needed, which takes exactly those, so a flag a subject
+does not read is a usage error; the ``verify`` rows come from the registry
 ``identities.IDENTITIES``.  Flags go after the subject, and a flag put
-before it is a usage error that names the flag.
+before the command or the subject is a usage error that names the flag.
 
 Size caps (see ``caps``) are checked before any work or output, by one
 guard per computation that every path running it shares.  ``verify``
@@ -97,6 +98,8 @@ def _coeffs(args, n: int | None = None):
     """``--coeffs`` as integers, else symbolic ``c1..`` for ``--r``; with their names.
 
     Given ``n``, only the coefficients a size-``n`` result reads are kept."""
+    if args.coeffs == []:
+        raise ValueError("need at least one coefficient")
     if args.coeffs is not None:
         return args.coeffs if n is None else args.coeffs[:max(n, 1)], None
     r = _need(args, "--coeffs or --r")
@@ -419,52 +422,49 @@ SUBJECTS = {
 }
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """A command's parser, which refuses a flag put before the subject by name.
+def _pick(prog: str, names, argv: list[str], what: str, description: str | None = None) -> str:
+    """``argv[0]``, the ``what`` (command or subject) that follows ``prog``, if it is in ``names``.
 
+    Otherwise a parser of that one name prints the help, or refuses a
+    missing name, an unknown one or a flag put before the name, and exits.
     Left to argparse, ``detrec compute --n 10 fib`` would take ``10`` for
     the subject and report that as an invalid choice.
     """
-
-    def parse_known_args(self, args=None, namespace=None):
-        if args and args[0].startswith("-") and args[0] not in ("-h", "--help"):
-            flag = args[0].split("=")[0]
-            self.error(f"{flag} comes before the subject: flags go after it, "
-                       f"as in '{self.prog} SUBJECT {flag} ...'")
-        return super().parse_known_args(args, namespace)
+    if argv and argv[0] in names:
+        return argv[0]
+    parser = argparse.ArgumentParser(prog=prog, description=description)
+    parser.add_argument(what, choices=names, help=f"see '{prog} {what.upper()} -h'")
+    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+        flag = argv[0].split("=")[0]
+        parser.error(f"{flag} comes before the {what}: flags go after it, "
+                     f"as in '{prog} {what.upper()} {flag} ...'")
+    parser.parse_args(argv[:1])  # exits, as argv[0] is no name
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="detrec",
-        description="exact determinant identities: compute, enumerate, verify")
-    commands = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
-    for command, handler, help_ in (("compute", _cmd_compute, "compute one value"),
-                                    ("enumerate", _cmd_enumerate, "stream combinatorial objects"),
-                                    ("verify", _cmd_verify, "verify identities")):
-        command_parser = commands.add_parser(command, help=help_)
-        command_parser.set_defaults(handler=handler)
-        subjects = command_parser.add_subparsers(dest="subject", required=True,
-                                                 parser_class=argparse.ArgumentParser)
-        formats = ["json", "csv", "pretty"] if command == "verify" else ["json", "pretty"]
-        for subject, flags in SUBJECTS[command].items():
-            subject_parser = subjects.add_parser(subject)
-            subject_parser.set_defaults(parser=subject_parser)
-            for flag in flags.split():
-                name = flag.rstrip("?")
-                subject_parser.add_argument(name, required=not flag.endswith("?"),
-                                            **_FLAGS[name])
-            subject_parser.add_argument("--format", choices=formats, default="json")
+def _subject_parser(command: str, subject: str) -> argparse.ArgumentParser:
+    """The parser of ``detrec COMMAND SUBJECT``: the flags the subject reads, and ``--format``."""
+    parser = argparse.ArgumentParser(prog=f"detrec {command} {subject}")
+    parser.set_defaults(command=command, subject=subject, parser=parser)
+    for flag in SUBJECTS[command][subject].split():
+        name = flag.rstrip("?")
+        parser.add_argument(name, required=not flag.endswith("?"), **_FLAGS[name])
+    formats = ["json", "csv", "pretty"] if command == "verify" else ["json", "pretty"]
+    parser.add_argument("--format", choices=formats, default="json")
     return parser
 
 
+_COMMANDS = {"compute": _cmd_compute, "enumerate": _cmd_enumerate, "verify": _cmd_verify}
+
+
 def main(argv=None) -> int:
-    args, unread = _build_parser().parse_known_args(argv)
-    if unread:  # reported by the subject's own parser, under its usage line
-        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
+    argv = sys.argv[1:] if argv is None else argv
+    command = _pick("detrec", _COMMANDS, argv, "command",
+                    "exact determinant identities: compute, enumerate, verify")
+    subject = _pick(f"detrec {command}", SUBJECTS[command], argv[1:], "subject")
+    args = _subject_parser(command, subject).parse_args(argv[2:])
     try:
-        code = args.handler(args)
+        code = _COMMANDS[command](args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code
     except BrokenPipeError:

@@ -256,17 +256,20 @@ def test_usage_errors(capsys, monkeypatch):
         assert exc.value.code == 2, argv
     assert capsys.readouterr().err.endswith(
         "error: argument --coeffs: expected comma-separated integers, got '1,x'\n")
-    # a flag before the subject is named, whatever the command
-    for argv in (["compute", "--n", "10", "fib"], ["enumerate", "--n=3", "tilings", "--r", "2"],
+    # a flag before the command or the subject is named, whatever the command
+    for argv in (["--n", "3", "compute", "fib"], ["compute", "--n", "10", "fib"],
+                 ["enumerate", "--n=3", "tilings", "--r", "2"],
                  ["verify", "--format", "csv", "fib", "--n", "5"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
         out, err = capsys.readouterr()
-        flag = argv[1].split("=")[0]
-        assert out == "" and err.startswith(f"usage: detrec {argv[0]} "), argv
-        assert err.endswith(f"error: {flag} comes before the subject: flags go after it, "
-                            f"as in 'detrec {argv[0]} SUBJECT {flag} ...'\n"), argv
+        at = 0 if argv[0].startswith("-") else 1  # the flag's place
+        prog, what, flag = " ".join(["detrec", *argv[:at]]), ("command", "subject")[at], \
+            argv[at].split("=")[0]
+        assert out == "" and err.startswith(f"usage: {prog} "), argv
+        assert err.endswith(f"error: {flag} comes before the {what}: flags go after it, "
+                            f"as in '{prog} {what.upper()} {flag} ...'\n"), argv
     # an empty field is refused too; only the empty string is the empty list
     for flag, value, argv in (("--parts", "3,,1", ["compute", "schur", "--vars", "3"]),
                               ("--coeffs", "1,2,", ["compute", "recurrence", "--n", "3"]),
@@ -320,6 +323,10 @@ REFUSALS = [
      '{"cycles": [[1], [2], [3]], "signed_weight": "x0^3"}\n'
      '{"count": 1, "total_weight": "x0^3"}\n', ""),
     ("compute recurrence --r 0 --n 3", 2, "", "error: need at least one coefficient\n"),
+    # an empty coefficient list is refused, whether or not the tilings read a coefficient
+    *((argv, 2, "", "error: need at least one coefficient\n")
+      for argv in ("enumerate tilings --n 0 --r 2 --coeffs=",
+                   "enumerate tilings --n 2 --r 1 --coeffs=")),
     ("compute det --family E --n 3 --vars 0", 2, "", "error: need at least one variable\n"),
 ]
 
@@ -532,10 +539,10 @@ def test_each_subject_takes_only_the_flags_it_reads(capsys, command, subject):
                                     for part in (name, FLAG_VALUES.get(name, "1")))]
 
     # its required flags alone parse, with each optional one or --format
-    args = cli._build_parser().parse_args(argv(*required))
+    args = cli._subject_parser(command, subject).parse_args(argv(*required)[2:])
     assert (args.command, args.subject, args.format) == (command, subject, "json")
     for flag in optional + ["--format"]:
-        cli._build_parser().parse_args(argv(*required, flag))
+        cli._subject_parser(command, subject).parse_args(argv(*required, flag)[2:])
     # a flag it does not read, a missing required flag and csv outside verify exit 2
     unread = sorted(cli._FLAGS.keys() - {*required, *optional})
     refused = [argv(*required, flag) for flag in unread]
@@ -555,20 +562,53 @@ def test_each_subject_takes_only_the_flags_it_reads(capsys, command, subject):
         assert f"detrec {command} {subject}: error: unrecognized arguments: {flag}" in err, flag
 
 
-def test_parser_is_built_once_per_process(capsys, monkeypatch):
+def test_a_command_line_builds_only_its_subjects_parser(capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
 
     def counting_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        if self.prog == "detrec":
-            built.append(self)
+        built.append(self.prog)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    cli._build_parser.cache_clear()
+    cli._subject_parser.cache_clear()
     for n in range(10):
-        assert run(capsys, "compute", "fib", "--n", str(n))[0] == 0
-    assert len(built) <= 1
+        assert run(capsys, "compute", "fib", "--n", str(n)) == (
+            0, f"{recurrence.fibonacci(n)}\n", "")
+    assert built == ["detrec compute fib"]
+
+
+@pytest.mark.parametrize("argv, listed", [
+    ([], ["exact determinant identities: compute, enumerate, verify",
+          "{compute,enumerate,verify}"]),
+    (["compute"], ["{fib,lucas,racci,recurrence,e,h,schur,det}"]),
+    (["compute", "fib"], ["--n N", "--format {json,pretty}"]),
+])
+def test_each_level_prints_its_help(capsys, argv, listed):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "-h"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(f"usage: {' '.join(['detrec', *argv])} [-h]") and err == ""
+    body = out.split("\n\n", 1)[1]  # past the usage line
+    assert all(text in body for text in listed), out
+
+
+@pytest.mark.parametrize("argv, prog, message", [
+    ([], "detrec", "the following arguments are required: command"),
+    (["bogus"], "detrec", "argument command: invalid choice: 'bogus' "
+                          "(choose from 'compute', 'enumerate', 'verify')"),
+    (["compute"], "detrec compute", "the following arguments are required: subject"),
+    (["compute", "bogus"], "detrec compute", "argument subject: invalid choice: 'bogus' "
+     "(choose from 'fib', 'lucas', 'racci', 'recurrence', 'e', 'h', 'schur', 'det')"),
+])
+def test_each_level_refuses_a_missing_or_unknown_name(capsys, argv, prog, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"usage: {prog} [-h] {{"), err
+    assert err.endswith(f"\n{prog}: error: {message}\n"), err
 
 
 def test_symbolic_recurrence_work_cap(capsys):
