@@ -265,8 +265,8 @@ def test_usage_errors(capsys, monkeypatch):
         assert exc.value.code == 2, argv
         out, err = capsys.readouterr()
         at = 0 if argv[0].startswith("-") else 1  # the flag's place
-        prog, what, flag = " ".join(["detrec", *argv[:at]]), ("command", "subject")[at], \
-            argv[at].split("=")[0]
+        prog = " ".join(["detrec", *argv[:at]])
+        what, flag = ("command", "subject")[at], argv[at].split("=")[0]
         assert out == "" and err.startswith(f"usage: {prog} "), argv
         assert err.endswith(f"error: {flag} comes before the {what}: flags go after it, "
                             f"as in '{prog} {what.upper()} {flag} ...'\n"), argv
