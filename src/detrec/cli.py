@@ -5,21 +5,21 @@ numbers, polynomials the graded-lex term string).  ``enumerate`` streams one
 JSON object per item followed by a summary line, handing stdout exactly
 ``CHUNK_LINES`` lines per write but the last, which holds the rest and the
 summary.  One writer takes every subject's objects as blocks of lines and
-keys, carrying a block's lines past a write into the next: a tiling
+keys and reads their lines as one stream, cut into writes: a tiling
 subject's blocks are ``combi``'s ``(head, rests)`` blocks, whose row of
 rests is formatted and counted once per row and joined to each head's
 prefix; ``lsds`` gives ``digraph.lsd_blocks``' blocks, one per
 first cycle, whose rows hold each LSD of a rest as its text, built once
-per vertex set from the texts of the rests' rows, and are counted once
-per row; ``words`` and ``cyclic-words`` give one block per
+per vertex set from the texts of the rests' rows, beside the counts of
+their keys; ``words`` and ``cyclic-words`` give one block per
 ``CHUNK_LINES`` objects.  It counts the objects by the key their weight
-depends on as it writes them, so it keeps no list of its own, and the
-total weight costs one weight per key.  The LSDs of a multiset of cycle
-weights share one weight object, whose text is built once; each weakly
-increasing word is its own multiset, so a block of words is keyed by its
-weight sum.  ``verify`` emits one verification report in
-JSON per check.  ``SUBJECTS`` names each command's subjects and the flags
-each one reads, and a command line is parsed by its subject's own parser,
+depends on as it reaches each block, so it keeps no list of its own, and
+the total weight costs one weight per key.  An LSD's key is its multiset
+of cycle weights, whose one weight object ``lsd_blocks`` gives and whose
+weight text is built once; each weakly increasing word is its own
+multiset, so a block of words is keyed by its weight sum.  ``verify``
+emits one verification report in JSON per check.  ``SUBJECTS`` names
+each command's subjects and the flags each one reads, and a command line is parsed by its subject's own parser,
 built when first needed, which takes exactly those, so a flag a subject
 does not read is a usage error; the ``verify`` rows come from the registry
 ``identities.IDENTITIES``.  Flags go after the subject, and a flag put
@@ -48,7 +48,7 @@ import json
 import os
 import sys
 from collections import Counter
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 
 from .caps import (MAX_DIGITS, MAX_RECURRENCE_WORK, check_cap, check_cells, check_det_E,
                    check_det_S, check_digits, check_iteration, check_lsds_E, check_recurrence)
@@ -59,6 +59,7 @@ from .combi import (
     enumerate_cyclic_words,
     enumerate_increasing_words,
     tiling_blocks,
+    tiling_parts,
     tiling_weight,
     word_weight,
 )
@@ -94,15 +95,20 @@ def _need(args, flag: str):
     return value
 
 
+def _coeff_count(args) -> int:
+    """The coefficient list's length: ``--coeffs``', else ``--r``; an empty list is refused."""
+    if args.coeffs == []:
+        raise ValueError("need at least one coefficient")
+    return len(args.coeffs) if args.coeffs is not None else _need(args, "--coeffs or --r")
+
+
 def _coeffs(args, n: int | None = None):
     """``--coeffs`` as integers, else symbolic ``c1..`` for ``--r``; with their names.
 
     Given ``n``, only the coefficients a size-``n`` result reads are kept."""
-    if args.coeffs == []:
-        raise ValueError("need at least one coefficient")
+    r = _coeff_count(args)
     if args.coeffs is not None:
         return args.coeffs if n is None else args.coeffs[:max(n, 1)], None
-    r = _need(args, "--coeffs or --r")
     return symbolic_coeffs(r if n is None else min(r, max(n, 1))), coeff_name
 
 
@@ -223,8 +229,8 @@ def _head_blocks(blocks, item_text, parts, before: str, after: str):
     """``(head, rests)`` tiling blocks (``combi.tiling_blocks``) as ``enumerate`` blocks.
 
     A tiling's text is ``str(list(head + rest))`` with each tile printed by
-    ``item_text``, and its key the sorted ``parts`` of its tiles, which fix
-    its weight.  Each row of rests,
+    ``item_text``, and its key the ``combi.tiling_parts`` of its tiles'
+    ``parts``, which fix its weight.  Each row of rests,
     one list object shared by the heads that cover the same cells, gets
     its suffix texts and the ``Counter`` of its keys built once.  A
     block's lines are then its head's prefix text joined to each suffix,
@@ -237,7 +243,7 @@ def _head_blocks(blocks, item_text, parts, before: str, after: str):
             row = rows[id(rests)] = (
                 ["".join([", " + item_text(tile) for tile in rest]) + "]" + after
                  for rest in rests],
-                Counter(tuple(sorted(parts(rest))) for rest in rests))
+                Counter(tiling_parts(map(parts, rests))))
         suffixes, keys = row
         # the suffixes start with ", ", which is right because a head is
         # empty only on an empty board, whose one rest is empty too
@@ -247,31 +253,21 @@ def _head_blocks(blocks, item_text, parts, before: str, after: str):
                {tuple(sorted(head_parts + key)): count for key, count in keys.items()})
 
 
-def _cycle_blocks(blocks, cycle_text, weight_text, before: str, between: str, after: str):
-    """``(cycle, rests, weights)`` LSD blocks (``digraph.lsd_blocks``) as ``enumerate`` blocks.
+def _cycle_blocks(blocks, cycle_text, tail, before: str):
+    """``(cycle, rests, unit)`` LSD blocks (``digraph.lsd_blocks``) as ``enumerate`` blocks.
 
     An LSD's text is the list of its cycles, each printed by
-    ``cycle_text``, then ``between`` and its signed weight printed by
-    ``weight_text``; its key is the id of that weight object.  The rows
-    hold each LSD of a rest as its suffix text beside its key, and each
-    row, one object shared by the cycles that leave the same vertex set,
-    gets the ``Counter`` of its keys built once.  A block's lines are
-    then its cycle's prefix text joined to each suffix and to the text of
-    that LSD's weight, built once per key of the row, and its key counts
-    the row's, each key mapped to its weight's id.
+    ``cycle_text``, then ``tail`` of its key, the text of its signed
+    weight; its key is that of its multiset of cycle weights.  The rows
+    hold each LSD of a rest as its suffix text beside its key and count
+    their keys, so a block's lines are its cycle's prefix text joined to
+    each suffix and tail, and its keys are the row's counts, each key
+    plus the block's ``unit``.
     """
-    rows = {}  # id of a row of rests -> its key counts
-    for cycle, rests, weights in blocks:
-        suffixes, keys = rests
-        key_counts = rows.get(id(rests))
-        if key_counts is None:
-            key_counts = rows[id(rests)] = Counter(keys)
+    for cycle, (suffixes, keys, counts), unit in blocks:
         prefix = before + "[" + cycle_text(cycle)
-        tails = {key: between + weight_text(w) + after for key, w in weights.items()}
-        counts = Counter()  # two multisets may weigh one object, a small int
-        for key, count in key_counts.items():
-            counts[id(weights[key])] += count
-        yield [prefix + suffix + tails[key] for suffix, key in zip(suffixes, keys)], counts
+        yield ([prefix + suffix + tail(unit + key) for suffix, key in zip(suffixes, keys)],
+               {unit + key: count for key, count in counts.items()})
 
 
 def _cmd_enumerate(args) -> int:
@@ -285,8 +281,8 @@ def _cmd_enumerate(args) -> int:
     # counts; and ``weight``, the weight of one key.  A tiling subject
     # gives one block per head, ``lsds`` one per first cycle, and the others
     # one per ``CHUNK_LINES`` objects.
-    # The blocks are counted by key as they are written, and the total
-    # weight is one ``counted_sum`` over the keys.
+    # The blocks are counted by key as the writer reaches them, and the
+    # total weight is one ``counted_sum`` over the keys.
     if subject == "tilings":
         n, r = args.n, args.r
         tilings = tiling_blocks(n, r)  # its cap comes before any coefficient is built
@@ -306,23 +302,19 @@ def _cmd_enumerate(args) -> int:
         matrix, names = _family_matrix(args, lsds=True)
         # a cycle prints with 1-based vertices
         cycle_text = lambda cycle: str([v + 1 for v in cycle])
-        # the LSDs share their weight objects (``lsd_blocks``), each printed
-        # once and counted by its id: id -> (the weight, its text)
-        shared = {}
-
-        def weight_text(w) -> str:
-            seen = shared.get(id(w))
-            if seen is None:
-                text = scalar_str(w, names)
-                seen = shared[id(w)] = (w, text if pretty else json.dumps(text))
-            return seen[1]
-
         between = " " if pretty else ', "signed_weight": '
         # the rows hold each LSD of a rest as its suffix text: each cycle
         # after a comma, then the list's close; the vertex sets share cycles
-        lsds = lsd_blocks(matrix, functools.cache(lambda cycle: ", " + cycle_text(cycle)), "]")
-        blocks = _cycle_blocks(lsds, cycle_text, weight_text, before, between, after)
-        weight = lambda key: shared[key][0]
+        item = functools.cache(lambda cycle: ", " + cycle_text(cycle))
+        lsds, weights = lsd_blocks(matrix, item, "]")
+
+        @functools.cache
+        def tail(key) -> str:  # the LSDs of a multiset share its weight, printed once
+            text = scalar_str(weights[key], names)
+            return between + (text if pretty else json.dumps(text)) + after
+
+        blocks = _cycle_blocks(lsds, cycle_text, tail, before)
+        weight = weights.__getitem__
     elif subject == "words":
         # each weakly increasing word is its own multiset, so a block's key is
         # its words' weight sum, and no word outlives its block
@@ -336,29 +328,26 @@ def _cmd_enumerate(args) -> int:
         weight = lambda k: cyclic_word_weight("a" * k + "b" * (n - k))
 
     counts = Counter()
+
+    def counted():
+        for block, keys in blocks:
+            counts.update(keys)
+            yield block
+
+    # every write but the last takes exactly CHUNK_LINES lines
+    lines = chain.from_iterable(counted())
     count = 0
-    lines = []
-    for block, keys in blocks:
-        counts.update(keys)
-        # every write but the last takes exactly CHUNK_LINES lines; the
-        # block's lines from ``start`` on are not yet written
-        start = 0
-        while len(lines) + len(block) - start >= CHUNK_LINES:
-            end = start + CHUNK_LINES - len(lines)
-            lines += block[start:end]
-            lines.append("")  # a newline after the last line
-            sys.stdout.write("\n".join(lines))
-            count += CHUNK_LINES
-            lines = []
-            start = end
-        lines += block[start:] if start else block
+    while len(chunk := list(islice(lines, CHUNK_LINES))) == CHUNK_LINES:
+        chunk.append("")  # a newline after the last line
+        sys.stdout.write("\n".join(chunk))
+        count += CHUNK_LINES
     # the summary goes with the last write
-    count += len(lines)
+    count += len(chunk)
     total = scalar_str(counted_sum(counts, weight), names)
-    lines.append(f"count={count} total_weight={total}" if pretty
+    chunk.append(f"count={count} total_weight={total}" if pretty
                  else json.dumps({"count": count, "total_weight": total}))
-    lines.append("")
-    sys.stdout.write("\n".join(lines))
+    chunk.append("")
+    sys.stdout.write("\n".join(chunk))
     return 0
 
 
@@ -369,8 +358,7 @@ def _cmd_verify(args) -> int:
         # the bounds hold the flag values before any argument is built; a
         # coefficient list's value is its length, --r when symbolic
         entry = IDENTITIES[args.subject]
-        flags = {a.name: (len(args.coeffs) if args.coeffs is not None
-                          else _need(args, "--coeffs or --r")) if a.flag == "--coeffs"
+        flags = {a.name: _coeff_count(args) if a.flag == "--coeffs"
                  else getattr(args, a.flag[2:]) for a in entry.args}
         entry.check(flags)
         reports = [entry.verify(*(_coeffs(args)[0] if a.flag == "--coeffs" else flags[a.name]

@@ -27,10 +27,11 @@ families, a walk climbs only from its start, so the walks grow linearly
 in ``n``.  Both routes read one table, ``_first_cycles``: per call, each
 distinct vertex set's cycles whose rest has an LSD, walked once.
 ``lsd_blocks`` builds, in one pass over the table, each vertex set's row
-of LSDs once, each LSD a cycle followed by an LSD of the rest's row, and
-gives the full set's LSDs as ``(first cycle, row)`` blocks; it builds
-one signed weight per multiset of cycle weights, which every LSD of that
-multiset shares.  ``enumerate_lsds`` is the blocks' flattening, so its
+of LSDs once, each LSD a cycle followed by an LSD of the rest's row and
+keyed by its multiset of cycle weights, and gives the full set's LSDs as
+``(first cycle, row, cycle's key)`` blocks beside one dict from each
+multiset's key to its signed weight, which every LSD of that multiset
+shares.  ``enumerate_lsds`` is the blocks' flattening, so its
 cost follows the LSDs it lists.  ``det_via_lsd`` sums each set's signed
 weights in one pass over the table and builds no LSD.  It runs on the
 matrix's entries packed in one packing when the matrix has size 3 or
@@ -48,6 +49,7 @@ each power of a weight is built once per sum.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import factorial
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -172,27 +174,29 @@ def enumerate_lsds(m: SquareMatrix) -> list[LinearSubdigraph]:
     weight object, so a list with few distinct weights holds few weight
     objects.
     """
-    blocks = lsd_blocks(m, lambda cycle: (cycle,), ())
-    return [LinearSubdigraph((cycle,) + cycles, weights[key])
-            for cycle, (held, keys), weights in blocks for cycles, key in zip(held, keys)]
+    blocks, weights = lsd_blocks(m, lambda cycle: (cycle,), ())
+    return [LinearSubdigraph((cycle,) + cycles, weights[unit + key])
+            for cycle, (held, keys, _), unit in blocks for cycles, key in zip(held, keys)]
 
 
-def lsd_blocks(m: SquareMatrix, item: Callable, empty) -> list[tuple[tuple[int, ...], tuple, dict]]:
-    """The LSDs of ``m`` as ``(cycle, rests, weights)`` blocks, one per first cycle.
+def lsd_blocks(m: SquareMatrix, item: Callable, empty) -> tuple[list[tuple], dict]:
+    """The LSDs of ``m`` as ``(cycle, rests, unit)`` blocks, one per first cycle, and their weights.
 
     The blocks are the ``_first_cycles`` table's entries for the full
     vertex set, in ``_cycles`` order, so the LSDs of the blocks in order,
     each block's ``cycle`` followed by each LSD of its ``rests`` in order,
     are ``enumerate_lsds(m)``.  ``rests`` is the row of the vertex set the
     block's cycle leaves: that set's LSDs as two lists in one order,
-    ``(held, keys)``.  An LSD is held as ``item(C) + rest``, for its first
-    cycle ``C`` and ``rest`` the LSD of the vertices left held alike, and
-    the empty LSD as ``empty``: with ``(C,)`` and ``()`` that is the tuple
-    of its cycles, with texts its text.  Its key stands for its multiset
-    of cycle weights: a count vector over the distinct cycle weights,
-    packed in an int, so it is the sum of its cycles' keys.  ``weights``
-    maps each key of the row to the signed weight of the block's cycle
-    followed by an LSD of that key.
+    ``held`` and ``keys``, and ``counts``, the ``Counter`` of ``keys``:
+    ``(held, keys, counts)``.  An LSD is held as ``item(C) + rest``, for
+    its first cycle ``C`` and ``rest`` the LSD of the vertices left held
+    alike, and the empty LSD as ``empty``: with ``(C,)`` and ``()`` that
+    is the tuple of its cycles, with texts its text.  Its key stands for
+    its multiset of cycle weights: a count vector over the distinct cycle
+    weights, packed in an int, so it is the sum of its cycles' keys, and
+    a block's LSD of rest key ``key`` has the key ``unit + key``, ``unit``
+    being the key of the block's cycle.  ``weights`` maps the key of each
+    multiset of the blocks and rows to its signed weight.
 
     One pass over the table, which lists each set after the sets its
     entries leave, builds every set's row from the rows of its rests,
@@ -206,30 +210,26 @@ def lsd_blocks(m: SquareMatrix, item: Callable, empty) -> list[tuple[tuple[int, 
     full = (1 << m.n) - 1
     distinct: dict = {}  # each distinct cycle weight -> its place in the count vector
     width = m.n.bit_length()  # no LSD has more than n cycles
-    rows = {0: ([empty], [0])}
-    row_keys = {0: {0}}  # the distinct keys of each row
+    rows = {0: ([empty], [0], Counter([0]))}
     weights: dict = {}  # the signed weight of each multiset reached, by key
     for unused, entries in table.items():
         steps = []
         for cycle, rest, w in entries:
             unit = 1 << width * distinct.setdefault(w, len(distinct))
-            # each key of the rest's row -> that key with this cycle's added
-            grown = {key: unit + key for key in row_keys[rest]}
-            for key, sum_key in grown.items():
-                if sum_key not in weights:
-                    weights[sum_key] = w * weights[key] if key else w
-            steps.append((cycle, rest, grown))
+            row = rows[rest]
+            for key in row[2]:
+                if unit + key not in weights:
+                    weights[unit + key] = w * weights[key] if key else w
+            steps.append((cycle, row, unit))
         if unused != full:
-            held, keys = rows[unused] = [], []
-            for cycle, rest, grown in steps:
+            held, keys = [], []
+            for cycle, (rest_held, rest_keys, _), unit in steps:
                 head = item(cycle)
-                rest_held, rest_keys = rows[rest]
                 held += [head + lsd for lsd in rest_held]
-                keys += map(grown.__getitem__, rest_keys)
-            row_keys[unused] = set(keys)
-    # the full set is the table's last, so ``steps`` holds its entries
-    return [(cycle, rows[rest], {key: weights[sum_key] for key, sum_key in grown.items()})
-            for cycle, rest, grown in steps]
+                keys += map(unit.__add__, rest_keys)
+            rows[unused] = (held, keys, Counter(keys))
+    # the full set is the table's last, so ``steps`` holds its blocks
+    return steps, weights
 
 
 def det_via_lsd(m: SquareMatrix):

@@ -326,7 +326,8 @@ REFUSALS = [
     # an empty coefficient list is refused, whether or not the tilings read a coefficient
     *((argv, 2, "", "error: need at least one coefficient\n")
       for argv in ("enumerate tilings --n 0 --r 2 --coeffs=",
-                   "enumerate tilings --n 2 --r 1 --coeffs=")),
+                   "enumerate tilings --n 2 --r 1 --coeffs=",
+                   "verify recurrence-det --coeffs= --n 3")),
     ("compute det --family E --n 3 --vars 0", 2, "", "error: need at least one variable\n"),
 ]
 
@@ -919,9 +920,14 @@ def test_every_subject_is_capped_before_any_work(capsys, monkeypatch, argv, mess
     # eval_recurrence guards its integer coefficients itself, so it runs too;
     # its loop is the work
     monkeypatch.setattr(recurrence, "_iterate", work)
-    for name in ("symbolic_coeffs",
-                 "build_A", "build_E", "build_F", "det_bareiss", "lsd_blocks"):
+    for name in ("symbolic_coeffs", "build_A", "build_E", "build_F", "det_bareiss"):
         monkeypatch.setattr(cli, name, work)
+
+    def lsd_blocks(*args):
+        work(*args)
+        return [], {}  # no blocks, and no weights
+
+    monkeypatch.setattr(cli, "lsd_blocks", lsd_blocks)
     code, out, err = run(capsys, *argv)
     if message:
         assert (code, out) == (3, "")
