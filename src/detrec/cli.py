@@ -19,11 +19,12 @@ of cycle weights, whose one weight object ``lsd_blocks`` gives and whose
 weight text is built once; each weakly increasing word is its own
 multiset, so a block of words is keyed by its weight sum.  ``verify``
 emits one verification report in JSON per check.  ``SUBJECTS`` names
-each command's subjects and the flags each one reads, and a command line is parsed by its subject's own parser,
-built when first needed, which takes exactly those, so a flag a subject
-does not read is a usage error; the ``verify`` rows come from the registry
-``identities.IDENTITIES``.  Flags go after the subject, and a flag put
-before the command or the subject is a usage error that names the flag.
+each command's subjects and the flags each one reads, and a command line
+is parsed by its subject's own parser, built when first needed, which
+takes exactly those, so a flag a subject does not read is a usage error;
+the ``verify`` rows come from the registry ``identities.IDENTITIES``.
+Flags go after the subject, and a flag put before the command or the
+subject is a usage error that names the flag.
 
 Size caps (see ``caps``) are checked before any work or output, by one
 guard per computation that every path running it shares.  ``verify``

@@ -180,7 +180,7 @@ def enumerate_lsds(m: SquareMatrix) -> list[LinearSubdigraph]:
 
 
 def lsd_blocks(m: SquareMatrix, item: Callable, empty) -> tuple[list[tuple], dict]:
-    """The LSDs of ``m`` as ``(cycle, rests, unit)`` blocks, one per first cycle, and their weights.
+    """The LSDs of ``m`` as ``(cycle, rests, unit)`` blocks, and the weights of their keys.
 
     The blocks are the ``_first_cycles`` table's entries for the full
     vertex set, in ``_cycles`` order, so the LSDs of the blocks in order,
@@ -217,7 +217,7 @@ def lsd_blocks(m: SquareMatrix, item: Callable, empty) -> tuple[list[tuple], dic
         for cycle, rest, w in entries:
             unit = 1 << width * distinct.setdefault(w, len(distinct))
             row = rows[rest]
-            for key in row[2]:
+            for key in row[2]:  # each distinct key of the rest's row
                 if unit + key not in weights:
                     weights[unit + key] = w * weights[key] if key else w
             steps.append((cycle, row, unit))
