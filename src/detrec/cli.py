@@ -7,8 +7,10 @@ JSON object per item followed by a summary line, handing stdout exactly
 summary.  One writer takes every subject's objects as blocks of lines and
 keys and reads their lines as one stream, cut into writes: a tiling
 subject's blocks are ``combi``'s ``(head, rests)`` blocks, whose row of
-rests is formatted and counted once per row and joined to each head's
-prefix; ``lsds`` gives ``digraph.lsd_blocks``' blocks, one per
+rests is formatted once per row and joined to each head's prefix, and a
+block's one key is its head's multiset of parts and its row, whose weight
+is the head's weight times the row's weight sum, each row summed once;
+``lsds`` gives ``digraph.lsd_blocks``' blocks, one per
 first cycle, whose rows hold each LSD of a rest as its text, built once
 per vertex set from the texts of the rests' rows, beside the counts of
 their keys; ``words`` and ``cyclic-words`` give one block per
@@ -97,10 +99,11 @@ def _need(args, flag: str):
 
 
 def _coeff_count(args) -> int:
-    """The coefficient list's length: ``--coeffs``', else ``--r``; an empty list is refused."""
-    if args.coeffs == []:
+    """The coefficient list's length: ``--coeffs``', else ``--r``; below 1 it is refused."""
+    count = len(args.coeffs) if args.coeffs is not None else _need(args, "--coeffs or --r")
+    if count < 1:
         raise ValueError("need at least one coefficient")
-    return len(args.coeffs) if args.coeffs is not None else _need(args, "--coeffs or --r")
+    return count
 
 
 def _coeffs(args, n: int | None = None):
@@ -226,32 +229,38 @@ def _chunk_blocks(objects, texts, keys, before: str, after: str):
         yield [before + text + after for text in texts(chunk)], keys(chunk)
 
 
-def _head_blocks(blocks, item_text, parts, before: str, after: str):
-    """``(head, rests)`` tiling blocks (``combi.tiling_blocks``) as ``enumerate`` blocks.
+def _head_blocks(blocks, item_text, parts, part_weight, before: str, after: str):
+    """``(head, rests)`` tiling blocks (``combi.tiling_blocks``) as ``enumerate`` blocks and weight.
 
     A tiling's text is ``str(list(head + rest))`` with each tile printed by
-    ``item_text``, and its key the ``combi.tiling_parts`` of its tiles'
-    ``parts``, which fix its weight.  Each row of rests,
+    ``item_text``, and its weight ``part_weight`` of the
+    ``combi.tiling_parts`` of its tiles' ``parts``.  Each row of rests,
     one list object shared by the heads that cover the same cells, gets
-    its suffix texts and the ``Counter`` of its keys built once.  A
-    block's lines are then its head's prefix text joined to each suffix,
-    and its key counts the row's, each key merged with the head's parts.
+    its suffix texts built once, so a block's lines are its head's prefix
+    text joined to each suffix.  A block's one key is its head's sorted
+    parts and its row: its tilings weigh the head's weight times the row's
+    weight sum, and each row is summed once, by ``combi.counted_sum``.
+    Returns the blocks, lazily, and the weight of a key.
     """
-    rows = {}  # id of a row of rests -> its suffix texts and its key counts
-    for head, rests in blocks:
-        row = rows.get(id(rests))
-        if row is None:
-            row = rows[id(rests)] = (
-                ["".join([", " + item_text(tile) for tile in rest]) + "]" + after
-                 for rest in rests],
-                Counter(tiling_parts(map(parts, rests))))
-        suffixes, keys = row
-        # the suffixes start with ", ", which is right because a head is
-        # empty only on an empty board, whose one rest is empty too
-        prefix = before + "[" + ", ".join(map(item_text, head))
-        head_parts = parts(head)
-        yield ([prefix + suffix for suffix in suffixes],
-               {tuple(sorted(head_parts + key)): count for key, count in keys.items()})
+    rows = {}  # id of a row of rests -> its suffix texts and the row
+
+    def lines():
+        for head, rests in blocks:
+            row = rows.get(id(rests))
+            if row is None:
+                row = rows[id(rests)] = (
+                    ["".join([", " + item_text(tile) for tile in rest]) + "]" + after
+                     for rest in rests], rests)
+            # the suffixes start with ", ", which is right because a head is
+            # empty only on an empty board, whose one rest is empty too
+            prefix = before + "[" + ", ".join(map(item_text, head))
+            yield [prefix + suffix for suffix in row[0]], [(tuple(sorted(parts(head))), id(rests))]
+
+    @functools.cache
+    def row_sum(row: int):
+        return counted_sum(Counter(tiling_parts(map(parts, rows[row][1]))), part_weight)
+
+    return lines(), lambda key: part_weight(key[0]) * row_sum(key[1])
 
 
 def _cycle_blocks(blocks, cycle_text, tail, before: str):
@@ -291,14 +300,15 @@ def _cmd_enumerate(args) -> int:
         if min(n, r) > len(coeffs):
             # the first tiling with a part past the coefficients, found up front
             raise ValueError(f"tile length {len(coeffs) + 1} outside 1..{len(coeffs)}")
-        blocks = _head_blocks(tilings, str, tuple, before, after)
-        weight = functools.partial(tiling_weight, coeffs=coeffs)
+        blocks, weight = _head_blocks(tilings, str, tuple,
+                                      functools.partial(tiling_weight, coeffs=coeffs),
+                                      before, after)
     elif subject == "circular-tilings":
         tilings = circular_tiling_blocks(args.n)
         pair_text = functools.cache(lambda pair: str(list(pair)))  # the tilings share their pairs
-        # every circular tiling weighs 1, so all share the key ()
-        blocks = _head_blocks(tilings, pair_text, lambda tiles: (), before, after)
-        weight = lambda parts: 1
+        # every circular tiling weighs 1, so all share the parts ()
+        blocks, weight = _head_blocks(tilings, pair_text, lambda tiles: (), lambda parts: 1,
+                                      before, after)
     elif subject == "lsds":
         matrix, names = _family_matrix(args, lsds=True)
         # a cycle prints with 1-based vertices

@@ -47,7 +47,12 @@ multiply loop, ``_mul_into``, and one packed division loop, ``_divide``.
 The canonical text form lists terms in descending graded-lexicographic order
 (total degree first, then lexicographically with the lowest-indexed variable
 strongest), e.g. ``x0^2 + x0*x1 + x1^2``.  That string is the golden format
-used by the test suite and the command line.
+used by the test suite and the command line.  The producers hand their terms
+over in that order where it costs nothing: ``_Packed.unpack`` walks its keys
+in descending order, so every product, quotient, power sum and determinant
+comes out in order, and so do ``symfunc``'s ``elementary`` and
+``homogeneous``.  ``poly_str`` checks the order in the one pass that builds
+the text, and sorts only a map that arrives out of order, such as a sum's.
 
 ``QuadExt`` is an exact element of the golden-ratio field Q(sqrt 5), stored
 as three ints ``(a, b, den)`` for ``(a + b*sqrt(5)) / den`` with
@@ -435,31 +440,52 @@ def poly_str(p: MultiPoly, names: VarNames = None) -> str:
     """Canonical text form: graded-lex descending, ``coef*x0^e0*...`` terms.
 
     Exponent 1 and coefficient 1 are omitted; the zero polynomial is ``0``.
+    One pass over the term map builds each term's text, each ``(variable,
+    exponent)`` factor's text once, and checks that the map is in order.
+    Only a map out of order has its texts sorted, by packed key, or by
+    ``_graded_lex_key`` past ``_MAX_KEY_BITS``.
     """
     if not p:
         return "0"
-    ordered = p._terms.items()
-    if len(ordered) > 1:
-        packing = _Packing(p._terms, p.degree())
-        narrow = packing.bits * len(packing.variables) <= _MAX_KEY_BITS
-        key = packing.pack if narrow else _graded_lex_key
-        ordered = sorted(ordered, key=lambda kv: key(kv[0]), reverse=True)
     name_of = (lambda v: f"x{v}") if names is None else (
         names if callable(names) else names.__getitem__)
-    pieces: list[str] = []
-    for i, (mono, coef) in enumerate(ordered):
-        mag = abs(coef)
-        factors = []
-        if mag != 1 or not mono:
-            factors.append(str(mag))
-        for v, e in mono:
-            name = name_of(v)
-            factors.append(name if e == 1 else f"{name}^{e}")
-        body = "*".join(factors)
-        if i == 0:
-            pieces.append(body if coef > 0 else f"-{body}")
-        else:
-            pieces.append(f" + {body}" if coef > 0 else f" - {body}")
+    texts: dict[tuple[int, int], str] = {}  # a factor's text
+    pieces: list[str] = []  # each term's text after its sign, " + " or " - "
+    ordered = True
+    last: Monomial = ()
+    # the first term is in order; one of degree 2**63 or more costs a sort
+    last_degree, top = 1 << 63, 0
+    for mono, coef in p._terms.items():
+        factors = [] if mono and (coef == 1 or coef == -1) else [str(abs(coef))]
+        degree = 0
+        for pair in mono:
+            text = texts.get(pair)
+            if text is None:
+                v, e = pair
+                text = texts[pair] = name_of(v) if e == 1 else f"{name_of(v)}^{e}"
+            factors.append(text)
+            degree += pair[1]
+        pieces.append((" + " if coef > 0 else " - ") + "*".join(factors))
+        if ordered and degree >= last_degree:
+            # in order after a term of higher degree, or of the same degree
+            # whose first pair that differs has the lower variable, or the
+            # same variable with the higher exponent
+            ordered = False
+            if degree == last_degree:
+                for a, b in zip(last, mono):
+                    if a != b:
+                        ordered = (a[0], b[1]) < (b[0], a[1])
+                        break
+        last, last_degree = mono, degree
+        if degree > top:
+            top = degree
+    if not ordered:
+        packing = _Packing(p._terms, top)
+        narrow = packing.bits * len(packing.variables) <= _MAX_KEY_BITS
+        key = packing.pack if narrow else _graded_lex_key
+        pieces = [piece for _, piece in sorted(zip(map(key, p._terms), pieces), reverse=True)]
+    first = pieces[0]
+    pieces[0] = first[3:] if first[1] == "+" else "-" + first[3:]
     return "".join(pieces)
 
 
@@ -552,8 +578,9 @@ class _Packed(_Ring):
         return _Packed(terms, self.packing)
 
     def unpack(self) -> MultiPoly:
-        unpack = self.packing.unpack
-        return _from_terms({unpack(k): c for k, c in self._terms.items()})
+        """The ``MultiPoly``, its terms in descending key order, which is the printed order."""
+        unpack, terms = self.packing.unpack, self._terms
+        return _from_terms({unpack(k): terms[k] for k in sorted(terms, reverse=True)})
 
     def __mul__(self, other):
         right = self._terms_of(other)

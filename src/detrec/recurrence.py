@@ -56,22 +56,21 @@ def eval_recurrence(coeffs: Sequence, n: int):
     return _iterate(_pack(polys, n * max(map(MultiPoly.degree, polys))), n).unpack()
 
 
-def _dot(coeffs: Sequence, recent: Sequence):
-    """``c_1 u_(m-1) + c_2 u_(m-2) + ...`` of plain scalars, ``recent`` newest first."""
-    return sum(map(mul, coeffs, recent))
-
-
 def _iterate(coeffs: Sequence, n: int):
     """``eval_recurrence``'s loop, run by it and by ``racci`` after each one's own guard.
 
     It keeps the last ``r`` values, newest first, so that ``coeffs`` and
     them pair up as ``c_t`` and ``u_(m-t)``.  Packed coefficients step by
-    ``poly._mul_sum`` and any others by ``_dot``.
+    ``poly._mul_sum``, and any others by ``sum(map(mul, coeffs, recent))``
+    inline, with no call of its own per step.
     """
-    step = _mul_sum if type(coeffs[0]) is _Packed else _dot
     recent = deque([1], maxlen=len(coeffs))  # u_(m-1), ..., u_(m-r)
-    for _ in range(n):
-        recent.appendleft(step(coeffs, recent))
+    if type(coeffs[0]) is _Packed:
+        for _ in range(n):
+            recent.appendleft(_mul_sum(coeffs, recent))
+    else:
+        for _ in range(n):
+            recent.appendleft(sum(map(mul, coeffs, recent)))
     return recent[0]
 
 

@@ -17,9 +17,9 @@ decreasing sequence of non-negative integers.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement, groupby, repeat
+from itertools import combinations, combinations_with_replacement, groupby
 from math import comb
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .caps import COFACTOR_MAX_N, MAX_SCHUR_WORK, check_terms
 from .detmat import SquareMatrix, _cofactor, build_C, det_cofactor
@@ -44,7 +44,8 @@ def elementary(k: int, n_vars: int) -> MultiPoly:
         return MultiPoly.one()
     if k > n_vars:
         return MultiPoly.zero()
-    # each monomial is canonical as built: variables ascending, exponents 1
+    # each monomial is canonical as built: variables ascending, exponents 1;
+    # the subsets come in lexicographic order, so their monomials descend
     return _from_terms(dict.fromkeys((tuple((v, 1) for v in combo)
                                       for combo in combinations(range(n_vars), k)), 1))
 
@@ -56,8 +57,8 @@ def homogeneous(k: int, n_vars: int) -> MultiPoly:
     ``comb(k + n_vars - 1, k)`` terms exceed ``caps.MAX_TERMS``.  Each
     monomial is built from ``min(k, n_vars)`` choices, so its cost does not
     grow with the larger of the two: for ``k <= n_vars`` from the multiset
-    of its ``k`` variables, otherwise from the places of the ``n_vars - 1``
-    bars that split ``k`` stars into its exponents.
+    of its ``k`` variables, otherwise from its ``n_vars`` exponents.  Both
+    branches build the terms in descending graded-lex order, the printed one.
     """
     if k < 0:
         raise ValueError("degree must be non-negative")
@@ -65,27 +66,30 @@ def homogeneous(k: int, n_vars: int) -> MultiPoly:
         raise ValueError("need at least one variable")
     check_terms("h", k + n_vars - 1, k)
     if k <= n_vars:
+        # the multisets in lexicographic order hold ever fewer of the lower
+        # variables, so their monomials descend
         monos = (tuple((v, len(tuple(run))) for v, run in groupby(combo))
                  for combo in combinations_with_replacement(range(n_vars), k))
     else:
-        # combinations lists its whole pool even to choose no bar, so the
-        # one monomial of one variable comes without it
-        slots = k + n_vars - 1
-        bars = combinations(range(slots), n_vars - 1) if n_vars > 1 else [()]
-        monos = map(_stars_and_bars, bars, repeat(slots))
+        monos = _descending_monomials(k, 0, n_vars - 1)
     # each monomial is canonical as built: variables ascending, exponents positive
     return _from_terms(dict.fromkeys(monos, 1))
 
 
-def _stars_and_bars(bars: tuple[int, ...], slots: int) -> Monomial:
-    """The monomial whose exponents are the star runs between the bars, in order."""
-    mono = []
-    prev = -1
-    for v, bar in enumerate((*bars, slots)):
-        if bar - prev > 1:
-            mono.append((v, bar - prev - 1))
-        prev = bar
-    return tuple(mono)
+def _descending_monomials(k: int, v: int, last: int) -> Iterator[Monomial]:
+    """The monomials of degree ``k`` in ``x_v..x_last``, in descending graded-lex order.
+
+    ``x_v``'s exponent runs down from ``k``, each followed by the monomials
+    of the rest of the degree in the variables after it.
+    """
+    if v == last:
+        yield ((v, k),) if k else ()
+        return
+    for e in range(k, 0, -1):
+        head = ((v, e),)
+        for rest in _descending_monomials(k - e, v + 1, last):
+            yield head + rest
+    yield from _descending_monomials(k, v + 1, last)
 
 
 def _check_partition(lam: Sequence[int], n_vars: int) -> tuple[int, ...]:

@@ -174,6 +174,31 @@ def test_enumerate_tilings_match_a_reference_formatter(capsys):
                                   lambda t: str(list(t)), total)
 
 
+@pytest.mark.parametrize("flags", [["--coeffs=0,1"], ["--coeffs=1,0,2"], ["--coeffs=0,0,0"]],
+                         ids=" ".join)
+def test_enumerate_tilings_totals_hold_with_zero_coefficients(capsys, flags):
+    # a zero coefficient zeroes the weight of every tiling with that part,
+    # whose multisets then drop out of the total, though the tilings still print
+    coeffs = [int(c) for c in flags[0].partition("=")[2].split(",")]
+    for n in range(13):
+        tilings = list(combi.enumerate_tilings(n, len(coeffs)))
+        for fmt in ("json", "pretty"):
+            argv = ["tilings", "--n", str(n), "--r", str(len(coeffs)), *flags, "--format", fmt]
+            code, out, err = run(capsys, "enumerate", *argv)
+            total = scalar_str(combi.tiling_sum(tilings, coeffs))
+            summary = (f"count={len(tilings)} total_weight={total}" if fmt == "pretty"
+                       else json.dumps({"count": len(tilings), "total_weight": total}))
+            assert (code, err, out.rsplit("\n", 2)[-2]) == (0, "", summary), argv
+
+
+def test_enumerate_tilings_total_at_the_cap(capsys):
+    code, out, err = run(capsys, "enumerate", "tilings", "--n", "20", "--r", "20")
+    total = scalar_str(combi.tiling_sum(combi.enumerate_tilings(20, 20), symbolic_coeffs(20)),
+                       identities.coeff_name)
+    assert (code, err) == (0, "")
+    assert out.rsplit("\n", 2)[-2] == json.dumps({"count": 2 ** 19, "total_weight": total})
+
+
 def test_enumerate_circular_tilings_match_a_reference_formatter(capsys):
     for n in range(3, 15):
         tilings = combi.enumerate_circular_tilings(n)
@@ -322,7 +347,10 @@ REFUSALS = [
     ("enumerate lsds --family E --n 3 --vars 1", 0,
      '{"cycles": [[1], [2], [3]], "signed_weight": "x0^3"}\n'
      '{"count": 1, "total_weight": "x0^3"}\n', ""),
-    ("compute recurrence --r 0 --n 3", 2, "", "error: need at least one coefficient\n"),
+    # a symbolic --r below 1 is refused as an empty list is, by every command
+    *((argv, 2, "", "error: need at least one coefficient\n")
+      for argv in ("compute recurrence --r 0 --n 3", "compute det --family C --n 3 --r -2",
+                   "verify recurrence-det --r 0 --n 3", "verify recurrence-det --r -2 --n 3")),
     # an empty coefficient list is refused, whether or not the tilings read a coefficient
     *((argv, 2, "", "error: need at least one coefficient\n")
       for argv in ("enumerate tilings --n 0 --r 2 --coeffs=",

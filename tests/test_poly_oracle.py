@@ -21,8 +21,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from detrec import poly  # noqa: E402
 from detrec.errors import NotDivisible  # noqa: E402
 from detrec.poly import MultiPoly, QuadExt, exact_divide, poly_str, scalar_str  # noqa: E402
+from detrec.symfunc import elementary, homogeneous  # noqa: E402
 
 N_VARS = 4
 SYMS = sympy.symbols(f"x0:{N_VARS}")
@@ -162,3 +164,63 @@ def test_copy_and_pickle_round_trips(p, q):
             assert type(clone) is type(value)
             assert clone == value and hash(clone) == hash(value)
             assert text(clone) == text(value)
+
+
+# -- the printer's term order --------------------------------------------------------
+#
+# ``poly_str`` sorts only a term map that is out of order, so its text must
+# not depend on the map's insertion order, and the producers that hand their
+# terms in order must really do so.
+
+# small exponents and many terms, so that many terms share a degree
+dense_polys = st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * N_VARS), coefficients),
+                       max_size=24).map(lambda terms: MultiPoly({
+                           tuple((v, e) for v, e in enumerate(exps) if e): coef
+                           for exps, coef in terms}))
+NAMES = [None, ("a", "b", "c", "d"), lambda v: f"c{v + 1}"]
+
+
+def grlex_descending(p: MultiPoly) -> bool:
+    """Whether ``p``'s term map lists its monomials in descending graded-lex order.
+
+    The key is the total degree, then the exponent vector from ``x0`` on,
+    built here rather than taken from ``poly``.
+    """
+    def key(mono):
+        exps = dict(mono)
+        return sum(exps.values()), [exps.get(v, 0) for v in range(max(exps, default=-1) + 1)]
+    monos = list(p._terms)
+    return monos == sorted(monos, key=key, reverse=True)
+
+
+@examples
+@given(st.one_of(polys, dense_polys), st.randoms(use_true_random=False))
+def test_poly_str_does_not_depend_on_the_term_order(p, rng):
+    items = list(p._terms.items())
+    shuffled = rng.sample(items, len(items))
+    for names in NAMES:
+        text = poly_str(p, names)
+        for order in (items[::-1], shuffled, sorted(items)):
+            assert poly_str(poly._from_terms(dict(order)), names) == text
+    assert poly_str(p) == sympy_str(to_sympy(p).as_expr())
+
+
+@examples
+@given(st.one_of(polys, dense_polys), st.one_of(polys, dense_polys))
+def test_unpacked_terms_come_in_descending_order(a, b):
+    # a product of two multi-term factors and a quotient are unpacked
+    results = [poly._pack([a], a.degree())[0].unpack()]
+    if len(a.terms) > 1 and len(b.terms) > 1:
+        results.append(a * b)
+    if b:
+        results.append(exact_divide(a * b, b))
+    for result in results:
+        assert grlex_descending(result)
+
+
+@pytest.mark.parametrize("n_vars", range(1, 7))
+def test_symmetric_polynomials_come_in_descending_order(n_vars):
+    # h_k takes its k <= n_vars and its k > n_vars branch here
+    for k in range(13):
+        assert grlex_descending(homogeneous(k, n_vars)), (k, n_vars)
+        assert grlex_descending(elementary(k, n_vars)), (k, n_vars)
