@@ -25,8 +25,10 @@ each command's subjects and the flags each one reads, and a command line
 is parsed by its subject's own parser, built when first needed, which
 takes exactly those, so a flag a subject does not read is a usage error;
 the ``verify`` rows come from the registry ``identities.IDENTITIES``.
-Flags go after the subject, and a flag put before the command or the
-subject is a usage error that names the flag.
+``argparse`` is imported where the first parser is built, so importing
+this module loads neither it nor the ``gettext`` it brings.  Flags go
+after the subject, and a flag put before the command or the subject is a
+usage error that names the flag.
 
 Size caps (see ``caps``) are checked before any work or output, by one
 guard per computation that every path running it shares.  ``verify``
@@ -45,7 +47,6 @@ ends the run quietly with exit code 0.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
@@ -82,6 +83,7 @@ def _int_list(text: str) -> list[int]:
     except ValueError:
         # int() refuses a field of over MAX_DIGITS digits as it refuses "x"
         too_long = max(map(len, parts)) > MAX_DIGITS
+        import argparse  # loaded already: argparse calls this as a flag's type
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers of at most {MAX_DIGITS} digits" if too_long
             else f"expected comma-separated integers, got {text!r}") from None
@@ -431,6 +433,7 @@ def _pick(prog: str, names, argv: list[str], what: str, description: str | None 
     """
     if argv and argv[0] in names:
         return argv[0]
+    import argparse
     parser = argparse.ArgumentParser(prog=prog, description=description)
     parser.add_argument(what, choices=names, help=f"see '{prog} {what.upper()} -h'")
     if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
@@ -443,6 +446,7 @@ def _pick(prog: str, names, argv: list[str], what: str, description: str | None 
 @functools.cache
 def _subject_parser(command: str, subject: str) -> argparse.ArgumentParser:
     """The parser of ``detrec COMMAND SUBJECT``: the flags the subject reads, and ``--format``."""
+    import argparse
     parser = argparse.ArgumentParser(prog=f"detrec {command} {subject}")
     parser.set_defaults(command=command, subject=subject, parser=parser)
     for flag in SUBJECTS[command][subject].split():

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import json
-import random
 import time
 from collections import namedtuple
 from itertools import product
@@ -198,6 +197,7 @@ def _recurrence_grid(ranges: dict[str, range], seed: int) -> Iterable[tuple]:
     """Symbolic coefficients for ``r <= 3``, ``n <= 8``, then ten seeded integer vectors."""
     for r, n in product(ranges["r"][:3], ranges["n"][:8]):
         yield symbolic_coeffs(r), n
+    import random
     rng = random.Random(seed)
     for _ in range(10):
         r = rng.randint(ranges["r"].start, ranges["r"][-1])

@@ -61,12 +61,16 @@ equality compares the triples.  Ring operations work on the ints and build
 their results through the trusted ``_quad``, which only reduces by the gcd;
 no ``Fraction`` arithmetic runs inside them.  A square takes three big-int
 products, and ``conjugate`` is the automorphism ``sqrt(5) -> -sqrt(5)``, so
-``PSI ** n`` is ``(PHI ** n).conjugate()``, one power for both.
+``PSI ** n`` is ``(PHI ** n).conjugate()``, one power for both.  A
+``Fraction`` exists only at the boundary: the public constructor parses one
+from input that is not an int, and ``rational`` and ``radical`` return one.
+``fractions`` is imported there, when first needed, so a process that makes
+no ``Fraction`` never loads it, nor the ``decimal`` and ``numbers`` it
+brings; ``PHI``, ``PSI`` and ``SQRT5`` are built by ``_quad``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
 from operator import mul
@@ -677,17 +681,28 @@ class QuadExt:
     ``Fraction`` accepts); every ring operation builds its result through
     the trusted ``_quad``, which takes the triple as computed and only
     divides out the gcd.  ``rational`` and ``radical`` read the two
-    components back as reduced ``Fraction``s.
+    components back as reduced ``Fraction``s.  A ``Fraction`` exists only
+    at that boundary: the constructor parses one from input that is not
+    an int, ``rational`` and ``radical`` return one, a rational element
+    hashes and compares with a non-field operand (a float, say) as one,
+    and a ``Fraction`` operand is read as a rational element.  Arithmetic
+    and equality on ints and ``QuadExt``s, and the text of every element,
+    make none, so ``fractions`` is imported only when one is.
     """
 
     __slots__ = ("_a", "_b", "_den")
 
     def __init__(self, rational=0, radical=0):
-        r, s = Fraction(rational), Fraction(radical)
-        den = lcm(r.denominator, s.denominator)
-        # both components are reduced, so the common denominator leaves gcd 1
-        _set_a(self, r.numerator * (den // r.denominator))
-        _set_b(self, s.numerator * (den // s.denominator))
+        if isinstance(rational, int) and isinstance(radical, int):
+            a, b, den = int(rational), int(radical), 1
+        else:
+            from fractions import Fraction
+            r, s = Fraction(rational), Fraction(radical)
+            den = lcm(r.denominator, s.denominator)
+            # both components are reduced, so the common denominator leaves gcd 1
+            a, b = r.numerator * (den // r.denominator), s.numerator * (den // s.denominator)
+        _set_a(self, a)
+        _set_b(self, b)
         _set_den(self, den)
 
     def __setattr__(self, name, value):
@@ -700,11 +715,13 @@ class QuadExt:
     @property
     def rational(self) -> Fraction:
         """The rational component ``a/den``, reduced."""
+        from fractions import Fraction
         return Fraction(self._a, self._den)
 
     @property
     def radical(self) -> Fraction:
         """The coefficient ``b/den`` of ``sqrt(5)``, reduced."""
+        from fractions import Fraction
         return Fraction(self._b, self._den)
 
     @staticmethod
@@ -713,6 +730,7 @@ class QuadExt:
             return other
         if isinstance(other, int):
             return _quad(int(other), 0, 1)
+        from fractions import Fraction
         if isinstance(other, Fraction):
             return _quad(other.numerator, 0, other.denominator)
         return None
@@ -795,28 +813,29 @@ class QuadExt:
         return bool(self._a or self._b)
 
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._a == other._a and self._b == other._b and self._den == other._den
+        right = self._coerce(other)
+        if right is not None:
+            return self._a == right._a and self._b == right._b and self._den == right._den
+        # a rational element equals exactly what its Fraction equals (a float,
+        # say), as a constant polynomial does its int; an irrational one equals
+        # nothing outside the field
+        return NotImplemented if self._b else self.rational.__eq__(other)
 
     def __hash__(self) -> int:
         if self._b:
             return hash((self._a, self._b, self._den))
         # a rational element equals, so must hash like, its Fraction and int
-        return hash(Fraction(self._a, self._den))
+        return hash(self._a) if self._den == 1 else hash(self.rational)
 
     def __str__(self) -> str:
+        rational = _ratio_str(self._a, self._den)
         if not self._b:
-            # a and den are coprime here: the reduced fraction's text, built without one
-            return str(self._a) if self._den == 1 else f"{self._a}/{self._den}"
-        tail = f"{abs(self.radical)}*sqrt(5)"
-        if self._b < 0:
-            return f"{self.rational} - {tail}"
-        return f"{self.rational} + {tail}"
+            return rational
+        sign = "-" if self._b < 0 else "+"
+        return f"{rational} {sign} {_ratio_str(abs(self._b), self._den)}*sqrt(5)"
 
     def __repr__(self) -> str:
-        return f"QuadExt({self.rational}, {self.radical})"
+        return f"QuadExt({_ratio_str(self._a, self._den)}, {_ratio_str(self._b, self._den)})"
 
 
 _set_a = QuadExt._a.__set__
@@ -843,10 +862,16 @@ def _quad(a: int, b: int, den: int) -> QuadExt:
     return z
 
 
+def _ratio_str(n: int, den: int) -> str:
+    """The text of ``n/den`` reduced, ``den > 0``: the text its ``Fraction`` prints."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
 #: Golden ratio (1 + sqrt(5))/2 and its conjugate (1 - sqrt(5))/2.
-PHI = QuadExt(Fraction(1, 2), Fraction(1, 2))
-PSI = QuadExt(Fraction(1, 2), Fraction(-1, 2))
-SQRT5 = QuadExt(0, 1)
+PHI = _quad(1, 1, 2)
+PSI = _quad(1, -1, 2)
+SQRT5 = _quad(0, 1, 1)
 
 
 def substitute(p: MultiPoly, assignment: Mapping[int, "QuadExt | int | Fraction"]) -> QuadExt:

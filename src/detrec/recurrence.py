@@ -151,7 +151,7 @@ def binet_fib(n: int) -> QuadExt:
     _check_ones(n, 2)
     p = PHI ** (n + 1)
     value = (p - p.conjugate()) / SQRT5
-    check_digits(value.rational.numerator)  # the value is an integer
+    check_digits(value._a)  # the value is the integer a: den is 1, the radical part 0
     return value
 
 
@@ -164,5 +164,5 @@ def binet_lucas(n: int) -> QuadExt:
     _check_ones(n, 2)
     p = PHI ** n
     value = p + p.conjugate()
-    check_digits(value.rational.numerator)  # the value is an integer
+    check_digits(value._a)  # the value is the integer a: den is 1, the radical part 0
     return value

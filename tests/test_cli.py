@@ -722,17 +722,39 @@ def _detrec(*argv, **kwargs) -> subprocess.CompletedProcess:
                           capture_output=True, env=_child_env(), **kwargs)
 
 
-def test_start_up_loads_no_module_it_does_not_run():
-    # the records are named tuples and csv is imported by the one format
-    # that writes it, so a start-up loads none of these; -S keeps site's
-    # own imports out of the list
-    code = "import detrec, detrec.cli, sys; print(sorted(sys.modules))"
+def _modules_loaded_by(code: str) -> set[str]:
+    """The names in ``sys.modules`` once ``code`` has run in a ``python -S`` child."""
+    code += "; import sys; print(sorted(sys.modules))"
+    # -S keeps site's own imports out of the list
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env=_child_env(), check=True, timeout=60)
-    loaded = set(ast.literal_eval(proc.stdout))
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
+def test_start_up_loads_no_module_it_does_not_run():
+    # the records are named tuples, csv is imported by the one format that
+    # writes it, argparse with the first parser, random by the one verify
+    # grid that draws, and fractions where a Fraction is made, so a
+    # start-up loads none of these
+    loaded = _modules_loaded_by("import detrec, detrec.cli")
     assert "detrec.cli" in loaded
-    unused = loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "csv"}
+    unused = loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "csv", "fractions",
+                       "decimal", "numbers", "argparse", "gettext", "random"}
     assert not unused, sorted(unused)
+
+
+def test_integer_and_golden_ratio_paths_make_no_fraction():
+    # a command line, the Binet checks and a golden-ratio determinant run on
+    # ints and QuadExt triples alone, so none of them loads fractions
+    loaded = _modules_loaded_by(
+        "import contextlib, io; from detrec import cli, identities, detmat\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['compute', 'fib', '--n', '10']) == 0\n"
+        "assert identities.verify_binet_fib(30).passed\n"
+        "assert identities.verify_binet_lucas(12).passed\n"
+        "assert detmat.det_bareiss(detmat.build_A(12)) == 644")
+    assert "argparse" in loaded
+    assert not loaded & {"fractions", "decimal", "numbers"}, sorted(loaded)
 
 
 def test_integer_values_are_held_to_the_digit_cap(capsys):

@@ -6,7 +6,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -262,6 +262,47 @@ def test_substitute_is_ring_homomorphism():
         assert substitute(p + q, point) == substitute(p, point) + substitute(q, point)
 
 
+def test_quad_constructor_reads_ints_and_what_fraction_parses():
+    for rational, radical in ((3, -2), (True, 0), (Fraction(3, 4), Fraction(-1, 6)),
+                              ("3/4", "-1/6"), (0.75, "-2/12"), ("1.5", 2.5)):
+        z = QuadExt(rational, radical)
+        r, s = Fraction(rational), Fraction(radical)
+        den = r.denominator * s.denominator // gcd(r.denominator, s.denominator)
+        assert (z._a, z._b, z._den) == (r * den, s * den, den), (rational, radical)
+        assert type(z._a) is type(z._b) is int
+        # the components read back as reduced Fractions
+        for part, want in ((z.rational, r), (z.radical, s)):
+            assert type(part) is Fraction and part == want
+            assert (part.numerator, part.denominator) == (want.numerator, want.denominator)
+    assert _pair(QuadExt(Fraction(9, 12), Fraction(2, 12))) == (Fraction(3, 4), Fraction(1, 6))
+    with pytest.raises(ValueError):
+        QuadExt("x")
+    with pytest.raises(TypeError):
+        QuadExt(None)
+
+
+def test_golden_constants_are_their_fraction_forms():
+    assert PHI == QuadExt(Fraction(1, 2), Fraction(1, 2)) and _pair(PHI) == (Fraction(1, 2),) * 2
+    assert PSI == QuadExt(Fraction(1, 2), Fraction(-1, 2))
+    assert SQRT5 == QuadExt(Fraction(0), Fraction(1)) == QuadExt(0, 1)
+    for z, triple in ((PHI, (1, 1, 2)), (PSI, (1, -1, 2)), (SQRT5, (0, 1, 1))):
+        assert (z._a, z._b, z._den) == triple
+
+
+def test_fraction_operands_work_on_either_side():
+    f = Fraction(3, 4)
+    for z in (PHI, QuadExt(Fraction(1, 3)), QuadExt(5), QuadExt(0)):
+        r, s = _pair(z)
+        assert _pair(z + f) == _pair(f + z) == (r + f, s)
+        assert _pair(z - f) == (r - f, s) and _pair(f - z) == (f - r, -s)
+        assert _pair(z * f) == _pair(f * z) == (r * f, s * f)
+        assert _pair(z / f) == (r / f, s / f)
+        if z:
+            assert f / z * z == f
+        assert (z == f) == (f == z) == (z == QuadExt(f)) == (s == 0 and r == f)
+    assert QuadExt(f) == f and f == QuadExt(f) and QuadExt(f) != Fraction(3, 5)
+
+
 def test_quad_pow_values():
     assert PHI ** 2 == QuadExt(Fraction(3, 2), Fraction(1, 2))
     assert PSI ** 0 == QuadExt(1)
@@ -393,6 +434,19 @@ def test_scalar_str_unifies_types():
     assert scalar_str(QuadExt(Fraction(1, 2), Fraction(1, 2))) == "1/2 + 1/2*sqrt(5)"
     assert scalar_str(PSI) == "1/2 - 1/2*sqrt(5)"
     assert scalar_str(X0 - X1) == "x0 - x1"
+    assert str(PHI) == "1/2 + 1/2*sqrt(5)" and str(-PHI) == "-1/2 - 1/2*sqrt(5)"
+    assert str(PHI ** 3) == "2 + 1*sqrt(5)" and str(SQRT5 - 1) == "-1 + 1*sqrt(5)"
+    assert str(QuadExt(Fraction(3, 4), Fraction(-1, 6))) == "3/4 - 1/6*sqrt(5)"
+    assert repr(PHI) == "QuadExt(1/2, 1/2)" and repr(PHI ** 3 / 7) == "QuadExt(2/7, 1/7)"
+
+
+def test_quad_text_is_the_text_of_its_fractions():
+    # the components print reduced, each as its own Fraction prints
+    for z in QUAD_GRID + [-x for x in QUAD_GRID] + [x / 3 for x in QUAD_GRID]:
+        r, s = _pair(z)
+        text = f"{r} {'-' if s < 0 else '+'} {abs(s)}*sqrt(5)" if s else str(r)
+        assert str(z) == scalar_str(z) == text, (r, s)
+        assert repr(z) == f"QuadExt({r}, {s})"
 
 
 def test_scalar_str_of_a_rational_quad_is_its_str():
@@ -472,12 +526,15 @@ def test_polynomial_copy_and_pickle_round_trip(value):
 
 
 @pytest.mark.parametrize("value", [
-    QuadExt(0), QuadExt(Fraction(3, 4)), PHI, PSI, PHI ** 40 / 7, QuadExt(Fraction(-1, 6), 2),
+    QuadExt(0), QuadExt(5), QuadExt(-2, 3), QuadExt(Fraction(3, 4)), PHI, PSI, SQRT5,
+    PHI ** 40 / 7, QuadExt(Fraction(-1, 6), 2),
 ])
 def test_quad_copy_and_pickle_round_trip(value):
     for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(clone) is QuadExt
         assert clone == value and hash(clone) == hash(value)
+        assert (clone._a, clone._b, clone._den) == (value._a, value._b, value._den)
+        assert str(clone) == str(value)
         assert scalar_str(clone) == scalar_str(value)
 
 
@@ -489,15 +546,31 @@ def test_constants_hash_like_their_values():
     assert {5: "x"}.get(MultiPoly.const(5)) == "x"
     assert len({QuadExt(5), 5}) == 1
     assert {5: "x"}.get(QuadExt(5)) == "x"
-    assert hash(QuadExt(Fraction(3, 2))) == hash(Fraction(3, 2))
+    for f in (Fraction(3, 2), Fraction(-7, 3), Fraction(5), Fraction(0), Fraction(1, 2 ** 70)):
+        assert hash(QuadExt(f)) == hash(f), f
     assert len({QuadExt(Fraction(3, 2)), Fraction(3, 2)}) == 1
+
+
+def test_rational_elements_equal_what_their_fractions_equal():
+    # as a constant polynomial equals what its int equals, a float among it
+    assert QuadExt(3) == 3.0 and 3.0 == QuadExt(3) and MultiPoly.const(3) == 3.0
+    assert QuadExt(Fraction(3, 2)) == 1.5 and 1.5 == QuadExt(Fraction(3, 2))
+    assert {3.0: "x"}.get(QuadExt(3)) == "x" and {1.5: "x"}.get(QuadExt(Fraction(3, 2))) == "x"
+    assert len({QuadExt(3), 3.0, Fraction(3), MultiPoly.const(3)}) == 1
+    assert QuadExt(3) == 3 + 0j and hash(QuadExt(3)) == hash(3 + 0j)
+    assert QuadExt(Fraction(1, 3)) != 1 / 3 and QuadExt(3) != 3.5
+    assert QuadExt(3) != float("nan") and QuadExt(3) != float("inf")
+    # an irrational element equals no float, not even the nearest one
+    for z, x in ((PHI, (1 + 5 ** 0.5) / 2), (PSI, (1 - 5 ** 0.5) / 2), (SQRT5, 5 ** 0.5)):
+        assert z != x and x != z and not z == x
+        assert {x: "x"}.get(z) is None
 
 
 def test_equality_is_one_rule_across_the_exact_scalars():
     # a constant polynomial equals exactly what its int equals, in both
     # orders: == is symmetric and transitive over ints, Fractions,
     # polynomials and quadratic elements, and equal values hash alike
-    grid = [0, 5, -3, Fraction(5), Fraction(1, 2), Fraction(-3),
+    grid = [0, 5, -3, Fraction(5), Fraction(1, 2), Fraction(-3), 5.0, 0.5, -3.0, 2.5,
             MultiPoly.zero(), MultiPoly.const(5), MultiPoly.const(-3), X0, X0 + 5,
             QuadExt(0), QuadExt(5), QuadExt(Fraction(1, 2)), QuadExt(-3), PHI, QuadExt(5, 1)]
     for a in grid:
