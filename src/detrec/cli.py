@@ -35,10 +35,12 @@ guard per computation that every path running it shares.  ``verify``
 checks the identity's argument bounds on the flag values before it builds
 any argument.  ``compute det`` and ``enumerate lsds`` build their matrix
 through ``_family_matrix``, which first refuses a flag the family does not
-read, then holds the matrix to ``caps.MAX_CELLS`` entries and its
-determinant as the family's other route is held; every integer
-recurrence value is held by ``caps.check_iteration``.  Symbolic ``--r``
-coefficients are built only as far as the result reads.
+read, then holds the matrix to ``caps.MAX_CELLS`` entries and prices its
+determinant's elimination; every integer recurrence value is held by
+``caps.check_iteration``.  A symbolic result is priced by running its own
+route over term counts (``caps._Bound``) before any real work, and held to
+``caps.MAX_WORK``.  Symbolic ``--r`` coefficients are built only as far as
+the result reads.
 
 Exit codes: 0 success or all checks passed, 1 verification failure, 2 usage
 error, 3 size cap exceeded.  A reader that closes the pipe early (``| head``)
@@ -54,8 +56,7 @@ import sys
 from collections import Counter
 from itertools import chain, islice, repeat
 
-from .caps import (MAX_DIGITS, MAX_RECURRENCE_WORK, check_cap, check_cells, check_det_E,
-                   check_det_S, check_digits, check_iteration, check_lsds_E, check_recurrence)
+from .caps import MAX_DIGITS, check_cap, check_cells, check_digits, check_iteration, check_lsds_E
 from .combi import (
     circular_tiling_blocks,
     counted_sum,
@@ -67,13 +68,13 @@ from .combi import (
     tiling_weight,
     word_weight,
 )
-from .detmat import build_A, build_C, build_F, build_G, build_S, det_bareiss
+from .detmat import build_A, build_C, build_F, build_G, build_S, det_bareiss, price_C, price_S
 from .digraph import lsd_blocks
 from .errors import NotDivisible, TooLarge
 from .identities import IDENTITIES, coeff_name, symbolic_coeffs, verify_all
 from .poly import MultiPoly, scalar_str, scalar_sum
-from .recurrence import eval_recurrence, fibonacci, lucas, racci
-from .symfunc import build_E, elementary, homogeneous, schur
+from .recurrence import eval_recurrence, fibonacci, lucas, price_recurrence, racci
+from .symfunc import build_E, elementary, homogeneous, price_E, schur
 
 
 def _int_list(text: str) -> list[int]:
@@ -118,13 +119,16 @@ def _coeffs(args, n: int | None = None):
     return symbolic_coeffs(r if n is None else min(r, max(n, 1))), coeff_name
 
 
-def _recurrence_coeffs(args, n: int, work: int = MAX_RECURRENCE_WORK, iterated: bool = False):
-    """``_coeffs(args, n)`` after ``u_n``'s caps: ``work`` if symbolic, else ``check_iteration``.
+def _recurrence_coeffs(args, n: int, iterated: bool = False, price=price_recurrence):
+    """``_coeffs(args, n)`` after ``u_n``'s caps: ``price(n, r)`` if symbolic, else
+    ``check_iteration``.
 
-    An ``iterated`` caller runs ``eval_recurrence``, whose own guard holds
-    integer coefficients to ``check_iteration``, so it is not run here too."""
+    ``price`` is that of the route the caller runs on them, the iteration
+    by default.  An ``iterated`` caller runs ``eval_recurrence``, whose own
+    guard holds integer coefficients to ``check_iteration``, so it is not
+    run here too."""
     if args.coeffs is None:
-        check_recurrence(n, _need(args, "--coeffs or --r"), work)
+        price(n, _coeff_count(args))
     coeffs, names = _coeffs(args, n)
     if names is None and not iterated:
         check_iteration(n, coeffs)
@@ -137,11 +141,11 @@ def _family_matrix(args, lsds: bool = False):
     A flag the family does not read (``_FAMILY_FLAGS``) is a usage error,
     refused first.  Before it is built, the matrix is held to
     ``caps.MAX_CELLS`` entries, then, for ``lsds``, to the LSD enumeration's
-    caps, and its determinant to the caps of the family's other route:
-    ``E`` is ``h_n``, symbolic ``C`` the recurrence value ``u_n`` and ``S``
-    the symbolic ``2(a**n + b**n)``, each held with its elimination work.
-    Integer ``C``, ``G`` and ``F`` are recurrence values, and half the
-    determinant of ``A`` is the Lucas number, held as ``compute lucas`` is.
+    caps, and its determinant: ``E`` (``h_n``), symbolic ``C`` (``u_n``)
+    and ``S`` (``2(a**n + b**n)``) to the price of their elimination,
+    ``E`` to ``h_n``'s terms first.  Integer ``C``, ``G`` and ``F`` are
+    recurrence values, and half the determinant of ``A`` is the Lucas
+    number, held as ``compute lucas`` is.
     """
     family, n = args.family, args.n
     unread = [flag for flag in ("--vars", "--r", "--coeffs")
@@ -154,15 +158,13 @@ def _family_matrix(args, lsds: bool = False):
         if family == "E":  # each LSD prints a weight of up to h_n's terms
             check_lsds_E(n, _need(args, "--vars"))
     if family == "E":
-        check_det_E(n, _need(args, "--vars"))
+        price_E(n, _need(args, "--vars"))
         return build_E(n, args.vars), None
     if family == "S":
-        check_det_S(n)
+        price_S(n)
         return build_S(MultiPoly.var(0), MultiPoly.var(1), n), ("a", "b")
     if family == "C":
-        # elimination also copies and subtracts each pivot-row entry it
-        # multiplies, about twice the iteration's work
-        coeffs, names = _recurrence_coeffs(args, n, MAX_RECURRENCE_WORK // 2)
+        coeffs, names = _recurrence_coeffs(args, n, price=price_C)
         return build_C(coeffs, n), names
     if family == "G":
         check_iteration(n, repeat(1, _need(args, "--r")))

@@ -19,6 +19,9 @@ one packing with one bound, two minors (``_run_packed``), and unpacks only
 the determinant; every other matrix runs on its entries as they are.
 Cofactor expansion memoises each minor on its column set for the length of
 one call, so it expands ``2**n`` minors at most rather than ``n!`` paths.
+``price_C`` and ``price_S`` price Bareiss elimination before it runs: the
+route's own code runs over the term counts of the entries (``caps._Bound``),
+packed or not as ``_run_packed`` decides for the real matrix.
 
 Every matrix built here is sparse: ``C``/``G``/``F`` are banded upper
 Hessenberg and ``S``/``A`` tridiagonal plus two corners.  Bareiss computes
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .caps import COFACTOR_MAX_N
+from .caps import COFACTOR_MAX_N, _Bound, _Price, symbolic_bounds
 from .errors import DimensionTooSmall, ExactDivisionFailure, NotDivisible, TooLarge
 from .poly import PHI, PSI, MultiPoly, _pack_rows, _Packed, exact_divide, scalar_str
 
@@ -113,11 +116,9 @@ def _square(rows: list[list], values: Iterable) -> SquareMatrix:
 
 
 def _has_multiterm(values: Iterable) -> bool:
-    """Whether some value is a polynomial of two or more terms."""
-    for x in values:
-        if type(x) is MultiPoly and len(x._terms) > 1:
-            return True
-    return False
+    """Whether some value is a polynomial, or the bound of one, of two or more terms."""
+    return any(type(x) is MultiPoly and len(x._terms) > 1 or type(x) is _Bound and x.terms > 1
+               for x in values)
 
 
 def build_C(coeffs: Sequence, n: int) -> SquareMatrix:
@@ -212,7 +213,7 @@ def _exact_div(num, den):
         raise ExactDivisionFailure(str(exc)) from exc
 
 
-def _run_packed(route, m: SquareMatrix):
+def _run_packed(route, m: SquareMatrix, price: _Price | None = None):
     """``route(rows)`` on the rows of ``m``: the determinant, by one packing when it pays.
 
     When ``m._multiterm``, the polynomial entries are packed once, in one
@@ -226,11 +227,35 @@ def _run_packed(route, m: SquareMatrix):
     colliding terms for a packing to merge.  Nor does a matrix of size 1 or 2: each product its
     determinant takes is of two entries and feeds no other product, so a
     packing per product packs and unpacks no more than one for the matrix.
+
+    Given a ``price``, the entries of ``m`` are its bounds (``caps._Bound``)
+    and ints, and the route is priced: it runs on them, packed or not as
+    it would run on polynomials of those term counts (``caps._Price.run``).
     """
-    if not m._multiterm or m.n < 3:
+    packs = m._multiterm and m.n >= 3
+    if price is not None:
+        return price.run(packs, route, m._rows)
+    if not packs:
         return route(m._rows)
     det = route(_pack_rows(m._rows))
     return det.unpack() if type(det) is _Packed else det
+
+
+def price_C(n: int, r: int) -> _Bound:
+    """The priced ``det_bareiss(build_C(c, n))`` of symbolic ``c_1..c_r``: its terms' bound.
+
+    The elimination runs on the bounds of ``caps.symbolic_bounds`` as on
+    the polynomials, and raises ``TooLarge`` once its work passes
+    ``caps.MAX_WORK``.
+    """
+    coeffs = symbolic_bounds("det: elimination", n, r, 2 * n)
+    return _run_packed(_bareiss, build_C(coeffs, n), coeffs[0].price)
+
+
+def price_S(n: int) -> _Bound:
+    """The priced ``det_bareiss(build_S(a, b, n))`` of variables ``a`` and ``b``, as ``price_C``."""
+    price = _Price("det: elimination", (1, 1), 2 * n)
+    return _run_packed(_bareiss, build_S(price.entry(1, 1), price.entry(1, 1), n), price)
 
 
 def det_cofactor(m: SquareMatrix):

@@ -66,11 +66,14 @@ products, and ``conjugate`` is the automorphism ``sqrt(5) -> -sqrt(5)``, so
 from input that is not an int, and ``rational`` and ``radical`` return one.
 ``fractions`` is imported there, when first needed, so a process that makes
 no ``Fraction`` never loads it, nor the ``decimal`` and ``numbers`` it
-brings; ``PHI``, ``PSI`` and ``SQRT5`` are built by ``_quad``.
+brings; an operand of another type is checked against ``Fraction`` only
+once ``fractions`` is loaded, since none can be one before.  ``PHI``,
+``PSI`` and ``SQRT5`` are built by ``_quad``.
 """
 
 from __future__ import annotations
 
+import sys
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
 from operator import mul
@@ -730,8 +733,8 @@ class QuadExt:
             return other
         if isinstance(other, int):
             return _quad(int(other), 0, 1)
-        from fractions import Fraction
-        if isinstance(other, Fraction):
+        # no operand is a Fraction before fractions is loaded, so none loads it
+        if "fractions" in sys.modules and isinstance(other, sys.modules["fractions"].Fraction):
             return _quad(other.numerator, 0, other.denominator)
         return None
 

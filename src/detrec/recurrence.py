@@ -7,7 +7,9 @@ sequences, the cycle-type multinomial sum, and exact golden-ratio closed
 forms evaluated in the quadratic field (no floating point anywhere).  The
 iteration keeps only its last ``r`` values.  With a polynomial coefficient
 it packs the coefficients once and runs in that packing: each ``u_m`` is
-one multiply-accumulate, and only ``u_n`` is unpacked.  Each Fibonacci and
+one multiply-accumulate, and only ``u_n`` is unpacked; ``price_recurrence``
+prices that run with symbolic coefficients by running the iteration's
+loop over their term counts (``caps._Bound``).  Each Fibonacci and
 Lucas value, iterated or closed, is held to the digit cap, and ``racci``
 holds its value and iteration to ``caps.check_iteration`` once, before it
 builds its list of ones and runs ``eval_recurrence``'s guard-free loop on
@@ -21,7 +23,7 @@ from itertools import repeat
 from operator import mul
 from typing import Sequence
 
-from .caps import check_cap, check_digits, check_iteration
+from .caps import check_cap, check_digits, check_iteration, symbolic_bounds
 from .digraph import cycle_type_sum
 from .poly import PHI, SQRT5, MultiPoly, QuadExt, _mul_sum, _pack, _Packed
 
@@ -54,6 +56,20 @@ def eval_recurrence(coeffs: Sequence, n: int):
     if None in polys:
         raise TypeError("recurrence coefficients with a polynomial must be ints or polynomials")
     return _iterate(_pack(polys, n * max(map(MultiPoly.degree, polys))), n).unpack()
+
+
+def price_recurrence(n: int, r: int):
+    """The priced ``eval_recurrence`` of symbolic ``c_1..c_r``: the bound of ``u_n``'s terms.
+
+    The iteration runs on the coefficients' bounds (``caps._Bound``) as
+    ``eval_recurrence`` runs it on polynomials, packed, and unpacks
+    ``u_n``.  Raises ``TooLarge`` once its work passes ``caps.MAX_WORK``.
+    The price's table of monomials, ``min(r, n) * n`` steps, is charged
+    first, so a size whose table alone passes the limit is refused at once;
+    every step charges more than one unit for each coefficient it reads.
+    """
+    coeffs = symbolic_bounds("recurrence: iteration", n, r, n)
+    return coeffs[0].price.run(True, _iterate, coeffs, n)
 
 
 def _iterate(coeffs: Sequence, n: int):
@@ -92,18 +108,17 @@ def fibonacci(n: int) -> int:
     before any work when ``check_iteration`` refuses ``n`` for ``1, 1``, and
     once computed when the value has more than ``caps.MAX_DIGITS`` digits.
     """
-    _check_ones(n, 2)
-    a, b = 1, 1
-    for _ in range(n):
-        a, b = b, a + b
-    check_digits(a)
-    return a
+    return _fibonacci_like(n, 1, 1)
 
 
 def lucas(n: int) -> int:
     """Lucas numbers with seeds ``l_0 = 2, l_1 = 1``, guarded as ``fibonacci``."""
+    return _fibonacci_like(n, 2, 1)
+
+
+def _fibonacci_like(n: int, a: int, b: int) -> int:
+    """Term ``n`` of ``x_m = x_(m-1) + x_(m-2)`` with seeds ``x_0 = a, x_1 = b``, guarded."""
     _check_ones(n, 2)
-    a, b = 2, 1
     for _ in range(n):
         a, b = b, a + b
     check_digits(a)

@@ -7,7 +7,9 @@ shape ``(m)``.  ``build_E`` is ``detmat.build_C`` of the signed
 ``h_m = sum_t (-1)**(t-1) * e_t * h_(m-t)``.  Schur polynomials are
 Jacobi-Trudi determinants of the same kind, of ``h_k`` or of ``e_k``,
 expanded without division by ``detmat.det_cofactor``; ``schur`` picks the
-cheaper matrix by a stated cost model.  The bialternant quotient
+cheaper matrix by running the expansion over the term counts of its
+entries (``caps._Bound``), and ``price_E`` prices ``det(E)`` by running
+Bareiss elimination over them.  The bialternant quotient
 ``a_(lam+delta) / a_delta`` of two alternating determinants stays as the
 independent check route, ``bialternant``.
 
@@ -21,9 +23,8 @@ from itertools import combinations, combinations_with_replacement, groupby
 from math import comb
 from typing import Iterator, Sequence
 
-from .caps import COFACTOR_MAX_N, MAX_SCHUR_WORK, check_terms
-from .detmat import SquareMatrix, _cofactor, build_C, det_cofactor
-from .errors import TooLarge
+from .caps import COFACTOR_MAX_N, _Price, check_terms
+from .detmat import SquareMatrix, _bareiss, _cofactor, _run_packed, _square, build_C, det_cofactor
 from .poly import Monomial, MultiPoly, _from_terms, exact_divide
 
 
@@ -40,12 +41,9 @@ def elementary(k: int, n_vars: int) -> MultiPoly:
     if n_vars < 1:
         raise ValueError("need at least one variable")
     check_terms("e", n_vars, k, k)
-    if k == 0:
-        return MultiPoly.one()
-    if k > n_vars:
-        return MultiPoly.zero()
     # each monomial is canonical as built: variables ascending, exponents 1;
-    # the subsets come in lexicographic order, so their monomials descend
+    # the subsets come in lexicographic order, so their monomials descend;
+    # e_0 is the one empty subset's monomial, and a k > n_vars has none
     return _from_terms(dict.fromkeys((tuple((v, 1) for v in combo)
                                       for combo in combinations(range(n_vars), k)), 1))
 
@@ -113,10 +111,8 @@ def alternant(lam: Sequence[int], n_vars: int) -> MultiPoly:
     """
     parts = _check_partition(lam, n_vars)
     parts += (0,) * (n_vars - len(parts))
-    rows = []
-    for i in range(n_vars):
-        exp = parts[i] + (n_vars - 1 - i)
-        rows.append([MultiPoly({((j, exp),): 1}) for j in range(n_vars)])
+    rows = [[MultiPoly({((j, p + n_vars - 1 - i),): 1}) for j in range(n_vars)]
+            for i, p in enumerate(parts)]
     return det_cofactor(SquareMatrix(rows))
 
 
@@ -143,51 +139,81 @@ def schur(lam: Sequence[int], n_vars: int) -> MultiPoly:
     of size at most ``COFACTOR_MAX_N`` is expanded by ``det_cofactor``,
     each distinct ``h_k`` or ``e_k`` built once.
 
-    Cost model: ``h_k`` has ``comb(k + n - 1, n - 1)`` terms and ``e_k``
-    ``comb(n, k)``.  The expansion multiplies each nonzero entry of a
-    minor's first row by the minor on the other columns, once per distinct
-    minor it reaches, and a product costs its factors' term counts
-    multiplied.  A minor has at most as many terms as the products summed
-    into it, and at most ``comb(d + n - 1, n - 1)``, the monomials of its
-    degree ``d``.  A matrix's work is its products' costs summed, plus the
-    terms of each distinct entry it builds.  The model is the expansion
-    itself, ``detmat._cofactor``, run over these term counts (``_Bound``),
-    so it reaches the same minors and skips the same zeros.
+    Cost model: the expansion itself, ``detmat._cofactor``, runs over the
+    bounds (``caps._Bound``) of its entries, as ``det_cofactor`` would run
+    it, packed or not, so it reaches the same minors and skips the same
+    zeros.  ``h_k`` has ``comb(k + n - 1, n - 1)`` terms, the monomials of
+    degree ``k``, and ``e_k`` ``comb(n, k)``; building each distinct entry
+    costs its terms' factors, and each ring operation the term work of its
+    loop (see ``caps._Bound``).  ``schur_price`` gives that price.
 
     Raises ``TooLarge`` before any work when the result's size bound
     ``comb(|lam| + n - 1, n - 1)``, the monomials of degree ``|lam|``,
-    exceeds ``caps.MAX_TERMS``, or when the chosen matrix's work exceeds
-    ``caps.MAX_SCHUR_WORK``.  Under the size bound ``min(l(lam), lam_1)``
-    is at most 5, so one of the two matrices always fits.
+    exceeds ``caps.MAX_TERMS``, or when the chosen matrix's price exceeds
+    ``caps.MAX_WORK``.  Under the size bound ``min(l(lam), lam_1)`` is at
+    most 5, so one of the two matrices always fits.
     """
+    parts, full = _stripped(lam, n_vars)
+    value = _jacobi_trudi(parts, n_vars) if parts else MultiPoly.one()
+    return value * MultiPoly({tuple((v, full) for v in range(n_vars)): 1}) if full else value
+
+
+def schur_price(lam: Sequence[int], n_vars: int):
+    """The priced expansion of ``schur(lam, n_vars)``: the bound of its terms.
+
+    The bound (``caps._Bound``) of the cheaper Jacobi-Trudi determinant,
+    whose terms are those of ``s_lam``, or the int 1 when no matrix is
+    left once the full columns factor out; raises as ``schur`` does.
+    """
+    parts = _stripped(lam, n_vars)[0]
+    return _cheaper_matrix(parts, n_vars)[0] if parts else 1
+
+
+def _stripped(lam: Sequence[int], n_vars: int) -> tuple[tuple[int, ...], int]:
+    """``lam``'s parts once its full columns factor out, and their height (see ``schur``)."""
     if n_vars < 1:
         raise ValueError("need at least one variable")
     parts = _check_partition(lam, n_vars)
     check_terms("schur", sum(parts) + n_vars - 1, n_vars - 1)
     full = parts[-1] if len(parts) == n_vars else 0
-    parts = tuple(p - full for p in parts if p > full)
-    value = _jacobi_trudi(parts, n_vars) if parts else MultiPoly.one()
-    if full:
-        value = value * MultiPoly({tuple((v, full) for v in range(n_vars)): 1})
-    return value
+    return tuple(p - full for p in parts if p > full), full
 
 
 def _jacobi_trudi(parts: tuple[int, ...], n_vars: int) -> MultiPoly:
     """``s_parts`` by the cheaper of its two Jacobi-Trudi matrices (see ``schur``)."""
-    candidates = [(parts, _h_terms, homogeneous)]
-    if parts[0] <= COFACTOR_MAX_N:
-        conjugate = tuple(sum(p > j for p in parts) for j in range(parts[0]))
-        candidates.append((conjugate, _e_terms, elementary))
-    work, shape, build = min(((_expansion_work(shape, n_vars, terms), shape, build)
-                              for shape, terms, build in candidates
-                              if len(shape) <= COFACTOR_MAX_N), key=lambda c: c[0])
-    if work > MAX_SCHUR_WORK:
-        raise TooLarge(f"schur: Jacobi-Trudi work {work} exceeds {MAX_SCHUR_WORK}")
-    return det_cofactor(SquareMatrix(_jacobi_trudi_rows(shape, lambda k: build(k, n_vars))))
+    _, shape, build = _cheaper_matrix(parts, n_vars)
+    return det_cofactor(_jacobi_trudi_matrix(shape, lambda k: build(k, n_vars)))
 
 
-def _jacobi_trudi_rows(shape: tuple[int, ...], entry) -> list[list]:
-    """The rows of ``det(f_{shape_i - i + j})``, ``entry(k)`` being ``f_k``.
+def _cheaper_matrix(parts: tuple[int, ...], n_vars: int):
+    """The priced Jacobi-Trudi matrix of ``s_parts`` that costs less: its bound, shape and builder.
+
+    Each matrix of size at most ``COFACTOR_MAX_N`` is priced by
+    ``detmat._cofactor`` run over bounds of its entries (``caps._Bound``):
+    ``h_k`` has the ``comb(k + n - 1, n - 1)`` monomials of degree ``k``
+    and ``e_k`` ``comb(n, k)`` terms, and building each distinct entry
+    costs its terms' factors.  Both run whole on one price, whose table of
+    monomials they share, since an expansion is at most
+    ``2**COFACTOR_MAX_N`` minors; the price keeps the cheaper one's work,
+    and raises ``TooLarge`` when that passes ``caps.MAX_WORK``.
+    """
+    conjugate = tuple(sum(p > j for p in parts) for j in range(min(parts[0], COFACTOR_MAX_N + 1)))
+    price = _Price("schur: Jacobi-Trudi", [1] * n_vars, sum(parts), held=False)
+    priced = []
+    for shape, build, terms in ((parts, homogeneous, None), (conjugate, elementary, comb)):
+        if len(shape) <= COFACTOR_MAX_N:
+            start = price.work
+            entry = lambda k: price.entry(terms(n_vars, k) if terms else price.monomials[k], k)
+            bound = _run_packed(_cofactor, _jacobi_trudi_matrix(shape, entry), price)
+            priced.append((price.work - start, bound, shape, build))
+    price.work, bound, shape, build = min(priced, key=lambda c: c[0])
+    price.held = True
+    price.charge(0)
+    return bound, shape, build
+
+
+def _jacobi_trudi_matrix(shape: tuple[int, ...], entry) -> SquareMatrix:
+    """The matrix ``det(f_{shape_i - i + j})``, ``entry(k)`` being ``f_k``.
 
     ``entry`` is asked once for each distinct ``k >= 0`` in the matrix; an
     entry of negative index is 0.
@@ -195,64 +221,7 @@ def _jacobi_trudi_rows(shape: tuple[int, ...], entry) -> list[list]:
     size = len(shape)
     offsets = [p - i for i, p in enumerate(shape)]  # entry (i, j) is f_(offsets[i] + j)
     built = {k: entry(k) for k in {o + j for o in offsets for j in range(size)} if k >= 0}
-    return [[built.get(o + j, 0) for j in range(size)] for o in offsets]
-
-
-def _h_terms(k: int, n_vars: int) -> int:
-    return comb(k + n_vars - 1, n_vars - 1) if k >= 0 else 0
-
-
-def _e_terms(k: int, n_vars: int) -> int:
-    return comb(n_vars, k) if k >= 0 else 0
-
-
-class _Bound:
-    """A nonzero bound on the terms of a Jacobi-Trudi entry or minor: ``schur``'s cost model.
-
-    ``work`` is a one-item list that the bounds of one matrix share.  A
-    product ``entry * minor`` costs, and adds to it, the entry's count times
-    the minor's, which is capped first at ``comb(degree + n_vars - 1,
-    n_vars - 1)``, the monomials of the minor's degree, computed for each
-    product: a per-call table of those caps measured no faster.  A sum or
-    difference adds counts; the int 0 is the empty sum.
-    """
-
-    __slots__ = ("count", "degree", "n_vars", "work")
-
-    def __init__(self, count: int, degree: int, n_vars: int, work: list[int]):
-        self.count, self.degree, self.n_vars, self.work = count, degree, n_vars, work
-
-    def __mul__(self, minor: "_Bound") -> "_Bound":
-        n_vars = self.n_vars
-        count = self.count * min(minor.count, comb(minor.degree + n_vars - 1, n_vars - 1))
-        self.work[0] += count
-        return _Bound(count, self.degree + minor.degree, n_vars, self.work)
-
-    def __add__(self, other: "_Bound") -> "_Bound":
-        return _Bound(self.count + other.count, self.degree, self.n_vars, self.work)
-
-    def __radd__(self, zero: int) -> "_Bound":
-        return self
-
-    __sub__, __rsub__ = __add__, __radd__
-
-
-def _expansion_work(shape: tuple[int, ...], n_vars: int, terms) -> int:
-    """Modelled work of ``det_cofactor`` on ``det(f_{shape_i - i + j})`` (see ``schur``).
-
-    ``terms(k, n_vars)`` is the term count of ``f_k``.  The expansion's own
-    recursion, ``detmat._cofactor``, runs on the ``_Bound`` of each entry,
-    which tallies its products' costs.
-    """
-    work = [0]
-
-    def bound(k: int):
-        # building an entry costs its terms; an entry of no term is 0
-        count = terms(k, n_vars)
-        work[0] += count
-        return count and _Bound(count, k, n_vars, work)
-    _cofactor(_jacobi_trudi_rows(shape, bound))
-    return work[0]
+    return _square([[built.get(o + j, 0) for j in range(size)] for o in offsets], built.values())
 
 
 def build_E(m: int, n_vars: int) -> SquareMatrix:
@@ -269,6 +238,23 @@ def build_E(m: int, n_vars: int) -> SquareMatrix:
         raise ValueError("matrix size must be positive")
     k = min(m, max(n_vars, 1))  # at least e_1, whose check rejects n_vars < 1
     return build_C(signed_elementary(k, n_vars), m)
+
+
+def price_E(n: int, n_vars: int):
+    """The priced ``det_bareiss(build_E(n, n_vars))``, which is ``h_n``: the bound of its terms.
+
+    ``h_n`` is first held to ``caps.MAX_TERMS``; the elimination runs on
+    bounds of ``e_t``, ``comb(n_vars, t)`` terms of degree ``t``, as
+    ``detmat.price_C`` runs on those of ``c_t``, and raises ``TooLarge``
+    once its work passes ``caps.MAX_WORK``.  Returns ``None`` for a size
+    ``build_E`` rejects.
+    """
+    check_terms("det", n + n_vars - 1, n)
+    if n < 1 or n_vars < 1:
+        return None
+    price = _Price("det: elimination", [1] * n_vars, 2 * n)
+    band = [price.entry(comb(n_vars, t), t) for t in range(1, min(n, n_vars) + 1)]
+    return _run_packed(_bareiss, build_C(band, n), price)
 
 
 def signed_elementary(k: int, n_vars: int) -> list[MultiPoly]:

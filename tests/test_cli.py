@@ -9,13 +9,14 @@ import random
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from detrec import cli, combi, identities, recurrence, symfunc
-from detrec.caps import MAX_RECURRENCE_STEPS, MAX_RECURRENCE_WORK, check_recurrence
+from detrec.caps import MAX_RECURRENCE_STEPS, MAX_WORK
 from detrec.cli import main
 from detrec.combi import cyclic_word_weight, tiling_weight, word_weight
 from detrec.detmat import build_A, build_C, build_F, build_G, build_S
@@ -644,7 +645,7 @@ def test_symbolic_recurrence_work_cap(capsys):
     # 195,491 terms; the iteration ran 37 s before the cap
     code, out, err = run(capsys, "compute", "recurrence", "--r", "10", "--n", "60")
     assert (code, out) == (3, "")
-    assert "recurrence" in err
+    assert err == f"error: recurrence: iteration work bound exceeds {MAX_WORK}\n"
     # n far out of range: refused at once, before any coefficient is built
     for r, n in (("1", "1000000000"), ("2", "200000")):
         assert run(capsys, "compute", "recurrence", "--r", r, "--n", n)[0] == 3
@@ -652,29 +653,49 @@ def test_symbolic_recurrence_work_cap(capsys):
     code, out, _ = run(capsys, "compute", "recurrence", "--r", "1000000000", "--n", "5")
     assert (code, out) == run(capsys, "compute", "recurrence", "--r", "5", "--n", "5")[:2]
     assert code == 0
-    check_recurrence(40, 10)  # 16,928 terms, about 0.25 s: still computed
+    # the largest r = 10 case priced under the bound, and the next one
+    assert recurrence.price_recurrence(49, 10).terms == 55_494
     with pytest.raises(TooLarge):
-        check_recurrence(41, 10)
+        recurrence.price_recurrence(50, 10)
     # integer coefficients are not capped by it
     assert run(capsys, "compute", "recurrence", "--coeffs", "1,1", "--n", "100")[0] == 0
 
 
-def test_symbolic_recurrence_work_bound_matches_its_count():
-    # r times the summed term counts of u_0..u_n, plus three terms a step
-    def work(n, r):
-        counts = [1] + [0] * n
-        for part in range(1, r + 1):
-            for m in range(part, n + 1):
-                counts[m] += counts[m - part]
-        return r * (sum(counts) + 3 * (n + 1))
+def _iteration_work(n, r):
+    """The price of ``u_n`` with symbolic ``c_1..c_r``, counted from the partitions of each degree.
 
+    ``u_m`` has one term per partition of ``m`` into parts ``<= r``.  Step
+    ``m`` makes the products ``c_t * u_(m-t)``, ``t <= min(m, r)``, of as
+    many terms as pairs, and sums them from 0, each operation charging its
+    terms and a call; the table of ``u_m``'s terms costs ``r * n``,
+    building each ``c_t`` its one term of ``t`` pairs at most, and
+    unpacking ``u_n`` its terms times ``r``.
+    """
+    call = 8
+    counts = [1] + [0] * n  # counts[m]: partitions of m into parts <= r
+    for part in range(1, r + 1):
+        for m in range(part, n + 1):
+            counts[m] += counts[m - part]
+    work = r * n + r * (r + 1) // 2
+    for m in range(1, n + 1):
+        total = 0
+        for t in range(1, min(m, r) + 1):
+            work += 2 * counts[m - t] + call  # the product's pairs and the terms it builds
+            work += total + counts[m - t] + call  # the sum's terms
+            total = min(total + counts[m - t], counts[m])
+    return work + counts[n] * r
+
+
+def test_symbolic_recurrence_work_bound_matches_its_count():
     for r in (1, 2, 3, 5, 10):
-        for n in (0, 1, 7, 30, 45, 120, 240):
-            if work(n, r) > MAX_RECURRENCE_WORK:
+        assert recurrence.price_recurrence(0, r) == 1  # u_0 = 1, no step
+        for n in (1, 7, 30, 45, 49, 50, 120, 240):
+            work = _iteration_work(n, min(r, n))
+            if work > MAX_WORK:
                 with pytest.raises(TooLarge):
-                    check_recurrence(n, r)
+                    recurrence.price_recurrence(n, r)
             else:
-                check_recurrence(n, r)
+                assert recurrence.price_recurrence(n, r).price.work == work, (n, r)
 
 
 def test_huge_symbolic_r_builds_only_the_coefficients_read(capsys, monkeypatch):
@@ -754,6 +775,22 @@ def test_integer_and_golden_ratio_paths_make_no_fraction():
         "assert identities.verify_binet_lucas(12).passed\n"
         "assert detmat.det_bareiss(detmat.build_A(12)) == 644")
     assert "argparse" in loaded
+    assert not loaded & {"fractions", "decimal", "numbers"}, sorted(loaded)
+
+
+def test_comparing_a_field_element_with_another_type_makes_no_fraction():
+    # no operand is a Fraction while fractions is not loaded, so checking
+    # one that is neither an int nor a QuadExt loads nothing
+    loaded = _modules_loaded_by(
+        "from detrec.poly import PHI, MultiPoly\n"
+        "assert (PHI == MultiPoly.var(0)) is False\n"
+        "try:\n"
+        "    PHI + 'x'\n"
+        "    raised = False\n"
+        "except TypeError:\n"
+        "    raised = True\n"
+        "assert raised")
+    assert "detrec.poly" in loaded
     assert not loaded & {"fractions", "decimal", "numbers"}, sorted(loaded)
 
 
@@ -839,7 +876,7 @@ def test_schur_work_cap_exit_code(capsys):
     # refused by the result's size and by the Jacobi-Trudi work, at once
     for argv, message in ((["900", "3"], "schur: result has more than 100000 terms"),
                           (["1", "2000000000"], "schur: result has more than 100000 terms"),
-                          (["60,60", "3"], "schur: Jacobi-Trudi work 7155545 exceeds")):
+                          (["70,70", "3"], "schur: Jacobi-Trudi work bound exceeds 12000000")):
         code, out, err = run(capsys, "compute", "schur", "--parts", argv[0], "--vars", argv[1])
         assert (code, out) == (3, ""), argv
         assert message in err, argv
@@ -853,13 +890,13 @@ def test_schur_work_cap_exit_code(capsys):
 # (argv, message): refused by a value cap, by the work of elimination or by
 # the stored cells
 DET_REFUSALS = [
-    (["E", "--n", "80", "--vars", "4"], "elimination work bound exceeds 1200000"),
-    (["E", "--n", "31", "--vars", "4"], "elimination work bound exceeds 1200000"),
-    (["E", "--n", "10", "--vars", "10"], "elimination work bound exceeds 1200000"),
-    (["E", "--n", "2", "--vars", "446"], "elimination work bound exceeds 1200000"),
+    (["E", "--n", "80", "--vars", "4"], "elimination work bound exceeds 12000000"),
+    (["E", "--n", "60", "--vars", "4"], "elimination work bound exceeds 12000000"),
+    (["E", "--n", "10", "--vars", "10"], "elimination work bound exceeds 12000000"),
+    (["E", "--n", "2", "--vars", "446"], "elimination work bound exceeds 12000000"),
     (["E", "--n", "4", "--vars", "40"], "det: result has more than 100000 terms"),
-    (["S", "--n", "154"], "elimination work bound exceeds 1200000"),
-    (["C", "--n", "190", "--r", "3"], "iteration work bound exceeds 600000"),
+    (["S", "--n", "200"], "elimination work bound exceeds 12000000"),
+    (["C", "--n", "250", "--r", "3"], "elimination work bound exceeds 12000000"),
     (["C", "--n", "1500", "--coeffs", "1000"], "more than 4300 digits"),
     (["G", "--n", "2000", "--r", "2000"], "iteration steps exceed"),
     (["A", "--n", "12000"], "more than 4000000 cells"),
@@ -986,16 +1023,34 @@ def test_every_subject_is_capped_before_any_work(capsys, monkeypatch, argv, mess
         assert (code, out) == (0, '{"count": 0, "total_weight": "0"}\n')
 
 
+# the refusals by a work bound, and the largest band of S, whose price
+# scans its 2000 x 2000 bounds
+WORK_REFUSALS = [["compute", "det", "--family", *argv] for argv, message in DET_REFUSALS
+                 if "work bound" in message]
+WORK_REFUSALS += [argv for argv, message in CAPPED_COMMANDS if message and "work bound" in message]
+WORK_REFUSALS += [["compute", "det", "--family", "S", "--n", "2000"]]
+
+
+@pytest.mark.parametrize("argv", WORK_REFUSALS, ids=[" ".join(argv) for argv in WORK_REFUSALS])
+def test_every_work_refusal_is_quick(capsys, argv):
+    # the price stops at the bound, and compute recurrence --n 10**9 --r
+    # 10**9 is refused by its r * n at once, with no bound built
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "") and "work bound exceeds" in err, argv
+
+
 # (E, S or symbolic C over one of the caps of _family_matrix, the message of
 # enumerate lsds): the cells, the LSDs' size cap and the weights they print
 # come first there, with the messages they gave before the caps were shared
 SHARED_REFUSALS = [
     (["E", "--n", "2", "--vars", "446"], "lsds: weights have more than 100000 terms"),
     (["E", "--n", "10", "--vars", "10"], "lsds: weights have more than 100000 terms"),
-    (["E", "--n", "31", "--vars", "4"], "lsd: size 31 exceeds cap 12"),
-    (["S", "--n", "154"], "lsd: size 154 exceeds cap 12"),
+    (["E", "--n", "60", "--vars", "4"], "lsd: size 60 exceeds cap 12"),
+    (["S", "--n", "200"], "lsd: size 200 exceeds cap 12"),
     (["S", "--n", "2001"], "matrix: 2001x2001 has more than 4000000 cells"),
-    (["C", "--n", "190", "--r", "3"], "lsd: size 190 exceeds cap 12"),
+    (["C", "--n", "250", "--r", "3"], "lsd: size 250 exceeds cap 12"),
     (["C", "--n", "1531", "--r", "2"], "lsd: size 1531 exceeds cap 12"),
 ]
 

@@ -6,8 +6,8 @@ from math import comb
 
 import pytest
 
-from detrec import poly, symfunc
-from detrec.caps import COFACTOR_MAX_N, MAX_SCHUR_WORK, MAX_TERMS, check_terms
+from detrec import caps, poly, symfunc
+from detrec.caps import MAX_TERMS, MAX_WORK, check_terms
 from detrec.detmat import SquareMatrix, det_bareiss
 from detrec.errors import TooLarge
 from detrec.poly import MultiPoly, QuadExt, substitute
@@ -116,6 +116,13 @@ def test_schur_equals_the_bialternant_quotient():
         assert schur(padded, n_vars) == expected, (padded, n_vars)
 
 
+def test_schur_is_priced_with_at_least_its_terms():
+    for lam, n_vars in SMALL_SHAPES:
+        price = symfunc.schur_price(lam, n_vars)
+        terms = 1 if isinstance(price, int) else price.terms
+        assert terms >= len(schur(lam, n_vars).terms), (lam, n_vars)
+
+
 def test_schur_times_the_vandermonde_is_the_alternant():
     # the bialternant identity with no division
     for lam, n_vars in SMALL_SHAPES:
@@ -166,31 +173,42 @@ def test_schur_size_bound_is_the_result_bound(monkeypatch):
 
 
 def _jacobi_trudi_work(lam, n_vars):
-    """The modelled work of the matrix ``schur`` picks, by the module's own model."""
-    conjugate = tuple(sum(p > j for p in lam) for j in range(lam[0]))
-    return min(symfunc._expansion_work(shape, n_vars, terms)
-               for shape, terms in ((lam, symfunc._h_terms), (conjugate, symfunc._e_terms))
-               if len(shape) <= COFACTOR_MAX_N)
+    """The priced work of the matrix ``schur`` picks."""
+    return symfunc.schur_price(lam, n_vars).price.work
 
 
 def test_schur_work_bound_matches_its_formula(monkeypatch):
     # s_(a,b) in 3 variables with a > 8 has only the 2x2 matrix of h_k
-    # (lam_1 = a columns is too wide): its work is the two products
-    # h_a*h_b and h_(a+1)*h_(b-1) plus the terms of the distinct entries
+    # (lam_1 = a columns is too wide), which runs unpacked: its work is the
+    # terms of the distinct entries, each of up to 3 factors, the two
+    # products h_a*h_b and h_(a+1)*h_(b-1), and the expansion's sum from 0
+    # of the first less the second, each operation also charging its call
     monkeypatch.setattr(symfunc, "det_cofactor", lambda m: MultiPoly.one())
     monkeypatch.setattr(symfunc, "homogeneous", lambda k, n_vars: MultiPoly.one())
+    call = 8
 
     def terms(k):
         return comb(k + 2, 2)
+
+    def product(x, y):
+        # its work and terms: its pairs, each merged in a call when a factor
+        # has one term, else the factors packed and the product unpacked over
+        # the 3 variables; and the terms of the map it builds
+        pairs, out = terms(x) * terms(y), min(terms(x) * terms(y), terms(x + y))
+        if min(terms(x), terms(y)) < 2:
+            return pairs * call + out + call, out
+        return pairs + 3 * (terms(x) + terms(y) + out) + out + call, out
     for a in range(9, 100):
         for b in range(1, a + 1):
-            work = (terms(a) * terms(b) + terms(a + 1) * terms(b - 1)
-                    + sum(map(terms, {a, a + 1, b - 1, b})))
-            if work > MAX_SCHUR_WORK:
+            (first, one), (second, other) = product(a, b), product(a + 1, b - 1)
+            built = sum(terms(k) * min(max(k, 1), 3) for k in {a, a + 1, b - 1, b})
+            work = built + first + second + one + call + one + other + call
+            if work > MAX_WORK:
                 with pytest.raises(TooLarge, match="Jacobi-Trudi work"):
                     schur((a, b), 3)
             else:
                 schur((a, b), 3)
+                assert _jacobi_trudi_work((a, b), 3) == work, (a, b)
 
 
 def test_schur_work_model_bounds_the_products(monkeypatch):
@@ -236,6 +254,15 @@ def test_schur_work_model_bounds_the_products(monkeypatch):
     assert total  # the spies saw the expansions' products
 
 
+# (lam, n_vars, work): the term pairs of the products of the expansion
+# schur picks and the terms of its entries, which the price charges with
+# the pairs of their terms, the terms its products build and its sums
+# touch, a call a ring operation and the packing and unpacking; the priced
+# work of each case is in SCHUR_PRICES
+SCHUR_PRICES = {((33, 2), 5): 3_992_282, ((6, 3, 2, 2), 8): 3_065_389,
+                ((7, 5, 2, 2), 7): 3_079_945, ((5, 3, 2, 1), 7): 310_459}
+
+
 @pytest.mark.parametrize("lam, n_vars, work", [
     ((33, 2), 5, 1_499_630),
     ((6, 3, 2, 2), 8, 1_448_640),
@@ -243,29 +270,32 @@ def test_schur_work_model_bounds_the_products(monkeypatch):
     ((5, 3, 2, 1), 7, 104_318),
 ])
 def test_schur_work_figures_of_the_accepted_cases(lam, n_vars, work):
-    # the figures caps.MAX_SCHUR_WORK quotes, under its bound
-    assert _jacobi_trudi_work(lam, n_vars) == work <= MAX_SCHUR_WORK
+    assert work < _jacobi_trudi_work(lam, n_vars) == SCHUR_PRICES[lam, n_vars] <= MAX_WORK
 
 
-@pytest.mark.parametrize("lam, n_vars, work", [((6, 4), 10, 5_277_957),
+@pytest.mark.parametrize("lam, n_vars, work", [((70, 70), 3, 13_071_385),
                                                ((9, 5, 3, 3, 3), 6, 133_997_761)])
-def test_schur_work_figures_of_the_refused_cases(lam, n_vars, work):
+def test_schur_work_figures_of_the_refused_cases(monkeypatch, lam, n_vars, work):
+    # the products alone charge past the bound
+    assert work > MAX_WORK
     with pytest.raises(TooLarge) as refused:
         schur(lam, n_vars)
-    assert str(refused.value) == f"schur: Jacobi-Trudi work {work} exceeds {MAX_SCHUR_WORK}"
+    assert str(refused.value) == f"schur: Jacobi-Trudi work bound exceeds {MAX_WORK}"
+    monkeypatch.setattr(caps, "MAX_WORK", 10**12)
+    assert work < _jacobi_trudi_work(lam, n_vars)
 
 
 @pytest.mark.parametrize("lam, n_vars", [
-    ((9, 2, 2), 8),           # work 7,320,265
+    ((10, 4), 8),             # 116,280 terms
     ((10, 5, 3), 7),          # 134,596 terms
     ((9, 5, 3), 8),           # 346,104 terms
-    ((8, 6, 1), 7),           # work 2,740,039 by the e_k matrix
+    ((9, 3, 2, 1, 1), 7),     # work 30,071,081 by the e_k matrix
     ((100000,), 2),           # 100,001 terms
     ((900,), 3),              # 406,351 terms
     ((1,), 100_000_000),      # 100,000,000 terms, never padded
     ((1,), 2_000_000_000),
-    ((60, 60), 3),            # work 7,155,545
-    ((7, 4), 9),              # work 4,591,487 by the e_k matrix
+    ((70, 70), 3),            # work 13,227,551
+    ((7, 5), 9),              # 125,970 terms
     ((16, 9, 6, 5), 5),
     ((9, 5, 3, 3, 3), 6),
 ])
